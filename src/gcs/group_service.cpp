@@ -61,6 +61,7 @@ void GroupService::connect(GroupId group, std::vector<NodeId> members) {
   std::sort(members.begin(), members.end());
   SenderState sender;
   sender.members = std::move(members);
+  sender.external = true;
   senders_[group.value()] = std::move(sender);
 }
 
@@ -72,6 +73,7 @@ std::uint64_t GroupService::submit(GroupId group, Bytes payload) {
   const std::uint64_t msg_id = sender.next_msg_id++;
   SenderState::Pending pending;
   pending.payload = SharedBytes(std::move(payload));
+  pending.target = sender.target;
   sender.pending[msg_id] = std::move(pending);
   // Send just the new submission (never the whole pending map: that
   // would be O(pending) work per submit under load); with a configured
@@ -143,8 +145,10 @@ void GroupService::on_message(transport::Message message) {
     switch (kind) {
       case WireKind::kSubmit: handle_submit(group, message, r); break;
       case WireKind::kSubmitBatch: handle_submit_batch(group, message, r); break;
-      case WireKind::kSubmitAck: handle_submit_ack(group, r); break;
-      case WireKind::kSubmitAckBatch: handle_submit_ack_batch(group, r); break;
+      case WireKind::kSubmitAck: handle_submit_ack(group, message.src, r); break;
+      case WireKind::kSubmitAckBatch:
+        handle_submit_ack_batch(group, message.src, r);
+        break;
       case WireKind::kSeqMsg: handle_seq_msg(group, message, r); break;
       case WireKind::kSeqBatch: handle_seq_batch(group, message, r); break;
       case WireKind::kNack: handle_nack(group, message.src, r); break;
@@ -312,20 +316,32 @@ void GroupService::flush_batch(GroupId group, MemberState& st) {
   st.batch_acks.clear();
 }
 
-void GroupService::handle_submit_ack(GroupId group, Reader& r) {
+void GroupService::handle_submit_ack(GroupId group, NodeId from, Reader& r) {
   const std::uint64_t msg_id = r.u64();
   auto it = senders_.find(group.value());
   if (it == senders_.end()) return;
   it->second.pending.erase(msg_id);
+  follow_sequencer(group, it->second, from);
 }
 
-void GroupService::handle_submit_ack_batch(GroupId group, Reader& r) {
+void GroupService::handle_submit_ack_batch(GroupId group, NodeId from, Reader& r) {
   auto it = senders_.find(group.value());
   if (it == senders_.end()) return;
   const std::uint32_t count = r.u32();
   for (std::uint32_t i = 0; i < count; ++i) {
     it->second.pending.erase(r.u64());
   }
+  follow_sequencer(group, it->second, from);
+}
+
+void GroupService::follow_sequencer(GroupId group, SenderState& sender, NodeId from) {
+  // Only the sequencer acks, so the acking node is where submissions
+  // belong.  Members route by their installed view instead.
+  if (!sender.external) return;
+  const auto pos = std::find(sender.members.begin(), sender.members.end(), from);
+  if (pos == sender.members.end()) return;
+  const auto target = static_cast<std::size_t>(pos - sender.members.begin());
+  if (target != sender.target) retarget_pending(group, sender, target);
 }
 
 void GroupService::handle_seq_msg(GroupId group, const transport::Message& m,
@@ -680,16 +696,10 @@ void GroupService::maybe_install_view(GroupId group, MemberState& st) {
     }
   }
   events_.push(ViewEvent{group, st.view});
-  // Re-target our own pending submissions at the new sequencer: marking
-  // them never-sent makes resend_pending address the new members[0]
-  // immediately instead of rotating past it.
+  // Re-target our own pending submissions at the new sequencer.
   if (auto sit = senders_.find(group.value()); sit != senders_.end()) {
     sit->second.members = st.view.members;
-    for (auto& [msg_id, pending] : sit->second.pending) {
-      pending.target = 0;
-      pending.last_send = TimePoint{};
-    }
-    resend_pending(group, sit->second, /*force=*/true);
+    retarget_pending(group, sit->second, 0);
   }
   ADETS_LOG_INFO("gcs") << "node " << self_ << " installed view "
                         << st.view.id << " of group " << group << " ("
@@ -711,8 +721,12 @@ void GroupService::resend_pending(GroupId group, SenderState& sender, bool force
       continue;
     }
     if (!unsent) {
-      // Previous attempt unanswered: rotate to the next candidate.
+      // Previous attempt unanswered: rotate to the next candidate.  An
+      // external session's target moves along when the silent node was
+      // its target, so later submissions skip it too.
+      const bool on_session_target = pending.target == sender.target;
       pending.target = (pending.target + 1) % sender.members.size();
+      if (sender.external && on_session_target) sender.target = pending.target;
     }
     pending.last_send = now;
     by_target[pending.target].push_back(msg_id);
@@ -720,6 +734,18 @@ void GroupService::resend_pending(GroupId group, SenderState& sender, bool force
   for (const auto& [target, msg_ids] : by_target) {
     send_submissions(group, sender, msg_ids, target);
   }
+}
+
+void GroupService::retarget_pending(GroupId group, SenderState& sender,
+                                    std::size_t target) {
+  // Marking them never-sent makes resend_pending address `target` at
+  // once instead of rotating past it.
+  sender.target = target;
+  for (auto& [msg_id, pending] : sender.pending) {
+    pending.target = target;
+    pending.last_send = TimePoint{};
+  }
+  resend_pending(group, sender, /*force=*/true);
 }
 
 void GroupService::send_submissions(GroupId group, SenderState& sender,

@@ -18,8 +18,24 @@
 //    implies the message was actually multicast.  NACK repair responds
 //    at the same granularity (contiguous runs of the retained window).
 //  - Submissions are idempotent: (sender, sender_msg_id) pairs are
-//    deduplicated by the sequencer, and senders retransmit until their
-//    message is observed sequenced (members) or acknowledged (externals).
+//    deduplicated by the sequencer, and senders retransmit every
+//    retransmit_interval until their message is observed sequenced
+//    (members) or acknowledged (externals).  A retransmission goes to
+//    the next node of the session's member list; a non-sequencer member
+//    forwards it to the sequencer of its view.
+//  - Session routing: each session has one target, where every new
+//    submission starts.  A member session targets its installed view's
+//    sequencer and never adopts a retransmission's rotation (one slow
+//    ack would otherwise send all its later submissions through a
+//    forwarding hop).  An external session (connect()) has no view; it
+//    follows the node that sent its last SubmitAck, which only the
+//    sequencer sends, and moves along with a retransmission that timed
+//    out on its target.  When an ack names a new sequencer, every
+//    pending submission is re-sent there at once.  So a sequencer
+//    failover costs a session about one retransmit interval, not one per
+//    later submission.  Limit: views are not pushed to external
+//    sessions, so a session that sent nothing during the failover still
+//    pays that one interval on its first later submission.
 //  - A heartbeat failure detector drives view changes.  The new
 //    coordinator (lowest surviving member) collects each survivor's
 //    received messages, recomputes the highest safely-contiguous sequence
@@ -184,6 +200,12 @@ class GroupService {
 
   struct SenderState {
     std::vector<common::NodeId> members;
+    /// Index into `members` where every new submission starts.  A member
+    /// session keeps it at its installed view's sequencer (index 0); an
+    /// external session moves it to the node that last acked and along
+    /// with a retransmission that timed out on it.
+    std::size_t target = 0;
+    bool external = false;  // connect() session: no view to follow
     std::uint64_t next_msg_id = 1;
     struct Pending {
       common::SharedBytes payload;
@@ -216,10 +238,10 @@ class GroupService {
                      common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_submit_batch(common::GroupId group, const transport::Message& m,
                            common::Reader& r) ADETS_REQUIRES(mutex_);
-  void handle_submit_ack(common::GroupId group, common::Reader& r)
+  void handle_submit_ack(common::GroupId group, common::NodeId from, common::Reader& r)
       ADETS_REQUIRES(mutex_);
-  void handle_submit_ack_batch(common::GroupId group, common::Reader& r)
-      ADETS_REQUIRES(mutex_);
+  void handle_submit_ack_batch(common::GroupId group, common::NodeId from,
+                               common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_seq_msg(common::GroupId group, const transport::Message& m,
                       common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_seq_batch(common::GroupId group, const transport::Message& m,
@@ -252,6 +274,14 @@ class GroupService {
   void send_nack_if_gap(common::GroupId group, MemberState& st, bool force)
       ADETS_REQUIRES(mutex_);
   void resend_pending(common::GroupId group, SenderState& sender, bool force)
+      ADETS_REQUIRES(mutex_);
+  /// An external session adopts the acking node `from` (the sequencer) as
+  /// its target; if that is a change, its pending submissions follow.
+  void follow_sequencer(common::GroupId group, SenderState& sender, common::NodeId from)
+      ADETS_REQUIRES(mutex_);
+  /// Points the session and all its pending submissions at `target` and
+  /// sends them there at once.
+  void retarget_pending(common::GroupId group, SenderState& sender, std::size_t target)
       ADETS_REQUIRES(mutex_);
   /// Sends one batch of this sender's pending submissions to `target`.
   void send_submissions(common::GroupId group, SenderState& sender,

@@ -12,7 +12,10 @@ void SyncContext::unlock(common::MutexId mutex) {
 
 bool SyncContext::wait(common::MutexId mutex, common::CondVarId condvar,
                        common::Duration paper_timeout) {
-  return host_.context_scheduler().wait(mutex, condvar, paper_timeout).notified;
+  const sched::WaitResult result =
+      host_.context_scheduler().wait(mutex, condvar, paper_timeout);
+  if (result.stopping) throw ReplicaStopping();
+  return result.notified;
 }
 
 void SyncContext::notify_one(common::MutexId mutex, common::CondVarId condvar) {

@@ -60,7 +60,9 @@ class SyncContext {
   void lock(common::MutexId mutex);
   void unlock(common::MutexId mutex);
   /// wait() with Java semantics; returns false when the bounded wait
-  /// timed out.  `paper_timeout` zero waits indefinitely.
+  /// timed out.  `paper_timeout` zero waits indefinitely.  Throws
+  /// ReplicaStopping when the replica shuts down during the wait, so a
+  /// `while (!cond) wait()` loop ends instead of spinning.
   bool wait(common::MutexId mutex, common::CondVarId condvar,
             common::Duration paper_timeout = common::Duration::zero());
   void notify_one(common::MutexId mutex, common::CondVarId condvar);

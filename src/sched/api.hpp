@@ -89,9 +89,14 @@ struct Request {
   TimeoutInfo timeout;     // valid when kind == kTimeout
 };
 
-/// Result of a wait(): notified or timed out (Java semantics).
+/// Result of a wait(): notified or timed out (Java semantics), or cut
+/// short because the scheduler is stopping.
 struct WaitResult {
   bool notified = true;
+  /// The scheduler is shutting down: the wait ended without a notify or
+  /// a timeout, and every further wait would return at once, so the
+  /// caller must not loop back into wait().
+  bool stopping = false;
 };
 
 /// Aggregate counters of one scheduler instance (monotone; thread-safe

@@ -142,10 +142,10 @@ WaitResult SchedulerBase::wait(MutexId mutex, CondVarId condvar, Duration timeou
   Lk lk(mon_);
   ReentrantState& r = reentrant_[mutex.value()];
   if (r.owner != t.logical || r.count <= 0) {
-    if (stopping()) return WaitResult{false};
+    if (stopping()) return WaitResult{false, true};
     throw std::logic_error("wait() requires holding the mutex");
   }
-  if (stopping()) return WaitResult{false};
+  if (stopping()) return WaitResult{false, true};
   // Java semantics: wait releases the monitor completely, whatever the
   // recursion depth, and restores the depth on return.
   const int saved_count = r.count;
@@ -159,7 +159,8 @@ WaitResult SchedulerBase::wait(MutexId mutex, CondVarId condvar, Duration timeou
     }
     arm_wait_timer(t, mutex, condvar, generation, timeout);
   }
-  const WaitResult result = base_wait(lk, t, mutex, condvar, generation, timeout);
+  WaitResult result = base_wait(lk, t, mutex, condvar, generation, timeout);
+  result.stopping = stopping();
   record_decision(result.notified ? Decision::Kind::kCvWakeup
                                   : Decision::Kind::kCvTimeout,
                   mutex, condvar, t.id, generation);

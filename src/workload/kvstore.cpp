@@ -23,18 +23,15 @@ std::uint64_t fnv(const std::string& s) {
 }
 }  // namespace
 
-MutexId KvStore::bucket_mutex(const std::string& key) const {
-  return MutexId(fnv(key) % buckets_);
+// Bucket b is guarded by mutex b; its watchers wait on condition variable b.
+std::uint32_t KvStore::bucket(const std::string& key) const {
+  return static_cast<std::uint32_t>(fnv(key) % buckets_);
 }
 
-CondVarId KvStore::bucket_condvar(const std::string& key) const {
-  return CondVarId(fnv(key) % buckets_);
-}
-
-void KvStore::touch(const std::string& key, SyncContext& ctx) {
-  versions_[key]++;
+void KvStore::touch(std::uint32_t b, const std::string& key, SyncContext& ctx) {
+  versions_[b][key]++;
   // Wake every watcher of this bucket; they re-check their key version.
-  ctx.notify_all(bucket_mutex(key), bucket_condvar(key));
+  ctx.notify_all(MutexId(b), CondVarId(b));
 }
 
 Bytes KvStore::pack_put(const std::string& key, const std::string& value) {
@@ -96,28 +93,31 @@ Bytes KvStore::dispatch(const std::string& method, const Bytes& args,
 Bytes KvStore::do_put(const std::string& key, const std::string& value,
                       SyncContext& ctx) {
   common::Writer reply;
-  DetLock lock(ctx, bucket_mutex(key));
-  const bool existed = data_.count(key) > 0;
-  data_[key] = value;
-  touch(key, ctx);
+  const std::uint32_t b = bucket(key);
+  DetLock lock(ctx, MutexId(b));
+  const bool existed = data_[b].count(key) > 0;
+  data_[b][key] = value;
+  touch(b, key, ctx);
   reply.boolean(existed);
   return reply.take();
 }
 
 Bytes KvStore::do_get(const std::string& key, SyncContext& ctx) {
   common::Writer reply;
-  DetLock lock(ctx, bucket_mutex(key));
-  const auto it = data_.find(key);
-  reply.boolean(it != data_.end());
-  reply.str(it != data_.end() ? it->second : "");
+  const std::uint32_t b = bucket(key);
+  DetLock lock(ctx, MutexId(b));
+  const auto it = data_[b].find(key);
+  reply.boolean(it != data_[b].end());
+  reply.str(it != data_[b].end() ? it->second : "");
   return reply.take();
 }
 
 Bytes KvStore::do_remove(const std::string& key, SyncContext& ctx) {
   common::Writer reply;
-  DetLock lock(ctx, bucket_mutex(key));
-  const bool existed = data_.erase(key) > 0;
-  if (existed) touch(key, ctx);
+  const std::uint32_t b = bucket(key);
+  DetLock lock(ctx, MutexId(b));
+  const bool existed = data_[b].erase(key) > 0;
+  if (existed) touch(b, key, ctx);
   reply.boolean(existed);
   return reply.take();
 }
@@ -125,12 +125,13 @@ Bytes KvStore::do_remove(const std::string& key, SyncContext& ctx) {
 Bytes KvStore::do_cas(const std::string& key, const std::string& expected,
                       const std::string& value, SyncContext& ctx) {
   common::Writer reply;
-  DetLock lock(ctx, bucket_mutex(key));
-  const auto it = data_.find(key);
-  const bool success = it != data_.end() && it->second == expected;
+  const std::uint32_t b = bucket(key);
+  DetLock lock(ctx, MutexId(b));
+  const auto it = data_[b].find(key);
+  const bool success = it != data_[b].end() && it->second == expected;
   if (success) {
     it->second = value;
-    touch(key, ctx);
+    touch(b, key, ctx);
   }
   reply.boolean(success);
   return reply.take();
@@ -139,18 +140,18 @@ Bytes KvStore::do_cas(const std::string& key, const std::string& expected,
 Bytes KvStore::do_watch(const std::string& key, common::Duration timeout,
                         SyncContext& ctx) {
   common::Writer reply;
-  DetLock lock(ctx, bucket_mutex(key));
-  const std::uint64_t seen = versions_[key];
-  bool changed = versions_[key] != seen;
+  const std::uint32_t b = bucket(key);
+  DetLock lock(ctx, MutexId(b));
+  const std::uint64_t seen = versions_[b][key];
+  bool changed = versions_[b][key] != seen;
   while (!changed) {
-    const bool notified =
-        ctx.wait(bucket_mutex(key), bucket_condvar(key), timeout);
-    changed = versions_[key] != seen;
+    const bool notified = ctx.wait(MutexId(b), CondVarId(b), timeout);
+    changed = versions_[b][key] != seen;
     if (!notified && !changed) break;  // bounded wait expired
   }
-  const auto it = data_.find(key);
+  const auto it = data_[b].find(key);
   reply.boolean(changed);
-  reply.str(it != data_.end() ? it->second : "");
+  reply.str(it != data_[b].end() ? it->second : "");
   return reply.take();
 }
 
@@ -158,20 +159,26 @@ Bytes KvStore::do_size(SyncContext& ctx) {
   common::Writer reply;
   // Size touches every bucket; take them in canonical order.
   for (std::uint32_t b = 0; b < buckets_; ++b) ctx.lock(MutexId(b));
-  reply.u64(data_.size());
+  std::uint64_t size = 0;
+  for (const auto& keys : data_) size += keys.size();
+  reply.u64(size);
   for (std::uint32_t b = buckets_; b > 0; --b) ctx.unlock(MutexId(b - 1));
   return reply.take();
 }
 
 std::uint64_t KvStore::state_hash() const {
   repl::StateHash h;
-  for (const auto& [key, value] : data_) {
-    h.mix(key);
-    h.mix(value);
+  for (const auto& keys : data_) {
+    for (const auto& [key, value] : keys) {
+      h.mix(key);
+      h.mix(value);
+    }
   }
-  for (const auto& [key, version] : versions_) {
-    h.mix(key);
-    h.mix(version);
+  for (const auto& keys : versions_) {
+    for (const auto& [key, version] : keys) {
+      h.mix(key);
+      h.mix(version);
+    }
   }
   return h.digest();
 }

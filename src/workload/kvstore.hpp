@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/annotations.hpp"
 #include "runtime/context.hpp"
@@ -34,7 +35,8 @@ namespace adets::workload {
 
 class KvStore : public runtime::ReplicatedObject {
  public:
-  explicit KvStore(std::uint32_t buckets = 8) : buckets_(buckets) {}
+  explicit KvStore(std::uint32_t buckets = 8)
+      : buckets_(buckets), data_(buckets), versions_(buckets) {}
 
   common::Bytes dispatch(const std::string& method, const common::Bytes& args,
                          runtime::SyncContext& ctx) override;
@@ -67,13 +69,15 @@ class KvStore : public runtime::ReplicatedObject {
   common::Bytes do_size(runtime::SyncContext& ctx)
       ADETS_CONFLICT(all) ADETS_READS(data_);
 
-  [[nodiscard]] common::MutexId bucket_mutex(const std::string& key) const;
-  [[nodiscard]] common::CondVarId bucket_condvar(const std::string& key) const;
-  void touch(const std::string& key, runtime::SyncContext& ctx);
+  [[nodiscard]] std::uint32_t bucket(const std::string& key) const;
+  void touch(std::uint32_t b, const std::string& key, runtime::SyncContext& ctx);
 
   const std::uint32_t buckets_;  // configuration, not replicated state
-  std::map<std::string, std::string> data_;      // ordered: hash stability
-  std::map<std::string, std::uint64_t> versions_;  // bumped on every change
+  // One map per bucket, allocated up front: a call holds only its key's
+  // bucket mutex, so calls on different buckets run concurrently and
+  // must not insert into a shared container.
+  std::vector<std::map<std::string, std::string>> data_;  // ordered: hash stability
+  std::vector<std::map<std::string, std::uint64_t>> versions_;  // bumped on every change
 };
 
 }  // namespace adets::workload

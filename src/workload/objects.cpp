@@ -92,9 +92,12 @@ Bytes ComputePatterns::do_dy(std::uint64_t compute_ms, std::uint64_t mutex_index
 
 std::uint64_t ComputePatterns::state_hash() const {
   repl::StateHash h;
-  for (const auto& [mutex, log] : access_log_) {
+  // Untouched mutexes contribute nothing: the digest depends only on the
+  // accesses made, not on how many mutexes the object was built with.
+  for (std::uint64_t mutex = 0; mutex < access_log_.size(); ++mutex) {
+    if (access_log_[mutex].empty()) continue;
     h.mix(mutex);
-    h.mix_range(log);
+    h.mix_range(access_log_[mutex]);
   }
   return h.digest();
 }

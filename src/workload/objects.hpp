@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,8 @@ std::vector<std::uint64_t> unpack_u64(const common::Bytes& bytes);
 /// replicated state.
 class ComputePatterns : public runtime::ReplicatedObject {
  public:
-  explicit ComputePatterns(std::uint32_t mutexes = 10) : mutexes_(mutexes) {}
+  explicit ComputePatterns(std::uint32_t mutexes = 10)
+      : mutexes_(mutexes), access_log_(mutexes) {}
 
   common::Bytes dispatch(const std::string& method, const common::Bytes& args,
                          runtime::SyncContext& ctx) override;
@@ -66,7 +66,9 @@ class ComputePatterns : public runtime::ReplicatedObject {
   void access_state(std::uint64_t mutex_index, runtime::SyncContext& ctx);
 
   const std::uint32_t mutexes_;  // configuration, not replicated state
-  std::map<std::uint64_t, std::vector<std::uint64_t>> access_log_;
+  // One log per mutex, allocated up front: calls on different mutexes
+  // run concurrently and must not insert into a shared container.
+  std::vector<std::vector<std::uint64_t>> access_log_;
 };
 
 /// Callee object of the nested-invocation benchmarks (paper Sec. 5.4):

@@ -1,13 +1,17 @@
 // Tests for the group communication substrate: total order, agreement,
-// external submissions, NACK repair, sequencer fail-over.
+// external submissions, NACK repair, sequencer fail-over, and the routing
+// of new submissions after a fail-over or a retransmission.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -62,13 +66,15 @@ struct DeliveryLog {
 /// A three-member group plus one external client node.
 class GcsTest : public ::testing::Test {
  protected:
+  explicit GcsTest(GcsConfig config = {}) : config_(config) {}
+
   void SetUp() override {
     saved_scale_ = common::Clock::scale();
     common::Clock::set_scale(0.01);
     net_ = std::make_unique<transport::SimNetwork>();
     for (int i = 0; i < 4; ++i) nodes_.push_back(net_->create_node());
     for (int i = 0; i < 4; ++i) {
-      services_.push_back(std::make_unique<GroupService>(*net_, nodes_[i]));
+      services_.push_back(std::make_unique<GroupService>(*net_, nodes_[i], config_));
     }
     members_ = {nodes_[0], nodes_[1], nodes_[2]};
     for (int i = 0; i < 3; ++i) {
@@ -89,6 +95,7 @@ class GcsTest : public ::testing::Test {
   }
 
   static constexpr GroupId kGroup{7};
+  const GcsConfig config_;
   double saved_scale_ = 1.0;
   std::unique_ptr<transport::SimNetwork> net_;
   std::vector<NodeId> nodes_;
@@ -216,6 +223,92 @@ TEST_F(GcsTest, InFlightSubmissionsSurviveFailover) {
   // Exactly-once: all distinct.
   std::set<std::string> unique(log1.begin(), log1.end());
   EXPECT_EQ(unique.size(), log1.size());
+}
+
+GcsConfig slow_retransmit(std::chrono::milliseconds retransmit,
+                          std::chrono::milliseconds suspect) {
+  GcsConfig config;
+  config.retransmit_interval = retransmit;
+  config.suspect_timeout = suspect;
+  return config;
+}
+
+/// A retransmit interval long enough that a submission which waits one
+/// out cannot pass for one sent straight to the sequencer.
+class GcsExternalRoutingTest : public GcsTest {
+ protected:
+  GcsExternalRoutingTest()
+      : GcsTest(slow_retransmit(std::chrono::seconds(1), std::chrono::milliseconds(150))) {}
+};
+
+TEST_F(GcsExternalRoutingTest, ExternalSessionFollowsNewSequencerAfterFailover) {
+  common::Watchdog dog("gcs external routing", std::chrono::seconds(60));
+  services_[3]->submit(kGroup, text("pre"));
+  ASSERT_TRUE(logs_[1]->wait_count(1, std::chrono::seconds(10)));
+
+  net_->crash(nodes_[0]);
+  ASSERT_TRUE(logs_[1]->wait_view(1, std::chrono::seconds(20)));
+  ASSERT_TRUE(logs_[2]->wait_view(1, std::chrono::seconds(20)));
+
+  // The first submission after the crash still goes to the dead node and
+  // gets through only when its retransmission rotates to the new
+  // sequencer.
+  services_[3]->submit(kGroup, text("first"));
+  ASSERT_TRUE(logs_[1]->wait_count(2, std::chrono::seconds(10)));
+
+  // Every later submission starts at the new sequencer: ten of them, one
+  // at a time, take far less than the single retransmit interval each of
+  // them would wait out if it were sent to the dead node first.
+  const auto deadline = std::chrono::steady_clock::now() + config_.retransmit_interval;
+  for (int i = 0; i < 10; ++i) {
+    services_[3]->submit(kGroup, text("post-" + std::to_string(i)));
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    ASSERT_TRUE(logs_[1]->wait_count(3 + i, std::max(left, std::chrono::milliseconds(0))))
+        << "submission " << i << " not delivered within one retransmit interval";
+  }
+  ASSERT_TRUE(logs_[2]->wait_count(12, std::chrono::seconds(10)));
+  EXPECT_EQ(logs_[1]->snapshot(), logs_[2]->snapshot());
+}
+
+/// Member 1's link to the sequencer is slowed past one retransmit
+/// interval (but not two), so its submission is retransmitted once; the
+/// failure detector is slowed further so the slow link causes no view
+/// change.
+class GcsMemberRoutingTest : public GcsTest {
+ protected:
+  GcsMemberRoutingTest()
+      : GcsTest(slow_retransmit(std::chrono::milliseconds(200), std::chrono::seconds(5))) {}
+};
+
+TEST_F(GcsMemberRoutingTest, MemberSessionKeepsRoutingByItsView) {
+  common::Watchdog dog("gcs member routing", std::chrono::seconds(60));
+  const auto self_link = std::make_pair(nodes_[1].value(), nodes_[1].value());
+  transport::LinkConfig slow;
+  slow.base_latency = std::chrono::duration_cast<common::Duration>(
+      std::chrono::duration<double, std::milli>(300) / common::Clock::scale());
+  slow.jitter = common::Duration::zero();
+  net_->set_link(nodes_[1], nodes_[0], slow);
+  net_->set_fault_plan(transport::FaultPlan{});  // records every send
+
+  services_[1]->submit(kGroup, text("slow"));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(logs_[i]->wait_count(1, std::chrono::seconds(10)));
+  // The retransmission rotated to the member itself, which forwarded it.
+  ASSERT_GT(net_->fault_trace().count(self_link), 0u);
+
+  // Back to a fast link.  FIFO keeps later sends behind those already
+  // scheduled on the slow one, so let those land first.
+  net_->set_link(nodes_[1], nodes_[0], transport::LinkConfig{});
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  net_->set_fault_plan(transport::FaultPlan{});
+  for (int i = 0; i < 10; ++i) {
+    services_[1]->submit(kGroup, text("m" + std::to_string(i)));
+  }
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(logs_[i]->wait_count(11, std::chrono::seconds(10)));
+  // Later submissions went straight to the view's sequencer, not through
+  // the member's own forwarding hop.
+  EXPECT_EQ(net_->fault_trace().count(self_link), 0u);
+  EXPECT_EQ(logs_[1]->snapshot(), logs_[0]->snapshot());
 }
 
 TEST_F(GcsTest, DirectMessagesBypassTotalOrder) {

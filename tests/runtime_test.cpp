@@ -4,8 +4,10 @@
 // LSA leader fail-over.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
+#include "common/watchdog.hpp"
 #include "replication/consistency.hpp"
 #include "runtime/cluster.hpp"
 #include "sched/lsa.hpp"
@@ -155,7 +157,9 @@ TEST_P(CallbackSchedulers, CallbackChainDoesNotDeadlock) {
   Client& client = cluster.create_client();
   const Bytes result = client.invoke(caller, "start", {});
   EXPECT_EQ(unpack_u64(result)[0], 42u);
-  ASSERT_TRUE(cluster.wait_drained(caller, 1));
+  // "start" and the nested "__cb" both count as applied requests, and a
+  // lagging replica can finish "start" before its own "__cb" thread runs.
+  ASSERT_TRUE(cluster.wait_drained(caller, 2));
   for (int r = 0; r < 3; ++r) {
     EXPECT_EQ(cluster.replica(caller, r).state_hash(), 1u);
   }
@@ -267,6 +271,31 @@ TEST_P(CvRuntimeSchedulers, BlockedWithdrawSucceedsAfterDeposit) {
   ASSERT_TRUE(cluster.wait_drained(bank, 2));
   const auto report = repl::check_group(cluster, bank);
   EXPECT_TRUE(report.consistent()) << report.detail;
+}
+
+TEST_P(CvRuntimeSchedulers, TeardownEndsConsumerWaitingOnEmptyBuffer) {
+  // The consumer's `while (empty) wait()` loop must end when the replicas
+  // stop; otherwise it spins and stopping the scheduler joins it forever.
+  common::Watchdog dog("teardown with a waiting consumer, " + sched::to_string(GetParam()),
+                       std::chrono::seconds(60));
+  Cluster cluster;
+  const GroupId buffer = cluster.create_group(
+      3, GetParam(), [] { return std::make_unique<workload::BoundedBuffer>(2); },
+      pds_pool(3));
+  Client& client = cluster.create_client();
+  client.invoke_async(buffer, "consume", {}, [](const Bytes&) {});
+  const auto waiting = [&] {
+    for (int i = 0; i < cluster.group_size(buffer); ++i) {
+      if (cluster.replica(buffer, i).scheduler().stats().waits == 0) return false;
+    }
+    return true;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!waiting() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(waiting()) << "the consume never reached its wait on every replica";
+  // Leaving the scope destroys the cluster under the waiting consumer.
 }
 
 TEST_F(RuntimeTest, SeqPollingBufferVariantWorks) {
