@@ -6,7 +6,7 @@
 // gcc/msvc, so annotated code stays portable.  Use them through the
 // wrappers in common/mutex.hpp rather than annotating raw std types:
 // std::mutex cannot carry a capability attribute, which is also why
-// detlint's raw-mutex rule bans it from scheduler decision state.
+// adets-sa's raw-mutex rule bans it from scheduler decision state.
 //
 // Conventions (see docs/static-analysis.md):
 //  - data members protected by a mutex:        ADETS_GUARDED_BY(mu_)

@@ -6,7 +6,7 @@
 //     monitor (see common/annotations.hpp and docs/static-analysis.md);
 //  2. the debug lock-order validator (common/lock_order.hpp) observes
 //     every acquisition when the build defines ADETS_LOCK_ORDER_CHECK;
-//  3. detlint's raw-mutex rule has a sanctioned replacement to point at.
+//  3. adets-sa's raw-mutex rule has a sanctioned replacement to point at.
 //
 // CondVar waits release and reacquire the underlying std::mutex through
 // the std::unique_lock that MutexLock manages, bypassing the lock-order

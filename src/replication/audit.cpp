@@ -168,7 +168,7 @@ void DivergenceAuditor::poll_loop(common::Duration period) {
       const auto deadline = common::Clock::now() + period;
       common::MutexLock lock(mutex_);
       while (!stopping_ && common::Clock::now() < deadline) {
-        // detlint:allow(real-time-wait) diagnostics poll cadence, not decision state
+        // adets-sa:allow(real-time-wait) diagnostics poll cadence, not decision state
         stop_cv_.wait_until(lock, deadline);
       }
       if (stopping_) return;

@@ -35,15 +35,9 @@ class ReplayHost : public sched::SchedulerEnv, public runtime::InvocationHost {
   void execute(const sched::Request& request) override {
     common::Reader r(request.payload);
     try {
-      r.u8();  // kind
-      const auto id = r.id<RequestId>();
-      const auto logical = r.id<common::LogicalThreadId>();
-      r.u8();   // reply mode
-      r.u32();  // reply target
-      const std::string method = r.str();
-      const Bytes args = r.blob();
-      runtime::SyncContext ctx(*this, id, logical);
-      object_.dispatch(method, args, ctx);
+      const runtime::RequestMessage message = runtime::decode_request(r);
+      runtime::SyncContext ctx(*this, message.id, message.logical, message.callers);
+      object_.dispatch(message.method, message.args, ctx);
     } catch (const runtime::ReplicaStopping&) {
     } catch (const std::exception& e) {
       ADETS_LOG_ERROR("replay") << "request failed: " << e.what();
@@ -122,6 +116,7 @@ ReplayResult replay_log(const runtime::EventLog& log, sched::SchedulerKind kind,
           continue;
         }
         request.payload = event.payload;
+        request.callback_of = event.callback_of;
         if (request.kind == sched::RequestKind::kApplication) app_requests++;
         scheduler->on_request(std::move(request));
         break;

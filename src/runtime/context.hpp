@@ -4,11 +4,13 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "common/serialization.hpp"
 #include "common/types.hpp"
+#include "runtime/wire.hpp"
 
 namespace adets::sched {
 class Scheduler;
@@ -51,8 +53,12 @@ class InvocationHost {
 class SyncContext {
  public:
   SyncContext(InvocationHost& host, common::RequestId request,
-              common::LogicalThreadId logical)
-      : host_(host), request_(request), logical_(logical), rng_(request.value()) {}
+              common::LogicalThreadId logical, std::vector<CallerCall> callers = {})
+      : host_(host),
+        request_(request),
+        logical_(logical),
+        callers_(std::move(callers)),
+        rng_(request.value()) {}
 
   SyncContext(const SyncContext&) = delete;
   SyncContext& operator=(const SyncContext&) = delete;
@@ -90,6 +96,9 @@ class SyncContext {
 
   [[nodiscard]] common::RequestId request_id() const { return request_; }
   [[nodiscard]] common::LogicalThreadId logical() const { return logical_; }
+  /// The synchronous nested calls this request runs under (outermost
+  /// first); a nested invoke() extends the list by its own call.
+  [[nodiscard]] const std::vector<CallerCall>& callers() const { return callers_; }
 
   /// For InvocationHost implementations only: per-request sequence
   /// number of nested calls (feeds derive_nested_id).
@@ -99,6 +108,7 @@ class SyncContext {
   InvocationHost& host_;
   common::RequestId request_;
   common::LogicalThreadId logical_;
+  std::vector<CallerCall> callers_;
   common::Rng rng_;
   std::uint64_t nested_counter_ = 0;
 };

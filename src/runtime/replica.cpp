@@ -49,6 +49,11 @@ void Replica::on_deliver(const gcs::Sequenced& message) {
       case AppWireKind::kRequest: {
         const RequestId id = r.id<RequestId>();
         const auto logical = r.id<LogicalThreadId>();
+        r.u8();   // reply mode
+        r.u32();  // reply target
+        const bool poison = r.str() == "__poison";
+        r.blob_span();  // args, decoded by execute()
+        const RequestId callback = callback_of(read_callers(r), group_);
         // One materialisation per request: the scheduler API owns plain
         // Bytes (replay logs and the mc harness depend on that), so the
         // zero-copy wire payload becomes a vector exactly once here.
@@ -62,18 +67,17 @@ void Replica::on_deliver(const gcs::Sequenced& message) {
                                                payload,
                                                RequestId::invalid(),
                                                {},
-                                               NodeId::invalid()});
+                                               NodeId::invalid(),
+                                               callback});
           }
         }
         sched::Request request;
-        request.kind = sched::RequestKind::kApplication;
+        request.kind = poison ? sched::RequestKind::kPoison
+                              : sched::RequestKind::kApplication;
         request.id = id;
         request.logical = logical;
         request.payload = std::move(payload);
-        // Peek at the method name for the poison marker.
-        r.u8();   // reply mode
-        r.u32();  // reply target
-        if (r.str() == "__poison") request.kind = sched::RequestKind::kPoison;
+        request.callback_of = callback;
         scheduler_->on_request(std::move(request));
         break;
       }
@@ -137,18 +141,12 @@ void Replica::execute(const sched::Request& request) {
   Reader r(request.payload);
   RequestMessage message;
   try {
-    r.u8();  // kind
-    message.id = r.id<RequestId>();
-    message.logical = r.id<LogicalThreadId>();
-    message.reply_mode = static_cast<ReplyMode>(r.u8());
-    message.reply_target = r.u32();
-    message.method = r.str();
-    message.args = r.blob();
+    message = decode_request(r);
   } catch (const common::SerializationError& e) {
     ADETS_LOG_ERROR("replica") << "unmarshal failed: " << e.what();
     return;
   }
-  SyncContext ctx(*this, message.id, message.logical);
+  SyncContext ctx(*this, message.id, message.logical, message.callers);
   Bytes result;
   try {
     result = object_->dispatch(message.method, message.args, ctx);
@@ -204,6 +202,8 @@ Bytes Replica::nested_invoke(SyncContext& ctx, GroupId target,
   request.reply_target = group_.value();
   request.method = method;
   request.args = args;
+  request.callers = ctx.callers();
+  request.callers.push_back(CallerCall{group_.value(), nested_id});
 
   ensure_connected(target);
   scheduler_->before_nested_call(nested_id);

@@ -56,6 +56,8 @@ class EventLog {
     common::RequestId reply_id;     // kReply
     common::Bytes reply_result;     // kReply
     common::NodeId sender;          // kSchedMsg
+    /// kRequest: sched::Request::callback_of as delivered.
+    common::RequestId callback_of = common::RequestId::invalid();
   };
 
   void append(Event event) {

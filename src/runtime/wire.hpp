@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/serialization.hpp"
@@ -25,6 +26,13 @@ enum class ReplyMode : std::uint8_t {
   kNone = 2,          // fire-and-forget (poison etc.)
 };
 
+/// A synchronous nested call, named by the calling group and the call's
+/// request id.
+struct CallerCall {
+  std::uint32_t group = 0;
+  common::RequestId call;
+};
+
 /// Decoded invocation request.
 struct RequestMessage {
   common::RequestId id;
@@ -33,7 +41,21 @@ struct RequestMessage {
   std::uint32_t reply_target = 0;  // node id or group id
   std::string method;
   common::Bytes args;
+  /// The synchronous nested calls this request runs under, outermost
+  /// first.  A one-way invocation starts an empty list, since its caller
+  /// does not wait for it.  A group finds its own pending call here when
+  /// the request is a callback into it.
+  std::vector<CallerCall> callers;
 };
+
+/// The innermost call of `group` among `callers` (invalid if none).
+inline common::RequestId callback_of(const std::vector<CallerCall>& callers,
+                                     common::GroupId group) {
+  for (auto it = callers.rbegin(); it != callers.rend(); ++it) {
+    if (it->group == group.value()) return it->call;
+  }
+  return common::RequestId::invalid();
+}
 
 struct NestedReplyMessage {
   common::RequestId request;
@@ -54,7 +76,42 @@ inline common::Bytes encode_request(const RequestMessage& m) {
   w.u32(m.reply_target);
   w.str(m.method);
   w.blob(m.args);
+  w.u32(static_cast<std::uint32_t>(m.callers.size()));
+  for (const CallerCall& c : m.callers) {
+    w.u32(c.group);
+    w.id(c.call);
+  }
   return w.take();
+}
+
+/// Reads the caller list that ends a request payload.
+inline std::vector<CallerCall> read_callers(common::Reader& r) {
+  const std::uint32_t count = r.u32();
+  constexpr std::size_t kEntryBytes = 4 + 8;
+  if (count > r.remaining() / kEntryBytes) {
+    throw common::SerializationError("caller list longer than its payload");
+  }
+  std::vector<CallerCall> callers(count);
+  for (CallerCall& c : callers) {
+    c.group = r.u32();
+    c.call = r.id<common::RequestId>();
+  }
+  return callers;
+}
+
+/// Decodes a request payload (the leading kind byte included); throws
+/// common::SerializationError on malformed input.
+inline RequestMessage decode_request(common::Reader& r) {
+  RequestMessage m;
+  r.u8();  // kind
+  m.id = r.id<common::RequestId>();
+  m.logical = r.id<common::LogicalThreadId>();
+  m.reply_mode = static_cast<ReplyMode>(r.u8());
+  m.reply_target = r.u32();
+  m.method = r.str();
+  m.args = r.blob();
+  m.callers = read_callers(r);
+  return m;
 }
 
 inline common::Bytes encode_nested_reply(const NestedReplyMessage& m) {

@@ -87,6 +87,10 @@ struct Request {
   common::LogicalThreadId logical;
   common::Bytes payload;   // opaque to the scheduler (runtime decodes)
   TimeoutInfo timeout;     // valid when kind == kTimeout
+  /// For a callback (a request that a synchronous nested call of this
+  /// group led back into it): the id of that call, the innermost one
+  /// if several.  Invalid for every other request.
+  common::RequestId callback_of = common::RequestId::invalid();
 };
 
 /// Result of a wait(): notified or timed out (Java semantics), or cut

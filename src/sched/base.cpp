@@ -406,7 +406,7 @@ void SchedulerBase::block_for(Lk& lk, ThreadRecord& t, common::Duration real_tim
   // The timed wait bounds how long the OS thread sleeps; the scheduling
   // outcome is decided by the totally-ordered stream (timeout broadcasts
   // / PDS no-op fill), never by which replica's timer fired first.
-  // detlint:allow(real-time-wait) wakeup outcome routed through the total order
+  // adets-sa:allow(real-time-wait) wakeup outcome routed through the total order
   t.cv.wait_for(lk, real_timeout, [this, &t] { return t.wake || stopping(); });
   t.wake = false;
 }

@@ -232,7 +232,7 @@ class SchedulerBase : public Scheduler {
 
   // Reentrancy layer (keyed by app mutex id).  Ordered map: nothing
   // iterates it today, but scheduler decision state must never tempt a
-  // future hash-order traversal (detlint unordered-iter rule).
+  // future hash-order traversal (adets-sa unordered-iter rule).
   struct ReentrantState {
     common::LogicalThreadId owner = common::LogicalThreadId::invalid();
     int count = 0;

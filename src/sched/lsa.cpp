@@ -61,16 +61,54 @@ void LsaScheduler::on_view_change(const std::vector<common::NodeId>& members) {
 // --- event stream -------------------------------------------------------------
 
 void LsaScheduler::handle_request(Lk& lk, Request request) {
+  if (request.callback_of.valid()) {
+    for (auto& [id, record] : threads_) {
+      if (record->state == ThreadState::kBlockedNested &&
+          record->pending_nested == request.callback_of) {
+        spawn_callback(lk, *record, ThreadId(next_thread_id_++), std::move(request));
+        return;
+      }
+    }
+    // The caller has not reached the call on this replica yet.
+    const std::uint64_t call = request.callback_of.value();
+    deferred_callbacks_[call].emplace_back(ThreadId(next_thread_id_++), std::move(request));
+    return;
+  }
   spawn_thread(lk, std::move(request));  // runs concurrently right away
+}
+
+void LsaScheduler::spawn_callback(Lk& lk, ThreadRecord& caller, ThreadId id,
+                                  Request request) {
+  spawn_thread(lk, std::move(request), id);
+  callback_caller_[id.value()] = caller.id.value();
+  running_callbacks_[caller.id.value()]++;
 }
 
 void LsaScheduler::handle_reply(Lk&, ThreadRecord& t) { wake(t); }
 
-void LsaScheduler::on_scheduler_message(common::NodeId /*sender*/, const Bytes& payload) {
-  if (payload.empty() || payload[0] != 'L') return;
+void LsaScheduler::on_scheduler_message(common::NodeId sender, const Bytes& payload) {
+  auto table = decode_table(payload);
+  if (!table) return;
   Lk lk(mon_);
   if (stopping()) return;
-  for (const TableEntry& entry : decode_table(payload)) {
+  if (table->number < next_table_[sender.value()]) return;  // already applied
+  held_tables_[{sender.value(), table->number}] = std::move(table->entries);
+  apply_ready_tables(lk, sender.value());
+  wake_lock_waiters(lk);
+}
+
+void LsaScheduler::apply_ready_tables(Lk& lk, std::uint64_t sender) {
+  std::uint64_t& next = next_table_[sender];
+  for (auto it = held_tables_.find({sender, next}); it != held_tables_.end();
+       it = held_tables_.find({sender, next})) {
+    apply_table(lk, it->second);
+    held_tables_.erase(it);
+    next++;
+  }
+}
+
+void LsaScheduler::apply_table(Lk&, const std::vector<TableEntry>& entries) {
+  for (const TableEntry& entry : entries) {
     if (leader_) continue;  // the leader already granted these
     if (entry.is_new && lsa_to_app_.count(entry.lsa_id) == 0) {
       // Dynamic mutex registration: bind via the creating thread's
@@ -86,7 +124,6 @@ void LsaScheduler::on_scheduler_message(common::NodeId /*sender*/, const Bytes& 
     }
     expected_[entry.lsa_id].push_back(entry.thread);
   }
-  wake_lock_waiters(lk);
 }
 
 void LsaScheduler::bind(MutexId mutex, std::uint64_t lsa_id) {
@@ -225,7 +262,7 @@ void LsaScheduler::flush_outgoing(Lk&) {
   // table-append order; the transport send is enqueue-only (GCS delivery
   // runs on its own thread), so the monitor is never held across a park.
   // adets-sa:allow(blocking-under-monitor) ordered broadcast; send is enqueue-only
-  env_->broadcast(encode_table(outgoing_));
+  env_->broadcast(encode_table(Table{next_outgoing_table_++, outgoing_}));
   outgoing_.clear();
 }
 
@@ -300,25 +337,45 @@ void LsaScheduler::on_wait_timer_expired(ThreadId thread, MutexId mutex,
 
 // --- nested invocations ----------------------------------------------------------------
 
-void LsaScheduler::base_before_nested(Lk&, ThreadRecord& t) {
+void LsaScheduler::base_before_nested(Lk& lk, ThreadRecord& t) {
   t.state = ThreadState::kBlockedNested;
+  const auto deferred = deferred_callbacks_.find(t.pending_nested.value());
+  if (deferred == deferred_callbacks_.end()) return;
+  for (auto& [id, request] : deferred->second) {
+    spawn_callback(lk, t, id, std::move(request));
+  }
+  deferred_callbacks_.erase(deferred);
 }
 
 void LsaScheduler::base_after_nested(Lk& lk, ThreadRecord& t) {
-  while (!t.reply_arrived && !stopping()) block(lk, t);
+  // Every callback of the call was delivered before its reply, so none
+  // can start after this wait ends.
+  while ((!t.reply_arrived || running_callbacks_[t.id.value()] > 0) && !stopping()) {
+    block(lk, t);
+  }
+  running_callbacks_.erase(t.id.value());
   t.state = ThreadState::kRunning;
 }
 
 void LsaScheduler::on_thread_start(Lk&, ThreadRecord&) {}
-void LsaScheduler::on_thread_done(Lk&, ThreadRecord&) {}
+
+void LsaScheduler::on_thread_done(Lk& lk, ThreadRecord& t) {
+  const auto caller = callback_caller_.find(t.id.value());
+  if (caller == callback_caller_.end()) return;
+  const auto running = running_callbacks_.find(caller->second);
+  if (running != running_callbacks_.end() && running->second > 0) running->second--;
+  if (ThreadRecord* record = find_thread(lk, ThreadId(caller->second))) wake(*record);
+  callback_caller_.erase(caller);
+}
 
 // --- wire format ------------------------------------------------------------------------
 
-Bytes LsaScheduler::encode_table(const std::vector<TableEntry>& entries) {
+Bytes LsaScheduler::encode_table(const Table& table) {
   common::Writer w;
   w.u8('L');
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const TableEntry& e : entries) {
+  w.u64(table.number);
+  w.u32(static_cast<std::uint32_t>(table.entries.size()));
+  for (const TableEntry& e : table.entries) {
     w.u64(e.lsa_id);
     w.u64(e.thread);
     w.boolean(e.is_new);
@@ -327,25 +384,26 @@ Bytes LsaScheduler::encode_table(const std::vector<TableEntry>& entries) {
   return w.take();
 }
 
-std::vector<LsaScheduler::TableEntry> LsaScheduler::decode_table(const Bytes& payload) {
-  std::vector<TableEntry> entries;
+std::optional<LsaScheduler::Table> LsaScheduler::decode_table(const Bytes& payload) {
   try {
     common::Reader r(payload);
-    if (r.u8() != 'L') return entries;
+    if (r.u8() != 'L') return std::nullopt;
+    Table table;
+    table.number = r.u64();
     const auto count = r.u32();
-    entries.reserve(count);
+    table.entries.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       TableEntry e;
       e.lsa_id = r.u64();
       e.thread = r.u64();
       e.is_new = r.boolean();
       e.op = r.u64();
-      entries.push_back(e);
+      table.entries.push_back(e);
     }
+    return table;
   } catch (const common::SerializationError&) {
-    entries.clear();
+    return std::nullopt;
   }
-  return entries;
 }
 
 }  // namespace adets::sched

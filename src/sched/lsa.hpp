@@ -30,10 +30,24 @@
 //    honours all grants recorded by the old leader (identical on all
 //    survivors thanks to totally-ordered table broadcasts), then starts
 //    recording its own.
+//  - Callbacks (a synchronous nested call that leads back into this
+//    group on the same logical thread) run only while the calling
+//    thread is parked in that call, and the call returns only after
+//    they finish, on every replica alike.  Otherwise a lagging replica
+//    could run a callback before its caller took a lock the callback
+//    re-enters, and wait for a grant the leader never recorded (on the
+//    leader the acquisition was reentrant).  A callback delivered before
+//    its caller reached the call waits with its thread id reserved.
+//  - Table order: the total order does not keep one sender's broadcasts
+//    in send order (the sequencer orders submissions as they arrive,
+//    and the network may reorder them), so every table carries the
+//    leader's running table number and followers apply each leader's
+//    tables in that order, holding back any that arrive early.
 #pragma once
 
 #include <deque>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "sched/base.hpp"
@@ -106,9 +120,22 @@ class LsaScheduler : public SchedulerBase {
   void flush_batched();
   void bind(common::MutexId mutex, std::uint64_t lsa_id) ADETS_REQUIRES(mon_);
   void wake_lock_waiters(Lk& lk) ADETS_REQUIRES(mon_);
+  /// Spawns callback `request` as thread `id` under `caller`'s pending call.
+  void spawn_callback(Lk& lk, ThreadRecord& caller, common::ThreadId id,
+                      Request request) ADETS_REQUIRES(mon_);
 
-  static common::Bytes encode_table(const std::vector<TableEntry>& entries);
-  static std::vector<TableEntry> decode_table(const common::Bytes& payload);
+  struct Table {
+    std::uint64_t number = 0;  // the sending leader's running table count
+    std::vector<TableEntry> entries;
+  };
+
+  /// Follower: applies the held tables of `sender` that are next in its
+  /// table order.
+  void apply_ready_tables(Lk& lk, std::uint64_t sender) ADETS_REQUIRES(mon_);
+  void apply_table(Lk& lk, const std::vector<TableEntry>& entries) ADETS_REQUIRES(mon_);
+
+  static common::Bytes encode_table(const Table& table);
+  static std::optional<Table> decode_table(const common::Bytes& payload);
 
   bool leader_ ADETS_GUARDED_BY(mon_) = false;
   std::uint64_t next_lsa_id_ ADETS_GUARDED_BY(mon_) = 1;
@@ -126,6 +153,21 @@ class LsaScheduler : public SchedulerBase {
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> early_new_entries_ ADETS_GUARDED_BY(mon_);
   std::map<std::uint64_t, std::deque<Waiter>> cond_queues_ ADETS_GUARDED_BY(mon_);
   std::vector<TableEntry> outgoing_ ADETS_GUARDED_BY(mon_);
+  /// Callbacks whose caller has not reached the call yet, keyed by the
+  /// call's request id, with the thread ids reserved at delivery.
+  std::map<std::uint64_t, std::vector<std::pair<common::ThreadId, Request>>>
+      deferred_callbacks_ ADETS_GUARDED_BY(mon_);
+  /// Callback thread id -> the thread whose call it runs under.
+  std::map<std::uint64_t, std::uint64_t> callback_caller_ ADETS_GUARDED_BY(mon_);
+  /// Thread id -> callbacks still running under its pending call.
+  std::map<std::uint64_t, std::size_t> running_callbacks_ ADETS_GUARDED_BY(mon_);
+  /// Leader: number of the next table it broadcasts.
+  std::uint64_t next_outgoing_table_ ADETS_GUARDED_BY(mon_) = 0;
+  /// Follower: per sending node, the number of the next table to apply,
+  /// and the tables that arrived ahead of it.
+  std::map<std::uint64_t, std::uint64_t> next_table_ ADETS_GUARDED_BY(mon_);
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<TableEntry>> held_tables_
+      ADETS_GUARDED_BY(mon_);
 };
 
 }  // namespace adets::sched

@@ -139,11 +139,15 @@ std::optional<Request> PdsScheduler::fetch(Lk& lk, ThreadRecord& t) {
   // "deterministically create artificial requests": after an idle spell
   // we broadcast a no-op through the total order, which this holder pops
   // and discards; re-fetching then suspends it like everyone else and
-  // the round can start.
+  // the round can start.  Only a worker suspended on an application
+  // mutex needs that round, so an idle pool broadcasts nothing.  In
+  // particular no no-op precedes the first request in the total order,
+  // and an event log attached before any traffic holds the whole run.
   while (request_queue_.empty() && !stopping() && !t.pds_terminate) {
     t.state = ThreadState::kRunning;
     block_for(lk, t, config_.pds_idle_fill_interval);
-    if (request_queue_.empty() && !stopping() && !t.pds_terminate) {
+    if (request_queue_.empty() && !stopping() && !t.pds_terminate &&
+        round_awaited(lk)) {
       stats_.broadcasts++;
       lk.unlock();
       env_->broadcast(common::Bytes{'P'});
@@ -215,6 +219,16 @@ void PdsScheduler::pds_lock(Lk& lk, ThreadRecord& t, MutexId mutex) {
     block(lk, t);
   }
   t.state = ThreadState::kRunning;
+}
+
+bool PdsScheduler::round_awaited(Lk&) const {
+  for (const auto& [id, record] : threads_) {
+    if (record->state == ThreadState::kBlockedLock && record->wanted_mutex.valid() &&
+        record->wanted_mutex != MutexId(kQueueMutexId)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool PdsScheduler::lower_ids_have_phase1(Lk&, const ThreadRecord& t) const {

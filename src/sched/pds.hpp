@@ -90,6 +90,10 @@ class PdsScheduler : public SchedulerBase {
   void grant(Lk& lk, ThreadRecord& t, common::MutexId mutex) ADETS_REQUIRES(mon_);
   /// Starts a new round iff every worker is suspended/waiting/terminated.
   void maybe_start_round(Lk& lk) ADETS_REQUIRES(mon_);
+  /// Some worker is suspended on an application mutex and only a new
+  /// round lets it continue.  Workers waiting for the queue mutex get it
+  /// once requests arrive, so they need no artificial one.
+  bool round_awaited(Lk& lk) const ADETS_REQUIRES(mon_);
   bool lower_ids_have_phase1(Lk& lk, const ThreadRecord& t) const ADETS_REQUIRES(mon_);
   /// Converts a condvar waiter into a next-round mutex request.
   void waiter_to_lock_request(Lk& lk, ThreadRecord& t, common::MutexId mutex,

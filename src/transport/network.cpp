@@ -152,6 +152,7 @@ void SimNetwork::set_fault_plan(FaultPlan plan) {
     heap_.push_back(Pending{now + common::Clock::scaled(event.at), next_seq_++,
                             Message{}, event});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    pending_node_events_++;
   }
   heap_cv_.notify_one();
 }
@@ -159,6 +160,11 @@ void SimNetwork::set_fault_plan(FaultPlan plan) {
 FaultTrace SimNetwork::fault_trace() const {
   const common::MutexLock guard(mutex_);
   return fault_trace_;
+}
+
+std::size_t SimNetwork::pending_node_events() const {
+  const common::MutexLock guard(mutex_);
+  return pending_node_events_;
 }
 
 bool SimNetwork::crashed(NodeId node) const {
@@ -260,6 +266,7 @@ void SimNetwork::dispatcher_loop() {
       return chosen;
     }();
     if (item.node_event) {
+      pending_node_events_--;
       apply_node_event(*item.node_event);
       continue;
     }

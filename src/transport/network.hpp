@@ -104,6 +104,9 @@ class SimNetwork {
   /// Per-link fault verdicts recorded since the plan was armed.
   [[nodiscard]] FaultTrace fault_trace() const;
 
+  /// Scheduled FaultPlan crash/restart events that have not fired yet.
+  [[nodiscard]] std::size_t pending_node_events() const;
+
   [[nodiscard]] NetworkStats stats() const;
 
   /// Stops all delivery threads; pending messages are discarded.
@@ -158,6 +161,7 @@ class SimNetwork {
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> fault_counters_
       ADETS_GUARDED_BY(mutex_);
   FaultTrace fault_trace_ ADETS_GUARDED_BY(mutex_);
+  std::size_t pending_node_events_ ADETS_GUARDED_BY(mutex_) = 0;
   bool stopping_ ADETS_GUARDED_BY(mutex_) = false;
   std::thread dispatcher_;
 };

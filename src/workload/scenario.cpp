@@ -5,6 +5,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/clock.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "lin/recorder.hpp"
@@ -141,6 +142,17 @@ ScenarioResult run_scenario(const runtime::SchedulerFactory& scheduler_factory,
   for (auto& worker : workers) worker.join();
   result.clients_failed = clients_failed.load(std::memory_order_relaxed);
   result.history = recorder.merge();
+
+  // The plan's crash/restart schedule is part of the run.  A workload
+  // that finishes before a scheduled restart must not end the scenario
+  // with that replica still down, or the restart, and the catch-up it is
+  // there to exercise, silently never happens.  The drain below then
+  // waits for the revived replica too.
+  const auto events_deadline = common::Clock::now() + config.drain_timeout;
+  while (cluster.network().pending_node_events() > 0 &&
+         common::Clock::now() < events_deadline) {
+    common::Clock::sleep_real(std::chrono::milliseconds(1));
+  }
 
   const auto total = static_cast<std::uint64_t>(config.clients) *
                      static_cast<std::uint64_t>(config.requests_per_client);

@@ -29,7 +29,8 @@ struct ScenarioConfig {
   int clients = 2;
   int requests_per_client = 12;
   std::uint64_t workload_seed = 1;
-  /// Armed on the cluster's network before traffic starts.
+  /// Armed on the cluster's network before traffic starts.  Its node
+  /// events all fire before the run drains, even if the workload is done.
   transport::FaultPlan faults;
   sched::SchedulerConfig sched;
   /// >0: run a DivergenceAuditor polling at this real-time period

@@ -1,11 +1,16 @@
 // adets-sa auditor tests: program-model parsing on in-memory sources,
-// per-rule checks for each pass, seeded negative-control fixtures under
-// tests/sa_fixtures (each must yield exactly one finding), and the
-// whole-tree positive control (src/ must audit clean).
+// per-rule checks for each pass (pass 6, the determinism lint, as one
+// table of path/source/expected-findings rows), seeded negative-control
+// fixtures under tests/sa_fixtures (each must yield exactly one
+// finding), and the whole-tree positive control (src/ must audit clean).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model.hpp"
@@ -27,6 +32,8 @@ bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
   return std::any_of(findings.begin(), findings.end(),
                      [&](const Finding& f) { return f.rule == rule; });
 }
+
+using Hits = std::vector<std::pair<std::string, int>>;  // (rule, line)
 
 // --- program model ---------------------------------------------------------
 
@@ -106,6 +113,18 @@ TEST(SaModelTest, TracksScopedLockAcquisitionOrder) {
   EXPECT_EQ(nest->acquisitions[1].held[0], "Two::first_");
 }
 
+TEST(SaModelTest, SiblingNestedClassesKeepTheOuterScopeName) {
+  // Each nested class grows prog.classes; the outer class's name must
+  // survive the reallocation while its body is still being parsed.
+  const Program prog = parse(
+      "namespace demo { class Outer { struct A { int x; }; struct B { int y; }; "
+      "struct C { int z; }; int tail_ = 0; }; }");
+  std::vector<std::string> names;
+  for (const auto& c : prog.classes) names.push_back(c.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"demo::Outer", "demo::Outer::A",
+                                             "demo::Outer::B", "demo::Outer::C"}));
+}
+
 TEST(SaModelTest, NestedClassScopeClosesAfterFriendDefinition) {
   const Program prog = parse(R"(
     class Outer {
@@ -149,6 +168,63 @@ TEST(SaPassTest, RequiresUnheldFlagged) {
   const auto findings = adets::sa::lock_graph_pass(prog);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "requires-unheld");
+}
+
+TEST(SaPassTest, ThreeLockCycleAcrossMethodsFlagged) {
+  const Program prog = parse(R"(
+    class Ring {
+      void ab() {
+        const common::MutexLock x(a_);
+        const common::MutexLock y(b_);
+      }
+      void bc() {
+        const common::MutexLock x(b_);
+        const common::MutexLock y(c_);
+      }
+      void ca() {
+        const common::MutexLock x(c_);
+        const common::MutexLock y(a_);
+      }
+      common::Mutex a_{"a"};
+      common::Mutex b_{"b"};
+      common::Mutex c_{"c"};
+    };
+  )");
+  const auto findings = adets::sa::lock_graph_pass(prog);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "lock-cycle");
+  for (const char* edge : {"Ring::a_ -> Ring::b_ at mem.hpp:5",
+                           "Ring::b_ -> Ring::c_ at mem.hpp:9",
+                           "Ring::c_ -> Ring::a_ at mem.hpp:13"}) {
+    EXPECT_NE(findings[0].message.find(edge), std::string::npos) << edge;
+  }
+}
+
+TEST(SaPassTest, InversionThroughCalleeFlagged) {
+  // outer() holds a_ and calls helper(), which takes b_: the a_ -> b_
+  // edge exists only through the may-acquire fixpoint.
+  const Program prog = parse(R"(
+    class Inv {
+      void outer() {
+        const common::MutexLock x(a_);
+        helper();
+      }
+      void helper() { const common::MutexLock y(b_); }
+      void reverse() {
+        const common::MutexLock y(b_);
+        const common::MutexLock x(a_);
+      }
+      common::Mutex a_{"a"};
+      common::Mutex b_{"b"};
+    };
+  )");
+  const auto findings = adets::sa::lock_graph_pass(prog);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "lock-cycle");
+  EXPECT_NE(findings[0].message.find("Inv::a_ -> Inv::b_ at mem.hpp:5"),
+            std::string::npos);
+  EXPECT_NE(findings[0].message.find("Inv::b_ -> Inv::a_ at mem.hpp:10"),
+            std::string::npos);
 }
 
 TEST(SaPassTest, CondvarWaitWithUnguardedStateFlagged) {
@@ -408,9 +484,9 @@ TEST(SaConflictsTest, DispatchMayNotBypassHandlers) {
 
 TEST(SaAllowTest, AllowWithReasonSuppressesLine) {
   const auto allows = adets::sa::collect_allows(
-      "a.hpp",
-      "// adets-sa:allow(unguarded-field) guarded by construction order\n"
-      "int x_;\n");
+      "a.hpp", adets::sa::preprocess(
+                   "// adets-sa:allow(unguarded-field) guarded by construction order\n"
+                   "int x_;\n"));
   EXPECT_TRUE(allows.bad.empty());
   ASSERT_EQ(allows.by_line.count(1), 1u);
   ASSERT_EQ(allows.by_line.count(2), 1u);  // bare allow covers next line
@@ -419,7 +495,7 @@ TEST(SaAllowTest, AllowWithReasonSuppressesLine) {
 
 TEST(SaAllowTest, AllowWithoutReasonIsItselfAFinding) {
   const auto allows = adets::sa::collect_allows(
-      "a.hpp", "int x_;  // adets-sa:allow(unguarded-field)\n");
+      "a.hpp", adets::sa::preprocess("int x_;  // adets-sa:allow(unguarded-field)\n"));
   ASSERT_EQ(allows.bad.size(), 1u);
   EXPECT_EQ(allows.bad[0].rule, "bad-allow");
   EXPECT_TRUE(allows.by_line.empty());
@@ -427,9 +503,218 @@ TEST(SaAllowTest, AllowWithoutReasonIsItselfAFinding) {
 
 TEST(SaAllowTest, AllowInsideStringLiteralIgnored) {
   const auto allows = adets::sa::collect_allows(
-      "a.hpp", "const char* s = \"adets-sa:allow(unguarded-field) nope\";\n");
+      "a.hpp", adets::sa::preprocess(
+                   "const char* s = \"adets-sa:allow(unguarded-field) nope\";\n"));
   EXPECT_TRUE(allows.bad.empty());
   EXPECT_TRUE(allows.by_line.empty());
+}
+
+TEST(SaAllowTest, AllowNamesOneRuleAcrossPasses) {
+  // Line 3 trips pass 2 (unguarded field) and pass 6 (raw std type);
+  // an allow for one leaves the other reported.
+  const std::string field =
+      "class Pool {\n"
+      "  common::Mutex mu_{\"pool\"};\n"
+      "  std::size_t slot_bytes_ = sizeof(std::mutex);";
+  const std::string path = "src/sched/pool.hpp";
+  Hits hits;
+  for (const auto& f : adets::sa::scan_source(path, field + "\n};\n")) {
+    hits.emplace_back(f.rule, f.line);
+  }
+  EXPECT_EQ(hits, (Hits{{"raw-mutex", 3}, {"unguarded-field", 3}}));
+  const auto findings = adets::sa::scan_source(
+      path, field + "  // adets-sa:allow(raw-mutex) sizing only, never locked\n};\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "unguarded-field");
+  EXPECT_EQ(findings[0].line, 3);
+}
+
+// --- pass 6: determinism lint ----------------------------------------------
+
+struct LexicalCase {
+  std::string path;
+  std::string source;
+  Hits expected;
+};
+
+/// (rule, line) of every pass-6 finding -- and bad-allow, which any
+/// source can trip -- in report order.
+Hits lexical_hits(const std::string& path, const std::string& source) {
+  static const std::set<std::string> kRules = {
+      "wall-clock", "thread-id", "randomness", "unordered-iter", "raw-mutex",
+      "ptr-key", "real-time-wait", "sleep-for", "bad-allow"};
+  Hits out;
+  for (const auto& f : adets::sa::scan_source(path, source)) {
+    if (kRules.count(f.rule) > 0) out.emplace_back(f.rule, f.line);
+  }
+  return out;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::vector<LexicalCase> lexical_cases() {
+  const std::string kSched = "src/sched/a.cpp";
+  std::vector<LexicalCase> cases = {
+      // wall-clock
+      {"src/sched/x.cpp", "auto t = std::chrono::steady_clock::now();\n",
+       {{"wall-clock", 1}}},
+      {kSched, "std::chrono::system_clock::now();\n", {{"wall-clock", 1}}},
+      {kSched, "std::chrono::high_resolution_clock::now();\n", {{"wall-clock", 1}}},
+      {kSched, "auto t = common::Clock::now();\n", {}},
+      // thread-id, randomness
+      {kSched, "auto id = std::this_thread::get_id();\n", {{"thread-id", 1}}},
+      {kSched, "std::random_device rd;\n", {{"randomness", 1}}},
+      {kSched, "int x = rand() % 7;\n", {{"randomness", 1}}},
+      {kSched, "srand(42);\n", {{"randomness", 1}}},
+      {kSched, "std::mt19937_64 rng(seed);\n", {}},  // seeded engines are fine
+      // unordered-iter: iteration exposes hash order, point lookups do not
+      {kSched,
+       "std::unordered_map<std::uint64_t, int> table_;\n"
+       "void dump() {\n"
+       "  for (const auto& [k, v] : table_) emit(k, v);\n"
+       "}\n",
+       {{"unordered-iter", 3}}},
+      {kSched,
+       "std::unordered_set<int> pending_;\n"
+       "auto it = pending_.begin();\n",
+       {{"unordered-iter", 2}}},
+      {kSched,
+       "std::unordered_map<std::uint64_t, int> table_;\n"
+       "auto it = table_.find(key);\n"
+       "table_.erase(key);\n",
+       {}},
+      {kSched,
+       "std::map<std::uint64_t, int> table_;\n"
+       "for (const auto& [k, v] : table_) emit(k, v);\n",
+       {}},
+      // raw-mutex
+      {"src/sched/a.hpp", "std::mutex mon_;\n", {{"raw-mutex", 1}}},
+      {"src/sched/a.hpp", "std::condition_variable cv_;\n", {{"raw-mutex", 1}}},
+      {"src/sched/a.hpp", "std::shared_mutex m_;\n", {{"raw-mutex", 1}}},
+      {"src/sched/a.hpp", "std::condition_variable_any cv_;\n", {{"raw-mutex", 1}}},
+      {"src/sched/a.hpp", "common::Mutex mon_{\"sched::mon\"};\n", {}},
+      {"src/sched/a.hpp", "common::CondVar cv;\n", {}},
+      // ptr-key: pointer keys, not pointer values
+      {"src/sched/a.hpp", "std::map<Object*, int> owners_;\n", {{"ptr-key", 1}}},
+      {"src/sched/a.hpp", "std::set<const Thread*> waiters_;\n", {{"ptr-key", 1}}},
+      {"src/sched/a.hpp", "std::map<std::uint64_t, Object*> objects_;\n", {}},
+      // real-time-wait, sleep-for
+      {kSched, "cv.wait_for(lk, timeout);\n", {{"real-time-wait", 1}}},
+      {kSched, "cv.wait_until(lk, deadline);\n", {{"real-time-wait", 1}}},
+      {kSched, "cv.wait(lk);\n", {}},
+      {kSched, "std::this_thread::sleep_for(std::chrono::milliseconds(1));\n",
+       {{"sleep-for", 1}}},
+      {kSched, "std::this_thread::sleep_until(deadline);\n", {{"sleep-for", 1}}},
+      {kSched, "common::Clock::sleep_real(tick);\n", {}},
+      {kSched, "common::Clock::sleep_paper(paper_ms(5));\n", {}},
+      // Scope: the sanctioned wrappers live outside sched/replication/lin.
+      {"src/common/clock.hpp", "return std::chrono::steady_clock::now();\n", {}},
+      {"/abs/path/src/common/clock.cpp", "return std::chrono::steady_clock::now();\n",
+       {}},
+      {"src/common/rng.hpp", "std::random_device entropy;\n", {}},
+      {"src/common/clock.cpp", "std::this_thread::sleep_for(real_time);\n", {}},
+      {"src/replication/a.cpp", "std::mutex mon_;\n", {{"raw-mutex", 1}}},
+      {"/abs/path/src/lin/a.cpp", "std::mutex mon_;\n", {{"raw-mutex", 1}}},
+      {"src/scheduler/a.cpp", "std::mutex mon_;\n", {}},  // whole component only
+      {"src/gcs/sched.cpp", "std::mutex mon_;\n", {}},    // file names do not count
+      {"tests/sa_fixtures/blocking_under_monitor.hpp",
+       "std::this_thread::sleep_for(std::chrono::milliseconds(1));\n", {}},
+      // suppressions
+      {kSched,
+       "cv.wait_for(lk, t);  // adets-sa:allow(real-time-wait) outcome replayed\n",
+       {}},
+      {kSched,
+       "// adets-sa:allow(real-time-wait) outcome routed through total order\n"
+       "cv.wait_for(lk, t);\n",
+       {}},
+      {kSched,
+       "// adets-sa:allow(wall-clock) some reason\n"
+       "cv.wait_for(lk, t);\n",
+       {{"real-time-wait", 2}}},
+      {kSched,
+       "// adets-sa:allow(real-time-wait) covers only the next line\n"
+       "cv.wait_for(lk, t);\n"
+       "cv.wait_for(lk, t);\n",
+       {{"real-time-wait", 3}}},
+      {kSched, "cv.wait_for(lk, t);  // adets-sa:allow(real-time-wait)\n",
+       {{"bad-allow", 1}, {"real-time-wait", 1}}},
+      // preprocessing: comments and literals are not code
+      {kSched, "// old: std::mutex mon_;\n", {}},
+      {kSched, "/* std::this_thread::get_id() */ int x;\n", {}},
+      {kSched, "log(\"uses std::mutex internally\");\n", {}},
+      {kSched,
+       "/*\n"
+       " * std::mutex mon_;\n"
+       " * auto t = std::chrono::steady_clock::now();\n"
+       " */\n"
+       "int live_code = 1;\n",
+       {}},
+      {kSched, "const char* s = R\"(std::mutex mon_;)\";\n", {}},
+      {kSched, "auto s = R\"x(auto t = steady_clock::now();)x\";\n", {}},
+      // A multi-line raw string with quotes and backslashes keeps the
+      // next finding on its true line.
+      {kSched,
+       "const char* doc = R\"(\n"
+       "  \"quoted\" and \\ backslash\n"
+       "  std::mutex decoy;\n"
+       ")\";\n"
+       "std::mutex real_;\n",
+       {{"raw-mutex", 5}}},
+      // A backslash-newline continues a string literal but ends the line.
+      {kSched,
+       "const char* s = \"split \\\n"
+       "rest\";\n"
+       "std::mutex real_;\n",
+       {{"raw-mutex", 3}}},
+      // A line comment ending in a backslash hides the next line.
+      {kSched,
+       "// old code: \\\n"
+       "std::mutex mon_;\n"
+       "int live = 1;\n",
+       {}},
+      // An identifier ending in R does not open a raw string.
+      {kSched, "call(HELPER_R\"text\"); std::mutex mon_;\n", {{"raw-mutex", 1}}},
+      // A digit separator does not open a char literal.
+      {kSched,
+       "int scale = 1'000;\n"
+       "std::mutex real_;\n",
+       {{"raw-mutex", 2}}},
+  };
+#ifdef ADETS_SOURCE_DIR
+  // The racy scheduler's raw std types and timed waits, as if it lived
+  // in the scheduler tree.
+  Hits racy;
+  for (const int line : {51, 63, 79, 88, 105, 121, 122, 128, 132, 136, 150,
+                         151, 153, 156, 157, 159, 164, 165, 169, 170}) {
+    racy.emplace_back(line == 105 || line == 122 ? "real-time-wait" : "raw-mutex",
+                      line);
+  }
+  cases.push_back({"src/sched/racy_scheduler.hpp",
+                   read_file(std::string(ADETS_SOURCE_DIR) + "/tests/racy_scheduler.hpp"),
+                   racy});
+#endif
+  return cases;
+}
+
+TEST(SaLexicalTest, RulesScopeAndPreprocessingTable) {
+  for (const LexicalCase& c : lexical_cases()) {
+    EXPECT_EQ(lexical_hits(c.path, c.source), c.expected)
+        << c.path << ":\n" << c.source;
+    // The same source outside the scope keeps only its bad-allows.
+    const std::string sched = "src/sched/";
+    if (c.path.rfind(sched, 0) != 0) continue;
+    const std::string gcs = "src/gcs/" + c.path.substr(sched.size());
+    Hits kept;
+    for (const auto& hit : c.expected) {
+      if (hit.first == "bad-allow") kept.push_back(hit);
+    }
+    EXPECT_EQ(lexical_hits(gcs, c.source), kept) << gcs << ":\n" << c.source;
+  }
 }
 
 // --- seeded fixtures and the whole tree ------------------------------------
@@ -495,6 +780,18 @@ TEST(SaFixtureTest, ConflictCoverageFixtureYieldsExactlyOneFinding) {
   EXPECT_NE(findings[0].message.find("do_put -> store_row"), std::string::npos);
 }
 
+TEST(SaFixtureTest, RacySchedulerIsCaught) {
+  // The shared negative control: its unannotated state is what the
+  // model passes see under the real path (outside pass 6's scope).
+  const auto findings =
+      adets::sa::scan({std::string(ADETS_SOURCE_DIR) + "/tests/racy_scheduler.hpp"});
+  ASSERT_EQ(findings.size(), 8u);
+  EXPECT_EQ(std::count_if(findings.begin(), findings.end(),
+                          [](const Finding& f) { return f.rule == "unguarded-field"; }),
+            7);
+  EXPECT_TRUE(has_rule(findings, "condvar-unguarded"));
+}
+
 TEST(SaScanTest, ParseMemoServesRepeatedScans) {
   const std::string root = ADETS_SOURCE_DIR;
   const std::vector<std::string> paths = {root +
@@ -521,14 +818,19 @@ TEST(SaTreeTest, SourceTreeAuditsClean) {
 TEST(SaReportTest, RulesListMatchesPassRules) {
   std::vector<std::string> names;
   for (const auto& r : adets::sa::rules()) names.push_back(r.name);
-  for (const char* expected :
-       {"lock-cycle", "requires-unheld", "unguarded-field", "condvar-unguarded",
-        "public-requires", "det-taint", "blocking-under-monitor",
-        "grant-path-taint", "grant-path-write", "conflict-uncovered",
-        "conflict-overlap", "bad-allow"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-  }
+  const std::vector<std::string> expected = {
+      "lock-cycle", "requires-unheld", "unguarded-field", "condvar-unguarded",
+      "public-requires", "det-taint", "blocking-under-monitor",
+      "grant-path-taint", "grant-path-write", "conflict-uncovered",
+      "conflict-overlap", "wall-clock", "thread-id", "randomness",
+      "unordered-iter", "raw-mutex", "ptr-key", "real-time-wait", "sleep-for",
+      "bad-allow"};
+  EXPECT_EQ(names, expected);
+}
+
+TEST(SaReportTest, FindingFormatting) {
+  const Finding finding{"src/sched/x.cpp", 12, "wall-clock", "msg", {}};
+  EXPECT_EQ(adets::sa::to_string(finding), "src/sched/x.cpp:12: [wall-clock] msg");
 }
 
 TEST(SaReportTest, ConflictManifestListsHandlers) {
@@ -571,11 +873,17 @@ TEST(SaModelTest, DigitSeparatorsDoNotDerailTheTokenizer) {
 
 TEST(SaReportTest, SarifSerialisesFindings) {
   const std::vector<Finding> findings = {
-      {"src/a.cpp", 12, "lock-cycle", "cycle \"demo\""}};
+      {"src/a.cpp", 12, "lock-cycle", "cycle \"demo\"", {}},
+      {"src/sched/b.cpp", 7, "raw-mutex", "raw std type", {}}};
   const std::string sarif = adets::sa::to_sarif(findings);
   EXPECT_NE(sarif.find("\"ruleId\": \"lock-cycle\""), std::string::npos);
   EXPECT_NE(sarif.find("\"startLine\": 12"), std::string::npos);
   EXPECT_NE(sarif.find("cycle \\\"demo\\\""), std::string::npos);
+  // Pass-6 findings reach code scanning too: rule id, result and rule
+  // metadata.
+  EXPECT_NE(sarif.find("\"ruleId\": \"raw-mutex\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"uri\": \"src/sched/b.cpp\""), std::string::npos);
+  EXPECT_NE(sarif.find("{\"id\": \"raw-mutex\""), std::string::npos);
 }
 
 }  // namespace

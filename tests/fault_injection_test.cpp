@@ -176,6 +176,23 @@ TEST_F(FaultInjectionTest, CrashedReplicaCatchesUpAfterRestart) {
   EXPECT_EQ(stats.node_restarts, 1u);
 }
 
+TEST_F(FaultInjectionTest, ScenarioLetsARestartAfterTheWorkloadFire) {
+  // The restart is due long after two short clients are done.  The run
+  // must still play it out, and the drain then waits for the revived
+  // replica to repair its missed suffix.
+  workload::ScenarioConfig config;
+  config.requests_per_client = 2;
+  config.faults = transport::FaultPlan{}
+                      .crash_at(paper_ms(1), common::NodeId(2))
+                      .restart_at(paper_ms(3000), common::NodeId(2));
+  const auto result = run_scenario(sched::SchedulerKind::kSat, config);
+  EXPECT_EQ(result.net.node_crashes, 1u);
+  EXPECT_EQ(result.net.node_restarts, 1u);
+  ASSERT_TRUE(result.drained);
+  EXPECT_TRUE(result.converged) << result.audit.diagnostic;
+  EXPECT_EQ(result.state_hashes.size(), 3u);
+}
+
 // --- timed waits under injected delay -------------------------------------
 
 TEST_F(FaultInjectionTest, WatchTimeoutResolvesIdenticallyUnderDelay) {

@@ -198,7 +198,9 @@ TEST_F(InteractionTest, FiveMemberGroupSurvivesTwoFailures) {
   const auto balance =
       unpack_u64(client.invoke(bank, "balance", pack_u64(0), std::chrono::seconds(30)));
   EXPECT_EQ(balance[0], 150u);
-  // Survivors agree.
+  // Survivors agree once each has applied all 16 requests (the reply
+  // comes from the fastest replica; the others may still be applying).
+  ASSERT_TRUE(cluster.wait_drained(bank, 16));
   EXPECT_EQ(cluster.replica(bank, 2).state_hash(), cluster.replica(bank, 3).state_hash());
   EXPECT_EQ(cluster.replica(bank, 2).state_hash(), cluster.replica(bank, 4).state_hash());
 }

@@ -76,9 +76,10 @@ TEST_F(LinScenarioTest, CrashRestartStormStaysLinearizable) {
   config.workload_seed = 7;
   config.drain_timeout = std::chrono::seconds(30);
   // Replica nodes are created first, so the third replica is NodeId(2).
-  // Crash it early and restart it while client traffic is still flowing
-  // (and well before the suspect timeout), so the missed suffix is
-  // repaired by NACK retransmission rather than a view change.
+  // Crash it early and restart it well before the suspect timeout, so the
+  // missed suffix is repaired by NACK retransmission rather than a view
+  // change.  The scenario lets the restart fire even when the workload
+  // is done by then, and the drain waits for the revived replica.
   config.faults = transport::FaultPlan{}
                       .with_seed(7)
                       .duplicate(0.1)

@@ -189,6 +189,27 @@ TEST_F(LockOrderTest, IntegratedMutexInversionDetected) {
   EXPECT_NE(captured_->description.find("test::second"), std::string::npos);
 }
 
+// Two instances of one class locked in both orders.  adets-sa's static
+// lock graph keys mutexes by Class::member, cannot tell the two apart,
+// and audits this shape clean; the validator keys by address and
+// reports it.
+TEST_F(LockOrderTest, IntegratedTwoInstanceInversionDetected) {
+  struct Acct {
+    adets::common::Mutex mu{"test::acct"};
+    void transfer(Acct& to) {
+      const adets::common::MutexLock mine(mu);
+      const adets::common::MutexLock theirs(to.mu);
+    }
+  };
+  Acct a;
+  Acct b;
+  a.transfer(b);
+  EXPECT_FALSE(captured_.has_value());
+  b.transfer(a);
+  ASSERT_TRUE(captured_.has_value());
+  EXPECT_NE(captured_->description.find("test::acct"), std::string::npos);
+}
+
 TEST_F(LockOrderTest, IntegratedCondVarWaitKeepsMonitorHeld) {
   adets::common::Mutex mon("test::mon");
   adets::common::CondVar cv;

@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -146,6 +147,27 @@ class SchedulerCluster {
   }
   void submit(std::uint64_t request_id) { submit(request_id, request_id); }
 
+  /// Submits a callback: a request of `logical_id` that the nested call
+  /// `callback_of` (made by a thread of that logical thread) led back
+  /// into this group.
+  void submit_callback(std::uint64_t request_id, std::uint64_t logical_id,
+                       std::uint64_t callback_of) {
+    sched::Request request;
+    request.kind = sched::RequestKind::kApplication;
+    request.id = common::RequestId(request_id);
+    request.logical = common::LogicalThreadId(logical_id);
+    request.callback_of = common::RequestId(callback_of);
+    bus_.push(RequestEvent{request});
+  }
+
+  /// When enabled, scheduler broadcasts reach the total order in swapped
+  /// pairs (the second of two is delivered first), as a reordering
+  /// network can make happen.  A trailing unpaired one stays held.
+  void set_swap_broadcasts(bool enabled) {
+    const std::lock_guard<std::mutex> guard(mutex_);
+    swap_broadcasts_ = enabled;
+  }
+
   /// Delivers the reply of a nested invocation to all replicas.
   void deliver_reply(std::uint64_t nested_id) { bus_.push(ReplyEvent{nested_id}); }
 
@@ -177,7 +199,17 @@ class SchedulerCluster {
   }
 
   void broadcast_from(int replica, const common::Bytes& payload) {
-    bus_.push(SchedMsgEvent{members_[replica], payload});
+    const std::lock_guard<std::mutex> guard(mutex_);
+    SchedMsgEvent event{members_[replica], payload};
+    if (!swap_broadcasts_) {
+      bus_.push(std::move(event));
+    } else if (!held_broadcast_) {
+      held_broadcast_ = std::move(event);
+    } else {
+      bus_.push(std::move(event));
+      bus_.push(std::move(*held_broadcast_));
+      held_broadcast_.reset();
+    }
   }
 
   void run_body(int replica, const sched::Request& request) {
@@ -276,6 +308,8 @@ class SchedulerCluster {
   common::Duration auto_reply_delay_ = common::Duration::zero();
   std::set<std::uint64_t> pending_auto_replies_;
   std::vector<std::thread> auto_reply_threads_;
+  bool swap_broadcasts_ = false;
+  std::optional<SchedMsgEvent> held_broadcast_;
   bool stopped_ = false;
 };
 

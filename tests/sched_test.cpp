@@ -607,6 +607,66 @@ TEST_F(SchedTestBase, LsaDynamicMutexIdsBindInProgramOrder) {
   EXPECT_EQ(project(cluster.trace(2)), reference);
 }
 
+TEST_F(SchedTestBase, LsaFollowersApplyTablesInLeaderOrderWhenReordered) {
+  // Every two mutex tables reach the follower swapped; it must still
+  // replay the leader's grant order rather than the arrival order.
+  SchedulerCluster cluster(SchedulerKind::kLsa, 2);
+  cluster.set_swap_broadcasts(true);
+  constexpr int kRequests = 6;  // one table per grant, an even count
+  for (int i = 0; i < kRequests; ++i) {
+    cluster.set_body(i, [i](BodyCtx& ctx) {
+      ctx.lock(42);
+      ctx.trace("r" + std::to_string(i));
+      ctx.unlock(42);
+    });
+  }
+  for (int i = 0; i < kRequests; ++i) cluster.submit(i);
+  ASSERT_TRUE(cluster.wait_completed(kRequests, ms(5000)));
+  EXPECT_EQ(cluster.trace(1), cluster.trace(0));
+}
+
+/// Waits until replica `r` has traced `n` entries.
+bool wait_trace(const SchedulerCluster& cluster, int r, std::size_t n) {
+  const auto deadline = common::Clock::now() + ms(5000);
+  while (cluster.trace(r).size() < n) {
+    if (common::Clock::now() > deadline) return false;
+    common::Clock::sleep_real(ms(1));
+  }
+  return true;
+}
+
+TEST_F(SchedTestBase, LsaCallbackWaitsForItsCallerToReachTheCall) {
+  // The follower starts the originator late, so the callback reaches it
+  // before the originator has taken mutex 7.  The callback re-enters 7
+  // (on the leader the originator holds it across the call), so it must
+  // not run until the originator is parked in that call.
+  SchedulerCluster cluster(SchedulerKind::kLsa, 2);
+  cluster.set_perturbation([](int replica, std::uint64_t request) {
+    if (replica == 1 && request == 1) common::Clock::sleep_real(ms(30));
+  });
+  cluster.set_body(1, [](BodyCtx& ctx) {
+    ctx.lock(7);
+    ctx.trace("start");
+    ctx.nested_call(500);
+    ctx.trace("resumed");
+    ctx.unlock(7);
+  });
+  cluster.set_body(77, [](BodyCtx& ctx) {
+    ctx.lock(7);
+    ctx.trace("callback");
+    ctx.unlock(7);
+  });
+  cluster.submit(1);
+  ASSERT_TRUE(wait_trace(cluster, 0, 1));
+  cluster.submit_callback(77, /*logical_id=*/1, /*callback_of=*/500);
+  ASSERT_TRUE(wait_trace(cluster, 0, 2));
+  cluster.deliver_reply(500);
+  ASSERT_TRUE(cluster.wait_completed(2, ms(5000)));
+  const std::vector<std::string> expected{"start", "callback", "resumed"};
+  EXPECT_EQ(cluster.trace(0), expected);
+  EXPECT_EQ(cluster.trace(1), expected);
+}
+
 TEST_F(SchedTestBase, PdsExecutesRoundsAndStaysConsistent) {
   sched::SchedulerConfig config;
   config.pds_thread_pool = 4;
@@ -625,6 +685,18 @@ TEST_F(SchedTestBase, PdsExecutesRoundsAndStaysConsistent) {
   EXPECT_EQ(cluster.trace(0), cluster.trace(1));
   auto& pds = dynamic_cast<sched::PdsScheduler&>(cluster.replica(0));
   EXPECT_GT(pds.rounds(), 0u);
+}
+
+TEST_F(SchedTestBase, PdsIdlePoolBroadcastsNoNoops) {
+  // An artificial request exists to start a round that a suspended
+  // worker waits for.  With nobody waiting, the pool stays silent, so no
+  // no-op precedes the first request in the total order.
+  sched::SchedulerConfig config;
+  config.pds_thread_pool = 3;
+  config.pds_idle_fill_interval = ms(2);
+  SchedulerCluster cluster(SchedulerKind::kPds, 1, config);
+  common::Clock::sleep_real(ms(30));
+  EXPECT_EQ(cluster.replica(0).stats().broadcasts, 0u);
 }
 
 TEST_F(SchedTestBase, Pds2NeedsFewerRoundsThanPds1ForTwoLockWork) {

@@ -5,9 +5,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
+#include "transport/fault.hpp"
 #include "transport/network.hpp"
 
 namespace adets::transport {
@@ -104,6 +106,24 @@ TEST_F(TransportTest, CrashedNodeSendsNothing) {
   EXPECT_FALSE(net.send(a, b, payload(1)));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_EQ(count.load(), 0);
+}
+
+TEST_F(TransportTest, PendingNodeEventsCountDownAsThePlanFires) {
+  SimNetwork net;
+  const NodeId a = net.create_node();
+  EXPECT_EQ(net.pending_node_events(), 0u);
+  net.set_fault_plan(FaultPlan{}
+                         .crash_at(common::paper_ms(5000), a)
+                         .restart_at(common::paper_ms(6000), a));
+  EXPECT_EQ(net.pending_node_events(), 2u);
+  const auto deadline = common::Clock::now() + std::chrono::seconds(5);
+  while (net.pending_node_events() > 0 && common::Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(net.pending_node_events(), 0u);
+  EXPECT_FALSE(net.crashed(a));
+  EXPECT_EQ(net.stats().node_crashes, 1u);
+  EXPECT_EQ(net.stats().node_restarts, 1u);
 }
 
 TEST_F(TransportTest, DropProbabilityDropsEverythingAtOne) {

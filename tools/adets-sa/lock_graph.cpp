@@ -1,8 +1,9 @@
 // Pass 1: static lock graph.
 //
 // Nodes are mutex identities ("Class::member", instance-insensitive by
-// design: every instance of a class shares one lock-order role, which
-// is exactly the granularity the runtime lock-order validator enforces).
+// design: every instance of a class shares one lock-order role).  Two
+// instances of one class locked in both orders are therefore invisible
+// here; the runtime lock-order validator keys by address and sees them.
 // Edges are acquire-while-held facts:
 //
 //   * direct: an Acquisition whose `held` set is non-empty;

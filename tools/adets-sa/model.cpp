@@ -4,8 +4,6 @@
 #include <cctype>
 #include <regex>
 
-#include "detlint.hpp"
-
 namespace adets::sa {
 namespace {
 
@@ -68,7 +66,148 @@ bool type_is_atomic(const std::string& type) {
   return std::regex_search(type, re);
 }
 
+/// True if `code` ends with a raw-string prefix whose `R` starts a new
+/// token: `R`, `u8R`, `uR`, `LR` (the next char is the opening quote).
+bool raw_string_prefix(const std::string& code) {
+  std::size_t n = code.size();
+  if (n == 0 || code[n - 1] != 'R') return false;
+  std::size_t start = n - 1;  // first char of the prefix token
+  if (n >= 3 && code[n - 3] == 'u' && code[n - 2] == '8') {
+    start = n - 3;
+  } else if (n >= 2 && (code[n - 2] == 'u' || code[n - 2] == 'L')) {
+    start = n - 2;
+  }
+  if (start == 0) return true;
+  const unsigned char before = static_cast<unsigned char>(code[start - 1]);
+  return std::isalnum(before) == 0 && before != '_';
+}
+
+/// True if a `'` appearing after `code` is a digit separator inside a
+/// numeric literal (`1'000'000`, `0xFF'FF`) rather than the start of a
+/// char literal.  A separator sits between alphanumerics of a pp-number
+/// token, i.e. a run of identifier chars / `.` / `'` that *starts with a
+/// digit* -- which excludes prefixed char literals like `L'a'` or
+/// `u8'x'`, whose preceding token starts with a letter.
+bool digit_separator(const std::string& code, char next) {
+  if (code.empty() || std::isalnum(static_cast<unsigned char>(next)) == 0) {
+    return false;
+  }
+  std::size_t start = code.size();
+  while (start > 0) {
+    const unsigned char c = static_cast<unsigned char>(code[start - 1]);
+    if (std::isalnum(c) != 0 || c == '_' || c == '.' || c == '\'') {
+      start--;
+    } else {
+      break;
+    }
+  }
+  if (start == code.size()) return false;  // no preceding token char
+  return std::isdigit(static_cast<unsigned char>(code[start])) != 0;
+}
+
 }  // namespace
+
+std::vector<Line> preprocess(const std::string& content) {
+  std::vector<Line> lines;
+  Line cur;
+  enum class State { kCode, kString, kChar, kLineComment, kBlockComment, kRawString };
+  State state = State::kCode;
+  // Raw-string bookkeeping: the delimiter between `R"` and `(`, and the
+  // closing sentinel `)delim"` we are scanning for.
+  std::string raw_delim;
+  bool raw_in_delim = false;
+  for (std::size_t i = 0; i < content.size(); ++i) {
+    const char c = content[i];
+    const char next = i + 1 < content.size() ? content[i + 1] : '\0';
+    if (c == '\n') {
+      // A backslash continuation extends string/char literals and line
+      // comments across the physical newline, but the *line* still ends
+      // here -- emitting it keeps every later finding's line number true.
+      if (state == State::kLineComment &&
+          (cur.comment.empty() || cur.comment.back() != '\\')) {
+        state = State::kCode;
+      }
+      lines.push_back(std::move(cur));
+      cur = Line{};
+      continue;
+    }
+    switch (state) {
+      case State::kCode:
+        if (c == '/' && next == '/') {
+          state = State::kLineComment;
+          ++i;
+        } else if (c == '/' && next == '*') {
+          state = State::kBlockComment;
+          ++i;
+        } else if (c == '"' && raw_string_prefix(cur.code)) {
+          cur.code += '"';
+          state = State::kRawString;
+          raw_delim.clear();
+          raw_in_delim = true;
+        } else if (c == '"') {
+          cur.code += '"';
+          state = State::kString;
+        } else if (c == '\'' && digit_separator(cur.code, next)) {
+          cur.code += '\'';  // numeric literal separator, not a char literal
+        } else if (c == '\'') {
+          cur.code += '\'';
+          state = State::kChar;
+        } else {
+          cur.code += c;
+        }
+        break;
+      case State::kString:
+        if (c == '\\') {
+          // Skip the escaped character -- unless it is the newline of a
+          // line continuation, which the top of the loop must still see.
+          if (next != '\n') ++i;
+        } else if (c == '"') {
+          cur.code += '"';
+          state = State::kCode;
+        }
+        break;
+      case State::kChar:
+        if (c == '\\') {
+          if (next != '\n') ++i;
+        } else if (c == '\'') {
+          cur.code += '\'';
+          state = State::kCode;
+        }
+        break;
+      case State::kRawString:
+        if (raw_in_delim) {
+          if (c == '(') {
+            raw_in_delim = false;
+          } else {
+            raw_delim += c;
+          }
+        } else if (c == ')' &&
+                   content.compare(i + 1, raw_delim.size(), raw_delim) == 0 &&
+                   i + 1 + raw_delim.size() < content.size() &&
+                   content[i + 1 + raw_delim.size()] == '"') {
+          i += raw_delim.size() + 1;  // consume `delim"`
+          cur.code += '"';
+          state = State::kCode;
+        }
+        // Raw-string content (including embedded newlines, handled at
+        // the top of the loop) is blanked like any other literal.
+        break;
+      case State::kLineComment:
+        cur.comment += c;
+        break;
+      case State::kBlockComment:
+        if (c == '*' && next == '/') {
+          state = State::kCode;
+          ++i;
+        } else {
+          cur.comment += c;
+        }
+        break;
+    }
+  }
+  lines.push_back(std::move(cur));
+  return lines;
+}
 
 std::vector<Token> tokenize(const std::vector<std::string>& code_lines) {
   std::vector<Token> out;
@@ -313,7 +452,10 @@ class Parser {
     c.bases = std::move(bases);
     prog_.classes.push_back(std::move(c));
     const int idx = static_cast<int>(prog_.classes.size()) - 1;
-    parse_scope(prog_.classes[idx].name, idx, is_struct);
+    // By value: nested classes push_back into prog_.classes and may
+    // reallocate it while parse_scope still reads the scope name.
+    const std::string qualified = prog_.classes[idx].name;
+    parse_scope(qualified, idx, is_struct);
     if (!at_end() && cur().text == ";") pos_++;
     return true;
   }
@@ -599,7 +741,7 @@ class Parser {
 };
 
 void Program::parse_file(const std::string& path, const std::string& content) {
-  const std::vector<detlint::Line> lines = detlint::preprocess(content);
+  const std::vector<Line> lines = preprocess(content);
   std::vector<std::string> code;
   code.reserve(lines.size());
   for (const auto& l : lines) code.push_back(l.code);

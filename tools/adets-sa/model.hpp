@@ -1,15 +1,14 @@
 // adets-sa program model: a declaration- and scope-aware view of the
 // tree's own structure, built lexically (no compiler front end).
 //
-// The parser grows detlint's comment/string-stripped line scanner
-// (tools/detlint, shared via adets::detlint::preprocess) into a
-// tokenizer plus a recursive scope walker that recognises the subset of
+// preprocess() strips comments and literal contents line by line; the
+// tokenizer and a recursive scope walker then recognise the subset of
 // C++ this repository actually writes: namespaces, (nested) classes,
 // member fields with ADETS_* thread-safety annotations, member/free
 // function declarations and definitions, `common::Mutex` /
 // `common::CondVar` / raw `std::mutex` members, and `MutexLock`-style
 // scoped acquisitions inside bodies.  It is deliberately approximate --
-// the three analysis passes (sa.hpp) are written so that imprecision
+// the analysis passes (sa.hpp) are written so that imprecision
 // surfaces as a suppressible finding or a missing edge, never a crash.
 #pragma once
 
@@ -19,6 +18,21 @@
 #include <vector>
 
 namespace adets::sa {
+
+/// One source line after preprocessing: code with comments removed and
+/// string/char literal contents blanked (delimiters kept), plus the
+/// comment text (where `adets-sa:allow` markers live).
+struct Line {
+  std::string code;
+  std::string comment;
+};
+
+/// Splits source into lines, stripping comments and literal contents
+/// from the code part.  Handles line comments, block comments, ordinary
+/// and raw (`R"delim(...)delim"`) string literals, char literals, digit
+/// separators, and backslash line continuations inside literals and
+/// line comments; line numbering is preserved through all of them.
+std::vector<Line> preprocess(const std::string& content);
 
 struct Token {
   std::string text;

@@ -8,8 +8,6 @@
 #include <regex>
 #include <sstream>
 
-#include "detlint.hpp"
-
 namespace adets::sa {
 namespace {
 
@@ -100,16 +98,23 @@ const std::vector<Rule>& rules() {
       {"conflict-overlap",
        "handlers in different conflict classes share written state, so "
        "parallel execution could diverge"},
+      {"wall-clock", "steady_clock/system_clock/high_resolution_clock::now read"},
+      {"thread-id", "std::this_thread::get_id in replicated code"},
+      {"randomness", "rand()/srand()/std::random_device (unseeded randomness)"},
+      {"unordered-iter", "iteration over a std::unordered_map/unordered_set"},
+      {"raw-mutex", "raw std::mutex/std::condition_variable family type"},
+      {"ptr-key", "pointer-keyed std::map/std::set"},
+      {"real-time-wait", "timed condition-variable wait (wait_for/wait_until)"},
+      {"sleep-for", "raw std::this_thread::sleep_for/sleep_until"},
       {"bad-allow", "adets-sa:allow suppression without a justification"},
   };
   return *r;
 }
 
-Allows collect_allows(const std::string& path, const std::string& content) {
+Allows collect_allows(const std::string& path, const std::vector<Line>& lines) {
   static const std::regex allow_re(
       R"(adets-sa:allow\(([A-Za-z0-9_-]+)\)\s*(.*))");
   Allows out;
-  const std::vector<detlint::Line> lines = detlint::preprocess(content);
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const int line = static_cast<int>(i) + 1;
     std::smatch m;
@@ -137,20 +142,96 @@ Allows collect_allows(const std::string& path, const std::string& content) {
 
 namespace {
 
+/// What the scan keeps of one file's text: its tokens for the model,
+/// its suppressions and its pass-6 findings.  All three come from one
+/// preprocess() of the file.
+struct FileFacts {
+  std::vector<Token> tokens;
+  Allows allows;
+  std::vector<Finding> lexical;
+};
+
+FileFacts digest(const std::string& path, const std::string& content) {
+  const std::vector<Line> lines = preprocess(content);
+  std::vector<std::string> code;
+  code.reserve(lines.size());
+  for (const auto& l : lines) code.push_back(l.code);
+  return {tokenize(code), collect_allows(path, lines), lexical_pass(path, lines)};
+}
+
 /// Process-wide parsed-file memo: repeated scans (the test binary runs
-/// dozens; shared headers appear under several roots) tokenize and
-/// harvest suppressions once per (path, mtime, size).
+/// dozens; shared headers appear under several roots) digest each file
+/// once per (path, mtime, size).
 struct MemoEntry {
   fs::file_time_type mtime;
   std::uintmax_t size = 0;
-  std::vector<Token> tokens;
-  Allows allows;
+  FileFacts facts;
 };
 
 std::map<std::string, MemoEntry>& parse_memo() {
   static auto* m = new std::map<std::string, MemoEntry>();
   return *m;
 }
+
+/// One scan in progress: the model, each file's suppressions, and the
+/// findings gathered so far.
+struct Audit {
+  Program& prog;
+  std::map<std::string, Allows> allows;
+  std::vector<Finding> raw;
+
+  void add(const std::string& path, const FileFacts& facts) {
+    prog.parse_tokens(path, facts.tokens);  // copy; parse consumes
+    allows[path] = facts.allows;
+    raw.insert(raw.end(), facts.lexical.begin(), facts.lexical.end());
+  }
+
+  /// Runs passes 1-5 over the finalized model, applies suppressions and
+  /// appends the surviving findings to `out` in report order.
+  void finish(std::vector<Finding>& out) {
+    prog.finalize();
+    for (auto& f : lock_graph_pass(prog)) raw.push_back(std::move(f));
+    for (auto& f : guard_pass(prog)) raw.push_back(std::move(f));
+    for (auto& f : taint_pass(prog)) raw.push_back(std::move(f));
+    for (auto& f : effects_pass(prog)) raw.push_back(std::move(f));
+    for (auto& f : conflicts_pass(prog)) raw.push_back(std::move(f));
+
+    for (auto& f : raw) {
+      const auto it = allows.find(f.file);
+      if (it != allows.end()) {
+        const auto at = it->second.by_line.find(f.line);
+        if (at != it->second.by_line.end() && at->second.count(f.rule) > 0) {
+          continue;
+        }
+      }
+      out.push_back(std::move(f));
+    }
+    for (auto& [file, a] : allows) {
+      for (auto& f : a.bad) out.push_back(std::move(f));
+    }
+
+    // condvar-unguarded is derived from unguarded fields; once every such
+    // field in the class is fixed or carries a justified suppression, the
+    // wait-site findings would only restate the same decision.
+    std::set<std::string> still_unguarded;
+    for (const auto& f : out) {
+      if (f.rule == "unguarded-field") still_unguarded.insert(f.cls);
+    }
+    out.erase(std::remove_if(out.begin(), out.end(),
+                             [&](const Finding& f) {
+                               return f.rule == "condvar-unguarded" &&
+                                      still_unguarded.count(f.cls) == 0;
+                             }),
+              out.end());
+
+    // Stable report order: file, then line, then rule.
+    std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
+      if (a.file != b.file) return a.file < b.file;
+      if (a.line != b.line) return a.line < b.line;
+      return a.rule < b.rule;
+    });
+  }
+};
 
 }  // namespace
 
@@ -180,88 +261,48 @@ std::vector<Finding> scan(const std::vector<std::string>& paths,
 
   const auto parse_start = clock::now();
   Program local;
-  Program& prog = model_out != nullptr ? *model_out : local;
-  std::map<std::string, Allows> allows;
+  Audit audit{model_out != nullptr ? *model_out : local, {}, {}};
   for (const auto& f : files) {
     if (is_exempt(f)) continue;
     stats.files++;
     std::error_code ec;
     const auto mtime = fs::last_write_time(f, ec);
     const auto size = fs::file_size(f, ec);
-    const auto memo = parse_memo().find(f);
+    auto memo = parse_memo().find(f);
     if (!ec && memo != parse_memo().end() && memo->second.mtime == mtime &&
         memo->second.size == size) {
       stats.memo_hits++;
-      prog.parse_tokens(f, memo->second.tokens);  // copy; parse consumes
-      allows[f] = memo->second.allows;
-      continue;
-    }
-    std::ifstream in(f, std::ios::binary);
-    if (!in) {
-      out.push_back({f, 0, "io-error", "cannot read file"});
-      continue;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string content = buf.str();
-    const std::vector<detlint::Line> lines = detlint::preprocess(content);
-    std::vector<std::string> code;
-    code.reserve(lines.size());
-    for (const auto& l : lines) code.push_back(l.code);
-    std::vector<Token> tokens = tokenize(code);
-    Allows a = collect_allows(f, content);
-    prog.parse_tokens(f, tokens);  // copy survives in the memo
-    allows[f] = a;
-    if (!ec) parse_memo()[f] = {mtime, size, std::move(tokens), std::move(a)};
-  }
-  const auto analyze_start = clock::now();
-  prog.finalize();
-
-  std::vector<Finding> raw;
-  for (auto& f : lock_graph_pass(prog)) raw.push_back(std::move(f));
-  for (auto& f : guard_pass(prog)) raw.push_back(std::move(f));
-  for (auto& f : taint_pass(prog)) raw.push_back(std::move(f));
-  for (auto& f : effects_pass(prog)) raw.push_back(std::move(f));
-  for (auto& f : conflicts_pass(prog)) raw.push_back(std::move(f));
-
-  for (auto& f : raw) {
-    const auto it = allows.find(f.file);
-    if (it != allows.end()) {
-      const auto at = it->second.by_line.find(f.line);
-      if (at != it->second.by_line.end() && at->second.count(f.rule) > 0) {
+    } else {
+      std::ifstream in(f, std::ios::binary);
+      if (!in) {
+        out.push_back({f, 0, "io-error", "cannot read file"});
         continue;
       }
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      // On a stat error the entry is stored but never served (!ec above).
+      memo = parse_memo()
+                 .insert_or_assign(f, MemoEntry{mtime, size, digest(f, buf.str())})
+                 .first;
     }
-    out.push_back(std::move(f));
+    audit.add(f, memo->second.facts);
   }
-  for (auto& [file, a] : allows) {
-    for (auto& f : a.bad) out.push_back(std::move(f));
-  }
-
-  // condvar-unguarded is derived from unguarded fields; once every such
-  // field in the class is fixed or carries a justified suppression, the
-  // wait-site findings would only restate the same decision.
-  std::set<std::string> still_unguarded;
-  for (const auto& f : out) {
-    if (f.rule == "unguarded-field") still_unguarded.insert(f.cls);
-  }
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [&](const Finding& f) {
-                             return f.rule == "condvar-unguarded" &&
-                                    still_unguarded.count(f.cls) == 0;
-                           }),
-            out.end());
-
-  // Stable report order: file, then line, then rule.
-  std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
-    if (a.file != b.file) return a.file < b.file;
-    if (a.line != b.line) return a.line < b.line;
-    return a.rule < b.rule;
-  });
+  const auto analyze_start = clock::now();
+  audit.finish(out);
   using ms = std::chrono::duration<double, std::milli>;
   stats.parse_ms = ms(analyze_start - parse_start).count();
   stats.analyze_ms = ms(clock::now() - analyze_start).count();
   if (stats_out != nullptr) *stats_out = stats;
+  return out;
+}
+
+std::vector<Finding> scan_source(const std::string& path,
+                                 const std::string& content) {
+  Program prog;
+  Audit audit{prog, {}, {}};
+  if (!is_exempt(path)) audit.add(path, digest(path, content));
+  std::vector<Finding> out;
+  audit.finish(out);
   return out;
 }
 

@@ -1,6 +1,7 @@
 // adets-sa: whole-program static concurrency auditor.
 //
-// Five passes over the lexical program model (model.hpp):
+// Five passes over the lexical program model (model.hpp), and a sixth
+// over each file's preprocessed lines:
 //
 //   1. lock-graph   -- builds a static lock graph whose nodes are mutex
 //      identities ("Class::member") and whose edges are acquire-while-
@@ -40,9 +41,14 @@
 //      by the declaration, so the parallel early-scheduling strategy
 //      can trust the classes it is given.
 //
-// Suppression mirrors detlint: `// adets-sa:allow(<rule>) <reason>` on
-// the finding line or alone on the line directly above.  A reasonless
-// allow is itself a finding (rule bad-allow).
+//   6. lexical -- determinism lint: line rules for replica-local
+//      constructs (wall-clock reads, thread ids, unseeded randomness,
+//      unordered iteration, raw std mutexes, pointer keys, timed waits,
+//      raw sleeps) in files under sched/, replication/ or lin/.
+//
+// Suppression: `// adets-sa:allow(<rule>) <reason>` on the finding line
+// or alone on the line directly above; it names one rule of any pass.
+// A reasonless allow is itself a finding (rule bad-allow).
 #pragma once
 
 #include <map>
@@ -89,10 +95,20 @@ std::vector<Finding> effects_pass(const Program& prog);
 /// Pass 5: conflict-class coverage (conflict-uncovered, conflict-overlap).
 std::vector<Finding> conflicts_pass(const Program& prog);
 
+/// Pass 6: determinism lint over one file's preprocessed lines (wall-clock,
+/// thread-id, randomness, unordered-iter, raw-mutex, ptr-key,
+/// real-time-wait, sleep-for); empty unless lexical_scoped(path).
+std::vector<Finding> lexical_pass(const std::string& path,
+                                  const std::vector<Line>& lines);
+
 /// Shared by passes 3 and 4: true when `fn` belongs to the
 /// scheduler/strategy layer (defined under src/sched, or member of a
 /// class deriving Scheduler/SchedulerBase).
 bool sched_scoped(const Program& prog, const Function& fn);
+
+/// Scope of pass 6, keyed on the path alone: true when `path` has a
+/// `sched`, `replication` or `lin` directory component.
+bool lexical_scoped(const std::string& path);
 
 /// Nondeterminism-source kind matched by a statement, or nullptr.
 const char* nondet_source_kind(const std::string& text);
@@ -110,17 +126,17 @@ struct Allows {
   std::vector<Finding> bad;
 };
 
-/// Extracts suppressions from one source (uses the shared detlint
-/// preprocessor, so markers inside strings do not count).
-Allows collect_allows(const std::string& path, const std::string& content);
+/// Extracts suppressions from one preprocessed source (markers inside
+/// strings do not count).
+Allows collect_allows(const std::string& path, const std::vector<Line>& lines);
 
 /// Timing/caching counters for one scan() (reported by --report and the
 /// CI job log).
 struct ScanStats {
   std::size_t files = 0;
   std::size_t memo_hits = 0;  // files served from the parsed-file memo
-  double parse_ms = 0.0;      // read+preprocess+tokenize+parse
-  double analyze_ms = 0.0;    // finalize + all passes
+  double parse_ms = 0.0;      // read+preprocess+tokenize+parse+pass 6
+  double analyze_ms = 0.0;    // finalize + passes 1-5
 };
 
 /// Builds the model over `paths` (files or directories recursed for C++
@@ -131,6 +147,11 @@ struct ScanStats {
 std::vector<Finding> scan(const std::vector<std::string>& paths,
                           Program* model_out = nullptr,
                           ScanStats* stats_out = nullptr);
+
+/// scan() over one in-memory source; `path` decides pass 6's scope and
+/// names the file in findings.
+std::vector<Finding> scan_source(const std::string& path,
+                                 const std::string& content);
 
 /// Formats a finding as "file:line: [rule] message".
 std::string to_string(const Finding& finding);

@@ -106,6 +106,18 @@ bool sched_scoped(const Program& prog, const Function& fn) {
                       prog.derives_from(cls, "SchedulerBase"));
 }
 
+bool lexical_scoped(const std::string& path) {
+  // Directory components only: the text after the last '/' is the file.
+  std::size_t start = 0;
+  std::size_t slash = 0;
+  while ((slash = path.find('/', start)) != std::string::npos) {
+    const std::string dir = path.substr(start, slash - start);
+    if (dir == "sched" || dir == "replication" || dir == "lin") return true;
+    start = slash + 1;
+  }
+  return false;
+}
+
 std::vector<Finding> taint_pass(const Program& prog) {
   std::vector<Finding> out;
   for (const Function& fn : prog.functions) {
