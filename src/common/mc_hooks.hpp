@@ -57,11 +57,15 @@ class Interceptor {
   virtual bool timer_cancel(std::uint64_t id, bool* cancelled) = 0;
 
   // --- scheduler thread lifecycle (sched/base.cpp) ------------------------
-  /// Called by the spawning thread immediately before constructing the
-  /// std::thread; returns a ticket the child passes to thread_begin so
-  /// task identities are assigned in deterministic (spawn) order even
-  /// though children start racing.  Ticket 0 means "not managed".
+  /// Called by the spawning thread when it creates a scheduler thread,
+  /// before handing it to a pooled OS worker; returns a ticket the
+  /// adopting worker passes to thread_begin, so task identities are
+  /// assigned in deterministic (spawn) order whichever worker adopts the
+  /// thread and however the workers race.  Ticket 0 means "not managed".
   virtual std::uint64_t thread_spawning() = 0;
+  /// Bracket one scheduler thread on the worker that runs it, once per
+  /// thread; between the two calls the worker is a managed task, outside
+  /// them it is not and holds no intercepted lock.
   virtual void thread_begin(std::uint64_t ticket) = 0;
   virtual void thread_end() = 0;
 

@@ -2,8 +2,9 @@
 //
 // One McRuntime instance serialises every *managed* thread of a scenario
 // onto a single logical processor (CHESS lineage).  Managed threads are
-// (a) scheduler worker threads spawned through SchedulerBase (registered
-// via spawn tickets), (b) harness driver threads and RacyScheduler
+// (a) scheduler threads spawned through SchedulerBase (registered via
+// spawn tickets; the pooled OS worker that runs one is managed only for
+// that thread's lifetime), (b) harness driver threads and RacyScheduler
 // workers (adopted explicitly), and (c) the runtime's own timer-runner
 // task that executes virtualised TimerService callbacks.  Each managed
 // thread runs until its next interception point (common/mc_hooks.hpp),

@@ -111,7 +111,11 @@ struct SchedulerStats {
   std::uint64_t notifies = 0;         // notify_one/notify_all calls
   std::uint64_t timeouts_fired = 0;   // waits actually resumed by timeout
   std::uint64_t nested_calls = 0;     // synchronous nested invocations
-  std::uint64_t threads_spawned = 0;  // physical scheduler threads created
+  std::uint64_t threads_spawned = 0;  // scheduler threads created (request
+                                      // handlers, LSA timeout threads,
+                                      // PDS pool members)
+  std::uint64_t os_threads_started = 0;  // pooled OS workers that run them
+                                         // (high-water mark of live ones)
   std::uint64_t broadcasts = 0;       // scheduler messages sent (LSA tables,
                                       // timeout messages, PDS no-ops)
   std::uint64_t activations = 0;      // SAT activations / MAT token grants

@@ -43,16 +43,22 @@ void SchedulerBase::stop() {
   {
     Lk lk(mon_);
     wake_all_for_stop(lk);
+    for (Worker* w : idle_) {
+      w->record = nullptr;
+      w->wakeup.release();
+    }
+    idle_.clear();
   }
-  // Join all scheduler threads.  Blocked threads observe stopping() at
-  // their wakeup predicates and unwind.
+  // Join the pool.  Blocked scheduler threads observe stopping() at their
+  // wakeup predicates and unwind; a worker that finishes one after this
+  // point exits instead of parking.
   while (true) {
     std::thread victim;
     {
       Lk lk(mon_);
-      for (auto& [id, record] : threads_) {
-        if (record->os_thread.joinable()) {
-          victim = std::move(record->os_thread);
+      for (auto& w : workers_) {
+        if (w->os_thread.joinable()) {
+          victim = std::move(w->os_thread);
           break;
         }
       }
@@ -60,11 +66,6 @@ void SchedulerBase::stop() {
     if (!victim.joinable()) break;
     victim.join();
   }
-  Lk lk(mon_);
-  for (auto& t : finished_) {
-    if (t.joinable()) t.join();
-  }
-  finished_.clear();
 }
 
 void SchedulerBase::wake_all_for_stop(Lk&) {
@@ -96,11 +97,17 @@ void SchedulerBase::on_scheduler_message(common::NodeId /*sender*/,
   if (!info) return;
   Request request;
   request.kind = RequestKind::kTimeout;
+  request.timeout = *info;
+  submit_internal(std::move(request));
+}
+
+void SchedulerBase::submit_internal(Request request) {
+  Lk lk(mon_);
+  if (stopping()) return;
   const std::uint64_t internal = (1ULL << 62) | next_internal_request_++;
   request.id = RequestId(internal);
   request.logical = LogicalThreadId(internal);
-  request.timeout = *info;
-  on_request(std::move(request));
+  handle_request(lk, std::move(request));
 }
 
 void SchedulerBase::on_view_change(const std::vector<common::NodeId>&) {}
@@ -225,11 +232,7 @@ std::string SchedulerBase::debug_dump() const {
   const Lk guard(mon_);
   std::string out = to_string(kind()) + " threads:";
   for (const auto& [id, t] : threads_) {
-    out += " [" + std::to_string(id) + ":" +
-           names[static_cast<int>(t->state)] +
-           (t->wanted_mutex.valid() ? " w=" + std::to_string(t->wanted_mutex.value())
-                                    : "") +
-           "]";
+    out += " [" + std::to_string(id) + ":" + names[static_cast<int>(t->state)] + "]";
   }
   debug_extra(out);
   return out;
@@ -323,71 +326,81 @@ std::string to_string(const Decision& decision) {
 
 // --- thread machinery -----------------------------------------------------------
 
-SchedulerBase::ThreadRecord& SchedulerBase::spawn_thread(
-    Lk&, Request request, std::optional<ThreadId> forced_id, bool internal) {
-  // Reap previously finished threads (join is instantaneous: they only
-  // mark kDone as their final action under mon_).
-  for (auto it = threads_.begin(); it != threads_.end();) {
-    if (it->second->state == ThreadState::kDone && it->second->os_thread.joinable() &&
-        it->second.get() != tls_slot()) {
-      finished_.push_back(std::move(it->second->os_thread));
-      it = threads_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (finished_.size() > 64) {
-    for (auto& t : finished_) {
-      if (t.joinable()) t.join();
-    }
-    finished_.clear();
-  }
+std::unique_ptr<SchedulerBase::ThreadRecord> SchedulerBase::new_record() const {
+  return std::make_unique<ThreadRecord>();
+}
 
+SchedulerBase::ThreadRecord& SchedulerBase::spawn_thread(
+    Lk&, Request request, std::optional<ThreadId> forced_id) {
   const ThreadId id = forced_id.value_or(ThreadId(next_thread_id_));
   if (!forced_id) next_thread_id_++;
   stats_.threads_spawned++;
-  auto record = std::make_unique<ThreadRecord>();
+  std::unique_ptr<ThreadRecord> record = new_record();
   record->id = id;
   record->logical = request.logical;
   record->request = std::move(request);
-  record->internal = internal;
-  ThreadRecord* raw = record.get();
+  ThreadRecord& t = *record;
   threads_.emplace(id.value(), std::move(record));
   // The spawn ticket is drawn on the parent thread so the model checker
-  // assigns task identities in program (spawn) order even though the
-  // children start racing; outside a checking run the ticket is 0 and the
-  // begin/end calls are no-ops behind a null-pointer load.
+  // assigns task identities in program (spawn) order, whichever worker
+  // adopts the record and however the workers race; outside a checking
+  // run the ticket is 0 and the worker skips the begin/end calls.
   const std::uint64_t mc_ticket =
       mchook::active() ? mchook::active()->thread_spawning() : 0;
-  raw->os_thread = std::thread([this, raw, mc_ticket] {
-    tls_slot() = raw;
-    if (auto* mc = mchook::active(); mc && mc_ticket != 0) {
-      mc->thread_begin(mc_ticket);
-      thread_body(*raw);
-      mc->thread_end();
-      return;
-    }
-    thread_body(*raw);
-  });
-  return *raw;
+  Worker* w = nullptr;
+  if (idle_.empty()) {
+    // The pool grows to the high-water mark of live scheduler threads: any
+    // of them may block indefinitely, so none may wait for a worker.
+    w = workers_.emplace_back(std::make_unique<Worker>()).get();
+    stats_.os_threads_started++;
+    w->os_thread = std::thread([this, w] { worker_main(*w); });
+  } else {
+    w = idle_.back();
+    idle_.pop_back();
+  }
+  w->record = &t;
+  w->mc_ticket = mc_ticket;
+  w->wakeup.release();
+  return t;
 }
 
-void SchedulerBase::thread_body(ThreadRecord& t) {
-  {
-    Lk lk(mon_);
-    on_thread_start(lk, t);
-    if (stopping()) {
-      t.state = ThreadState::kDone;
-      return;
+void SchedulerBase::worker_main(Worker& w) {
+  while (true) {
+    w.wakeup.acquire();
+    ThreadRecord* const t = w.record;
+    if (t == nullptr) return;
+    mchook::Interceptor* const mc = w.mc_ticket != 0 ? mchook::active() : nullptr;
+    tls_slot() = t;
+    if (mc != nullptr) mc->thread_begin(w.mc_ticket);
+    bool parked = false;
+    {
+      Lk lk(mon_);
+      thread_body(lk, *t);
+      threads_.erase(t->id.value());  // with the strategy's per-thread state
+      // Parking inside the critical section lets the next spawn reuse
+      // this worker at once.  Once stopping, stop() may already have
+      // released the idle workers, so exit instead.
+      parked = !stopping();
+      if (parked) idle_.push_back(&w);
     }
-    t.state = ThreadState::kRunning;
+    if (mc != nullptr) mc->thread_end();
+    tls_slot() = nullptr;
+    if (!parked) return;
   }
-  run_request_body(t, t.request);
-  {
-    Lk lk(mon_);
+}
+
+void SchedulerBase::thread_body(Lk& lk, ThreadRecord& t) {
+  on_thread_start(lk, t);
+  if (stopping()) {
     t.state = ThreadState::kDone;
-    on_thread_done(lk, t);
+    return;
   }
+  t.state = ThreadState::kRunning;
+  lk.unlock();
+  run_request_body(t, t.request);
+  lk.lock();
+  t.state = ThreadState::kDone;
+  on_thread_done(lk, t);
 }
 
 SchedulerBase::ThreadRecord& SchedulerBase::current() {

@@ -5,8 +5,15 @@
 // variables while the strategy decides, deterministically, when they may
 // proceed.  SchedulerBase provides:
 //
-//  - the thread registry (deterministic ThreadId allocation, spawning,
-//    lazy joining, thread-local current-thread lookup);
+//  - the thread registry: one record per scheduler thread (a request
+//    handler, LSA timeout thread or PDS pool member), its ThreadId
+//    allocated in delivery order, and thread-local lookup of the
+//    caller's record;
+//  - the worker pool that runs scheduler threads: a spawned record is
+//    handed to a parked OS worker (a new one starts only when none is
+//    idle), which runs it, releases the record and parks again.  Workers
+//    are interchangeable; which one runs a record never reaches a
+//    scheduling decision;
 //  - the reentrancy layer (paper Sec. 4): lock counts per logical thread,
 //    so only 0->1 / 1->0 transitions reach the strategy's base_lock /
 //    base_unlock;
@@ -21,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <semaphore>
 #include <set>
 #include <thread>
 #include <vector>
@@ -78,12 +86,20 @@ class SchedulerBase : public Scheduler {
  protected:
   using Lk = common::MutexLock;
 
-  /// Registry entry of one scheduler-managed thread.  All mutable fields
-  /// are protected by mon_ (clang's analysis cannot express "guarded by
-  /// a mutex of the enclosing object" on nested-struct fields, so the
-  /// invariant is enforced by convention plus the REQUIRES(mon_)
-  /// annotations on every function that receives a ThreadRecord&).
+  /// Registry entry of one scheduler thread, released when it finishes.
+  /// All mutable fields are protected by mon_ (clang's analysis cannot
+  /// express "guarded by a mutex of the enclosing object" on
+  /// nested-struct fields, so the invariant is enforced by convention
+  /// plus the REQUIRES(mon_) annotations on every function that receives
+  /// a ThreadRecord&).  A strategy with per-thread state of its own
+  /// derives its record from this one and overrides new_record(), so
+  /// that state is released with the record.
   struct ThreadRecord {
+    ThreadRecord() = default;
+    ThreadRecord(const ThreadRecord&) = delete;
+    ThreadRecord& operator=(const ThreadRecord&) = delete;
+    virtual ~ThreadRecord() = default;
+
     common::ThreadId id;
     common::LogicalThreadId logical;
     Request request;                 // current work item
@@ -93,19 +109,9 @@ class SchedulerBase : public Scheduler {
     // wait()/timeout bookkeeping
     std::uint64_t wait_generation = 0;
     bool timed_out = false;
-    bool wait_satisfied = false;  // popped from a condvar queue (LSA/PDS)
     // nested invocation bookkeeping
     common::RequestId pending_nested = common::RequestId::invalid();
     bool reply_arrived = false;
-    // strategy scratch fields (PDS)
-    common::MutexId wanted_mutex = common::MutexId::invalid();
-    int pds_phase = 0;                   // mutexes acquired this round
-    std::uint64_t pds_request_round = 0; // round in which wanted_mutex was requested
-    std::uint64_t pds_granted_round = 0; // round of the last grant
-    bool pds_terminate = false;          // pool-shrink signal
-    std::uint64_t ticket_epoch = 1;      // MAT: re-eligibility generation
-    bool internal = false;               // timeout handler / pool worker
-    std::thread os_thread;
   };
 
   // --- strategy hook points (all called with mon_ held via `lk`) ----------
@@ -137,8 +143,8 @@ class SchedulerBase : public Scheduler {
       ADETS_REQUIRES(mon_) = 0;
   virtual void base_before_nested(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_) = 0;
   virtual void base_after_nested(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_) = 0;
-  /// Called when a thread's work item finished (thread about to exit or
-  /// fetch the next pool assignment).
+  /// Called when a thread's work item finished, just before its record
+  /// is released.
   virtual void on_thread_done(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_) = 0;
   /// Called once when the thread starts, before executing its request;
   /// strategies gate admission here (SAT single-active, MAT secondaries run).
@@ -149,10 +155,14 @@ class SchedulerBase : public Scheduler {
   /// Appends strategy-specific diagnostics (called with mon_ held).
   virtual void debug_extra(std::string&) const ADETS_REQUIRES(mon_) {}
 
-  /// Top-level function of a spawned OS thread.  The default runs one
-  /// work item: admission gate, execute, completion hook.  PDS overrides
-  /// it with a pool-worker loop.
-  virtual void thread_body(ThreadRecord& t);
+  /// Allocates the record of a new scheduler thread (see ThreadRecord).
+  virtual std::unique_ptr<ThreadRecord> new_record() const;
+
+  /// Runs scheduler thread `t` on the worker that adopted it; entered and
+  /// left with mon_ held, and `t` must be kDone on return.  The default
+  /// runs one work item: admission gate, execute, completion hook.  PDS
+  /// overrides it with a loop that fetches work items from its queue.
+  virtual void thread_body(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_);
 
   /// A wait() timeout expired locally.  Default: broadcast a timeout
   /// message handled as a normal request on every replica (dedup by wait
@@ -162,16 +172,21 @@ class SchedulerBase : public Scheduler {
 
   // --- helpers -------------------------------------------------------------
 
-  /// Spawns a new scheduler thread for `request`.  ThreadIds are
+  /// Spawns a new scheduler thread for `request` and hands it to an idle
+  /// worker, starting a worker only when none is idle.  ThreadIds are
   /// allocated in call order, so all replicas must call this in the same
   /// order (delivery order).  `forced_id` is for threads with derived
-  /// deterministic ids (LSA timeout threads).  NON_BLOCKING: the only
-  /// join inside is of threads already observed in kDone state (their
-  /// final action under mon_), so it returns immediately.
+  /// deterministic ids (LSA timeout threads and callbacks).
+  /// NON_BLOCKING: it releases a parked worker or starts one, and never
+  /// waits for either.
   ThreadRecord& spawn_thread(Lk& lk, Request request,
-                             std::optional<common::ThreadId> forced_id = std::nullopt,
-                             bool internal = false)
+                             std::optional<common::ThreadId> forced_id = std::nullopt)
       ADETS_REQUIRES(mon_) ADETS_NON_BLOCKING;
+
+  /// Allocates the next internal request id for `request` (a timeout or
+  /// PDS no-op message) and hands it to handle_request, in one critical
+  /// section.
+  void submit_internal(Request request);
 
   /// The registry record of the calling thread (TLS).
   ThreadRecord& current();
@@ -225,8 +240,6 @@ class SchedulerBase : public Scheduler {
   std::uint64_t next_internal_request_ ADETS_GUARDED_BY(mon_) = 0;
   /// Replies delivered before the caller registered.
   std::set<std::uint64_t> early_replies_ ADETS_GUARDED_BY(mon_);
-  /// Exited os threads, joined lazily.
-  std::vector<std::thread> finished_ ADETS_GUARDED_BY(mon_);
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> completed_{0};
 
@@ -250,6 +263,32 @@ class SchedulerBase : public Scheduler {
   // Created in start() before threads; TimerService synchronizes itself.
   // adets-sa:allow(unguarded-field) written only in start(), before threads
   std::unique_ptr<common::TimerService> timer_;
+
+ private:
+  /// One pooled OS thread.  Between scheduler threads it parks on
+  /// `wakeup`, a semaphore rather than a monitor: a parked worker is not
+  /// a model-checker task, so it must hold no intercepted lock.
+  struct Worker {
+    Worker() = default;
+    Worker(const Worker&) = delete;  // its thread holds its address
+    Worker& operator=(const Worker&) = delete;
+
+    std::binary_semaphore wakeup{0};
+    // Written with mon_ held before `wakeup` is released and read by the
+    // worker after it acquires `wakeup`, which orders the two.
+    ThreadRecord* record = nullptr;  // the scheduler thread to run; null: exit
+    std::uint64_t mc_ticket = 0;     // adets-mc spawn ticket, 0 if unmanaged
+    std::thread os_thread;           // declared last: it uses the fields above
+  };
+
+  /// Loop of one pooled OS thread: run the handed-over record, release
+  /// it, park; exit on a null record or once stopping.
+  void worker_main(Worker& w);
+
+  /// Parked workers, most recently parked last.
+  std::vector<Worker*> idle_ ADETS_GUARDED_BY(mon_);
+  /// Every worker started; last, as the workers use the state above.
+  std::vector<std::unique_ptr<Worker>> workers_ ADETS_GUARDED_BY(mon_);
 };
 
 }  // namespace adets::sched

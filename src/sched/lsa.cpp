@@ -46,6 +46,16 @@ bool LsaScheduler::is_leader() const {
   return leader_;
 }
 
+std::size_t LsaScheduler::tracked_threads() const {
+  const Lk guard(mon_);
+  return threads_.size() + callback_caller_.size() + running_callbacks_.size() +
+         unknown_requests_.size() + early_new_entries_.size();
+}
+
+std::unique_ptr<SchedulerBase::ThreadRecord> LsaScheduler::new_record() const {
+  return std::make_unique<LsaThread>();
+}
+
 void LsaScheduler::on_view_change(const std::vector<common::NodeId>& members) {
   Lk lk(mon_);
   const bool now_leader = !members.empty() && members.front() == env_->self();
@@ -159,7 +169,7 @@ void LsaScheduler::lock_impl(Lk& lk, ThreadRecord& t, MutexId mutex) {
   // Every base-level lock call gets a per-thread operation index; lock
   // calls happen in program order, so `op` values agree across replicas
   // and key the dynamic mutex-id binding protocol.
-  const std::uint64_t op = ++lock_ops_[t.id.value()];
+  const std::uint64_t op = ++lsa(t).lock_ops;
   bool enqueued = false;
   while (!stopping()) {
     MutexState& m = mutexes_[mutex.value()];
@@ -273,10 +283,11 @@ WaitResult LsaScheduler::base_wait(Lk& lk, ThreadRecord& t, MutexId mutex,
                                    common::Duration) {
   cond_queues_[condvar.value()].push_back(Waiter{t.id, generation});
   unlock_impl(lk, mutex);
-  t.wait_satisfied = false;
+  LsaThread& waiter = lsa(t);
+  waiter.wait_satisfied = false;
   t.timed_out = false;
   t.state = ThreadState::kBlockedWait;
-  while (!t.wait_satisfied && !stopping()) block(lk, t);
+  while (!waiter.wait_satisfied && !stopping()) block(lk, t);
   // Reacquire the guarding mutex through the normal LSA machinery: the
   // leader records the reacquisition, followers replay it.
   t.state = ThreadState::kBlockedReacquire;
@@ -294,7 +305,7 @@ void LsaScheduler::base_notify(Lk& lk, ThreadRecord&, MutexId, CondVarId condvar
     queue.pop_front();
     ThreadRecord* record = find_thread(lk, waiter.thread);
     if (record != nullptr && record->state == ThreadState::kBlockedWait) {
-      record->wait_satisfied = true;
+      lsa(*record).wait_satisfied = true;
       record->timed_out = false;
       wake(*record);
     }
@@ -310,7 +321,7 @@ bool LsaScheduler::base_resume_timed_out(Lk& lk, ThreadRecord&, MutexId,
       queue.erase(it);
       ThreadRecord* record = find_thread(lk, target);
       if (record == nullptr || record->state != ThreadState::kBlockedWait) return false;
-      record->wait_satisfied = true;
+      lsa(*record).wait_satisfied = true;
       record->timed_out = true;
       wake(*record);
       return true;
@@ -332,7 +343,7 @@ void LsaScheduler::on_wait_timer_expired(ThreadId thread, MutexId mutex,
   request.id = common::RequestId(derived.value());
   request.logical = common::LogicalThreadId(derived.value());
   request.timeout = TimeoutInfo{thread, mutex, condvar, generation};
-  spawn_thread(lk, std::move(request), derived, /*internal=*/true);
+  spawn_thread(lk, std::move(request), derived);
 }
 
 // --- nested invocations ----------------------------------------------------------------

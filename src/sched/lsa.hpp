@@ -67,6 +67,10 @@ class LsaScheduler : public SchedulerBase {
 
   /// True while this replica records (rather than replays) grants.
   [[nodiscard]] bool is_leader() const;
+  /// Scheduler threads LSA still keeps state for: live threads plus the
+  /// callback and dynamic-binding entries keyed by a thread id
+  /// (introspection; 0 once every thread has finished).
+  [[nodiscard]] std::size_t tracked_threads() const;
 
  protected:
   void handle_request(Lk& lk, Request request) override ADETS_REQUIRES(mon_);
@@ -87,8 +91,18 @@ class LsaScheduler : public SchedulerBase {
   void on_thread_done(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void on_wait_timer_expired(common::ThreadId thread, common::MutexId mutex,
                              common::CondVarId condvar, std::uint64_t generation) override;
+  std::unique_ptr<ThreadRecord> new_record() const override;
 
  private:
+  struct LsaThread final : ThreadRecord {
+    /// Base-level lock operations so far.  Lock calls follow program
+    /// order, so the count agrees across replicas and keys the
+    /// dynamic-binding protocol.
+    std::uint64_t lock_ops = 0;
+    bool wait_satisfied = false;  // popped from a condvar queue
+  };
+  static LsaThread& lsa(ThreadRecord& t) { return static_cast<LsaThread&>(t); }
+
   struct TableEntry {
     std::uint64_t lsa_id = 0;
     std::uint64_t thread = 0;
@@ -144,9 +158,6 @@ class LsaScheduler : public SchedulerBase {
   std::map<std::uint64_t, MutexState> mutexes_ ADETS_GUARDED_BY(mon_);
   /// Follower replay plan: recorded grantees per lsa id, FIFO.
   std::map<std::uint64_t, std::deque<std::uint64_t>> expected_ ADETS_GUARDED_BY(mon_);
-  /// Per-thread count of base-level lock operations (identical on every
-  /// replica; keys the dynamic-binding protocol).
-  std::map<std::uint64_t, std::uint64_t> lock_ops_ ADETS_GUARDED_BY(mon_);
   /// Follower: (thread, op) -> app mutex requested but not yet bound.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> unknown_requests_ ADETS_GUARDED_BY(mon_);
   /// Follower: is_new entries that arrived before the thread's op.

@@ -45,7 +45,7 @@ void MatScheduler::try_assign_token(Lk& lk) {
     tickets_.pop_front();
     ThreadRecord* record = find_thread(lk, ticket.id);
     if (record == nullptr || record->state == ThreadState::kDone ||
-        record->ticket_epoch != ticket.epoch ||
+        mat(*record).ticket_epoch != ticket.epoch ||
         record->state == ThreadState::kBlockedWait ||
         record->state == ThreadState::kBlockedNested) {
       // Stale (the thread advanced to a new eligibility epoch) or the
@@ -71,7 +71,7 @@ void MatScheduler::yield() {
   ThreadRecord& t = current();
   Lk lk(mon_);
   if (primary_ != t.id) return;
-  tickets_.push_back(ThreadTicket{t.id, t.ticket_epoch});
+  tickets_.push_back(ThreadTicket{t.id, mat(t).ticket_epoch});
   primary_ = ThreadId::invalid();
   try_assign_token(lk);
   // The yielding thread keeps running as a secondary; it re-waits for
@@ -80,8 +80,12 @@ void MatScheduler::yield() {
 
 // --- event stream ------------------------------------------------------------------
 
+std::unique_ptr<SchedulerBase::ThreadRecord> MatScheduler::new_record() const {
+  return std::make_unique<MatThread>();
+}
+
 void MatScheduler::handle_request(Lk& lk, Request request) {
-  ThreadRecord& t = spawn_thread(lk, std::move(request));
+  MatThread& t = mat(spawn_thread(lk, std::move(request)));
   tickets_.push_back(ThreadTicket{t.id, t.ticket_epoch});  // creation ticket
   try_assign_token(lk);
 }
@@ -91,12 +95,13 @@ void MatScheduler::on_reply(common::RequestId nested_id) {
   if (stopping()) return;
   for (auto& [id, record] : threads_) {
     if (record->pending_nested == nested_id && !record->reply_arrived) {
-      record->reply_arrived = true;
-      record->state = ThreadState::kRunning;  // resumed as a secondary
-      record->ticket_epoch++;                 // old tickets become stale
-      tickets_.push_back(ThreadTicket{record->id, record->ticket_epoch});
+      MatThread& t = mat(*record);
+      t.reply_arrived = true;
+      t.state = ThreadState::kRunning;  // resumed as a secondary
+      t.ticket_epoch++;                 // old tickets become stale
+      tickets_.push_back(ThreadTicket{t.id, t.ticket_epoch});
       try_assign_token(lk);
-      wake(*record);
+      wake(t);
       return;
     }
   }
@@ -111,8 +116,8 @@ void MatScheduler::handle_reply(Lk& lk, ThreadRecord& t) {
   // Reached from before_nested_call when the reply was early: claim the
   // placeholder that already sits at the reply's queue position.
   t.state = ThreadState::kRunning;
-  t.ticket_epoch++;  // old tickets become stale
-  claimed_replies_[t.pending_nested.value()] = ThreadTicket{t.id, t.ticket_epoch};
+  const std::uint64_t epoch = ++mat(t).ticket_epoch;  // old tickets become stale
+  claimed_replies_[t.pending_nested.value()] = ThreadTicket{t.id, epoch};
   try_assign_token(lk);
   wake(t);
 }
@@ -204,8 +209,8 @@ void MatScheduler::resume_waiter(Lk& lk, ThreadRecord& t, MutexId mutex,
   t.timed_out = timed_out;
   t.state = ThreadState::kBlockedReacquire;
   mutexes_[mutex.value()].reacquirers.push_back(t.id);
-  t.ticket_epoch++;  // old tickets become stale
-  tickets_.push_back(ThreadTicket{t.id, t.ticket_epoch});
+  const std::uint64_t epoch = ++mat(t).ticket_epoch;  // old tickets become stale
+  tickets_.push_back(ThreadTicket{t.id, epoch});
   try_assign_token(lk);
   hand_over(lk, mutex);  // no-op while the notifier holds the mutex
 }

@@ -67,8 +67,13 @@ class MatScheduler : public SchedulerBase {
   void on_thread_start(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void on_thread_done(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void debug_extra(std::string& out) const override ADETS_REQUIRES(mon_);
+  std::unique_ptr<ThreadRecord> new_record() const override;
 
  private:
+  struct MatThread final : ThreadRecord {
+    std::uint64_t ticket_epoch = 1;  // re-eligibility generation (ThreadTicket)
+  };
+  static MatThread& mat(ThreadRecord& t) { return static_cast<MatThread&>(t); }
   struct MutexState {
     common::ThreadId owner = common::ThreadId::invalid();
     /// Waiters resumed by notify(), granted with priority (FIFO).

@@ -49,18 +49,22 @@ std::size_t PdsScheduler::pool_size() const {
   return alive;
 }
 
+std::unique_ptr<SchedulerBase::ThreadRecord> PdsScheduler::new_record() const {
+  return std::make_unique<PdsThread>();
+}
+
 void PdsScheduler::spawn_worker(Lk& lk, bool pre_suspended) {
   Request request;
   request.kind = RequestKind::kApplication;  // placeholder until first fetch
   request.id = common::RequestId::invalid();
   request.logical = common::LogicalThreadId::invalid();
-  ThreadRecord& t = spawn_thread(lk, std::move(request), std::nullopt, /*internal=*/true);
+  PdsThread& t = pds(spawn_thread(lk, std::move(request)));
   if (pre_suspended) {
     // Join the *current* round-start grant computation deterministically:
     // the worker is born already suspended on the queue mutex.
     t.state = ThreadState::kBlockedLock;
     t.wanted_mutex = MutexId(kQueueMutexId);
-    t.pds_request_round = round_ == 0 ? 0 : round_ - 1;
+    t.request_round = round_ == 0 ? 0 : round_ - 1;
   }
 }
 
@@ -70,37 +74,28 @@ void PdsScheduler::wake_everyone(Lk&) {
 
 // --- worker loop -------------------------------------------------------------------
 
-void PdsScheduler::thread_body(ThreadRecord& t) {
-  while (true) {
-    Request work;
-    {
-      Lk lk(mon_);
-      if (stopping() || t.pds_terminate) {
-        t.state = ThreadState::kDone;
-        maybe_start_round(lk);
-        return;
-      }
-      auto fetched = fetch(lk, t);
-      if (!fetched || fetched->kind == RequestKind::kPoison || stopping()) {
-        t.state = ThreadState::kDone;
-        maybe_start_round(lk);
-        return;
-      }
-      work = std::move(*fetched);
-      t.request = work;
-      t.logical = work.logical;
-      t.state = ThreadState::kRunning;
-    }
-    run_request_body(t, work);
+void PdsScheduler::thread_body(Lk& lk, ThreadRecord& record) {
+  PdsThread& t = pds(record);
+  while (!stopping() && !t.terminate) {
+    auto fetched = fetch(lk, t);
+    if (!fetched || fetched->kind == RequestKind::kPoison || stopping()) break;
+    t.request = std::move(*fetched);
+    t.logical = t.request.logical;
+    t.state = ThreadState::kRunning;
+    lk.unlock();
+    run_request_body(t, t.request);
+    lk.lock();
   }
+  t.state = ThreadState::kDone;
+  maybe_start_round(lk);
 }
 
-std::optional<Request> PdsScheduler::fetch(Lk& lk, ThreadRecord& t) {
+std::optional<Request> PdsScheduler::fetch(Lk& lk, PdsThread& t) {
   if (config_.pds_round_robin_assignment) {
     // Worker i executes requests i, i+N, i+2N, ...
     const std::uint64_t pool = initial_pool_;
     t.state = ThreadState::kRunning;
-    while (!stopping() && !t.pds_terminate) {
+    while (!stopping() && !t.terminate) {
       if (!request_queue_.empty() && next_fetch_index_ % pool == t.id.value()) {
         Request request = std::move(request_queue_.front());
         request_queue_.pop_front();
@@ -122,14 +117,14 @@ std::optional<Request> PdsScheduler::fetch(Lk& lk, ThreadRecord& t) {
       // Pre-suspended at spawn: the request is already registered with
       // the round machinery; just await the grant.
       while (mutexes_[kQueueMutexId].owner != t.id && !stopping() &&
-             !t.pds_terminate) {
+             !t.terminate) {
         block(lk, t);
       }
     } else {
       pds_lock(lk, t, queue_mutex);
     }
   }
-  if (stopping() || t.pds_terminate) {
+  if (stopping() || t.terminate) {
     if (mutexes_[kQueueMutexId].owner == t.id) pds_unlock(lk, queue_mutex);
     return std::nullopt;
   }
@@ -143,10 +138,10 @@ std::optional<Request> PdsScheduler::fetch(Lk& lk, ThreadRecord& t) {
   // mutex needs that round, so an idle pool broadcasts nothing.  In
   // particular no no-op precedes the first request in the total order,
   // and an event log attached before any traffic holds the whole run.
-  while (request_queue_.empty() && !stopping() && !t.pds_terminate) {
+  while (request_queue_.empty() && !stopping() && !t.terminate) {
     t.state = ThreadState::kRunning;
     block_for(lk, t, config_.pds_idle_fill_interval);
-    if (request_queue_.empty() && !stopping() && !t.pds_terminate &&
+    if (request_queue_.empty() && !stopping() && !t.terminate &&
         round_awaited(lk)) {
       stats_.broadcasts++;
       lk.unlock();
@@ -154,7 +149,7 @@ std::optional<Request> PdsScheduler::fetch(Lk& lk, ThreadRecord& t) {
       lk.lock();
     }
   }
-  if (stopping() || t.pds_terminate) {
+  if (stopping() || t.terminate) {
     pds_unlock(lk, queue_mutex);
     return std::nullopt;
   }
@@ -174,10 +169,7 @@ void PdsScheduler::on_scheduler_message(common::NodeId sender,
     // every replica assigns it to the same worker.
     Request request;
     request.kind = RequestKind::kNoop;
-    const std::uint64_t internal = (1ULL << 62) | next_internal_request_++;
-    request.id = common::RequestId(internal);
-    request.logical = common::LogicalThreadId(internal);
-    on_request(std::move(request));
+    submit_internal(std::move(request));
     return;
   }
   SchedulerBase::on_scheduler_message(sender, payload);
@@ -193,29 +185,39 @@ void PdsScheduler::handle_reply(Lk&, ThreadRecord& t) { wake(t); }
 void PdsScheduler::on_thread_start(Lk&, ThreadRecord&) {}
 void PdsScheduler::on_thread_done(Lk&, ThreadRecord&) {}
 
+void PdsScheduler::debug_extra(std::string& out) const {
+  out += " wanted:";
+  for (const auto& [id, record] : threads_) {
+    const MutexId wanted = pds(*record).wanted_mutex;
+    if (wanted.valid()) {
+      out += " t" + std::to_string(id) + "->m" + std::to_string(wanted.value());
+    }
+  }
+}
+
 // --- rounds and locking ----------------------------------------------------------------
 
 void PdsScheduler::base_lock(Lk& lk, ThreadRecord& t, MutexId mutex) {
-  pds_lock(lk, t, mutex);
+  pds_lock(lk, pds(t), mutex);
 }
 
-void PdsScheduler::pds_lock(Lk& lk, ThreadRecord& t, MutexId mutex) {
+void PdsScheduler::pds_lock(Lk& lk, PdsThread& t, MutexId mutex) {
   // PDS-2 fast path: one extra in-round acquisition when permitted.
-  if (config_.pds_variant == 2 && t.pds_phase == 1 && t.pds_granted_round == round_) {
+  if (config_.pds_variant == 2 && t.phase == 1 && t.granted_round == round_) {
     MutexState& m = mutexes_[mutex.value()];
     if (!m.owner.valid() && lower_ids_have_phase1(lk, t)) {
       m.owner = t.id;
       record_grant(mutex, t.id);
-      t.pds_phase = 2;
+      t.phase = 2;
       return;
     }
   }
   // Suspend; the grant comes at a round boundary or an in-round unlock.
   t.wanted_mutex = mutex;
-  t.pds_request_round = round_;
+  t.request_round = round_;
   t.state = ThreadState::kBlockedLock;
   maybe_start_round(lk);
-  while (mutexes_[mutex.value()].owner != t.id && !stopping() && !t.pds_terminate) {
+  while (mutexes_[mutex.value()].owner != t.id && !stopping() && !t.terminate) {
     block(lk, t);
   }
   t.state = ThreadState::kRunning;
@@ -223,32 +225,33 @@ void PdsScheduler::pds_lock(Lk& lk, ThreadRecord& t, MutexId mutex) {
 
 bool PdsScheduler::round_awaited(Lk&) const {
   for (const auto& [id, record] : threads_) {
-    if (record->state == ThreadState::kBlockedLock && record->wanted_mutex.valid() &&
-        record->wanted_mutex != MutexId(kQueueMutexId)) {
+    const PdsThread& t = pds(*record);
+    if (t.state == ThreadState::kBlockedLock && t.wanted_mutex.valid() &&
+        t.wanted_mutex != MutexId(kQueueMutexId)) {
       return true;
     }
   }
   return false;
 }
 
-bool PdsScheduler::lower_ids_have_phase1(Lk&, const ThreadRecord& t) const {
+bool PdsScheduler::lower_ids_have_phase1(Lk&, const PdsThread& t) const {
   for (const auto& [id, record] : threads_) {
     if (id >= t.id.value()) break;
-    if (record->state == ThreadState::kDone ||
-        record->state == ThreadState::kBlockedWait) {
+    const PdsThread& lower = pds(*record);
+    if (lower.state == ThreadState::kDone || lower.state == ThreadState::kBlockedWait) {
       continue;
     }
-    if (!(record->pds_granted_round == round_ && record->pds_phase >= 1)) return false;
+    if (!(lower.granted_round == round_ && lower.phase >= 1)) return false;
   }
   return true;
 }
 
-void PdsScheduler::grant(Lk&, ThreadRecord& t, MutexId mutex) {
+void PdsScheduler::grant(Lk&, PdsThread& t, MutexId mutex) {
   mutexes_[mutex.value()].owner = t.id;
   record_grant(mutex, t.id);
   t.wanted_mutex = MutexId::invalid();
-  t.pds_phase = 1;
-  t.pds_granted_round = round_;
+  t.phase = 1;
+  t.granted_round = round_;
   if (t.state == ThreadState::kBlockedLock) t.state = ThreadState::kRunning;
   wake(t);
 }
@@ -261,11 +264,12 @@ void PdsScheduler::pds_unlock(Lk& lk, MutexId mutex) {
   mutexes_[mutex.value()].owner = ThreadId::invalid();
   // In-round hand-over: the next *same-round* requester (lowest id) may
   // execute concurrently with the unlocker (paper Sec. 3.2).
-  ThreadRecord* next = nullptr;
+  PdsThread* next = nullptr;
   for (auto& [id, record] : threads_) {
-    if (record->state == ThreadState::kBlockedLock &&
-        record->wanted_mutex == mutex && record->pds_request_round < round_) {
-      next = record.get();
+    PdsThread& t = pds(*record);
+    if (t.state == ThreadState::kBlockedLock && t.wanted_mutex == mutex &&
+        t.request_round < round_) {
+      next = &t;
       break;  // threads_ is ordered by id
     }
   }
@@ -304,11 +308,11 @@ void PdsScheduler::maybe_start_round(Lk& lk) {
       // mutex (a deterministic, state-based choice).
       std::size_t surplus = non_waiting_alive - target;
       for (auto it = threads_.rbegin(); it != threads_.rend() && surplus > 0; ++it) {
-        ThreadRecord& record = *it->second;
+        PdsThread& record = pds(*it->second);
         if (record.state == ThreadState::kBlockedLock &&
             record.wanted_mutex == MutexId(kQueueMutexId) &&
             it->first >= initial_pool_) {
-          record.pds_terminate = true;
+          record.terminate = true;
           record.wanted_mutex = MutexId::invalid();
           wake(record);
           surplus--;
@@ -322,12 +326,11 @@ void PdsScheduler::maybe_start_round(Lk& lk) {
   // Grant phase: all pending requests are known; assign mutexes in
   // increasing thread-id order.
   for (auto& [id, record] : threads_) {
-    if (record->state != ThreadState::kBlockedLock) continue;
-    if (record->pds_request_round >= round_) continue;
-    if (!record->wanted_mutex.valid()) continue;
-    if (!mutexes_[record->wanted_mutex.value()].owner.valid()) {
-      grant(lk, *record, record->wanted_mutex);
-    }
+    PdsThread& t = pds(*record);
+    if (t.state != ThreadState::kBlockedLock) continue;
+    if (t.request_round >= round_) continue;
+    if (!t.wanted_mutex.valid()) continue;
+    if (!mutexes_[t.wanted_mutex.value()].owner.valid()) grant(lk, t, t.wanted_mutex);
   }
 }
 
@@ -348,13 +351,13 @@ WaitResult PdsScheduler::base_wait(Lk& lk, ThreadRecord& t, MutexId mutex,
   return WaitResult{!t.timed_out};
 }
 
-void PdsScheduler::waiter_to_lock_request(Lk& lk, ThreadRecord& t, MutexId mutex,
+void PdsScheduler::waiter_to_lock_request(Lk& lk, PdsThread& t, MutexId mutex,
                                           bool timed_out) {
   t.timed_out = timed_out;
   // Paper Fig. 2: the resumed thread must first reacquire the lock,
   // which makes it wait until the start of the next round.
   t.wanted_mutex = mutex;
-  t.pds_request_round = round_;
+  t.request_round = round_;
   t.state = ThreadState::kBlockedLock;
   (void)lk;
 }
@@ -368,7 +371,7 @@ void PdsScheduler::base_notify(Lk& lk, ThreadRecord&, MutexId mutex,
     queue.pop_front();
     ThreadRecord* record = find_thread(lk, waiter.thread);
     if (record != nullptr && record->state == ThreadState::kBlockedWait) {
-      waiter_to_lock_request(lk, *record, mutex, /*timed_out=*/false);
+      waiter_to_lock_request(lk, pds(*record), mutex, /*timed_out=*/false);
     }
   } while (all);
 }
@@ -382,7 +385,7 @@ bool PdsScheduler::base_resume_timed_out(Lk& lk, ThreadRecord&, MutexId mutex,
       queue.erase(it);
       ThreadRecord* record = find_thread(lk, target);
       if (record == nullptr || record->state != ThreadState::kBlockedWait) return false;
-      waiter_to_lock_request(lk, *record, mutex, /*timed_out=*/true);
+      waiter_to_lock_request(lk, pds(*record), mutex, /*timed_out=*/true);
       return true;
     }
   }

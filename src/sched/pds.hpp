@@ -1,7 +1,9 @@
 // ADETS-PDS: preemptive deterministic scheduling (Basile et al., DSN'03)
 // with the paper's Sec. 4.2 extensions.
 //
-// A fixed pool of worker threads executes requests in sequential rounds:
+// A fixed pool of worker threads (scheduler threads that, like every
+// strategy's, run on SchedulerBase's OS worker pool) executes requests
+// in sequential rounds:
 //  - A worker is suspended whenever it requests a mutex (PDS-1), or on
 //    its second-plus request (PDS-2, which grants one extra in-round
 //    acquisition when the mutex is free and all lower-id threads have
@@ -70,12 +72,27 @@ class PdsScheduler : public SchedulerBase {
   void base_after_nested(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void on_thread_start(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void on_thread_done(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
-  void thread_body(ThreadRecord& t) override;
+  void debug_extra(std::string& out) const override ADETS_REQUIRES(mon_);
+  std::unique_ptr<ThreadRecord> new_record() const override;
+  void thread_body(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
 
  private:
   /// Scheduler-internal mutex protecting the incoming request queue
   /// (synchronized assignment strategy).
   static constexpr std::uint64_t kQueueMutexId = (1ULL << 61) + 1;
+
+  /// A pool worker's round state.
+  struct PdsThread final : ThreadRecord {
+    common::MutexId wanted_mutex = common::MutexId::invalid();
+    int phase = 0;                   // mutexes acquired this round
+    std::uint64_t request_round = 0; // round in which wanted_mutex was requested
+    std::uint64_t granted_round = 0; // round of the last grant
+    bool terminate = false;          // pool-shrink signal
+  };
+  static PdsThread& pds(ThreadRecord& t) { return static_cast<PdsThread&>(t); }
+  static const PdsThread& pds(const ThreadRecord& t) {
+    return static_cast<const PdsThread&>(t);
+  }
 
   struct MutexState {
     common::ThreadId owner = common::ThreadId::invalid();
@@ -85,21 +102,21 @@ class PdsScheduler : public SchedulerBase {
     std::uint64_t generation;
   };
 
-  void pds_lock(Lk& lk, ThreadRecord& t, common::MutexId mutex) ADETS_REQUIRES(mon_);
+  void pds_lock(Lk& lk, PdsThread& t, common::MutexId mutex) ADETS_REQUIRES(mon_);
   void pds_unlock(Lk& lk, common::MutexId mutex) ADETS_REQUIRES(mon_);
-  void grant(Lk& lk, ThreadRecord& t, common::MutexId mutex) ADETS_REQUIRES(mon_);
+  void grant(Lk& lk, PdsThread& t, common::MutexId mutex) ADETS_REQUIRES(mon_);
   /// Starts a new round iff every worker is suspended/waiting/terminated.
   void maybe_start_round(Lk& lk) ADETS_REQUIRES(mon_);
   /// Some worker is suspended on an application mutex and only a new
   /// round lets it continue.  Workers waiting for the queue mutex get it
   /// once requests arrive, so they need no artificial one.
   bool round_awaited(Lk& lk) const ADETS_REQUIRES(mon_);
-  bool lower_ids_have_phase1(Lk& lk, const ThreadRecord& t) const ADETS_REQUIRES(mon_);
+  bool lower_ids_have_phase1(Lk& lk, const PdsThread& t) const ADETS_REQUIRES(mon_);
   /// Converts a condvar waiter into a next-round mutex request.
-  void waiter_to_lock_request(Lk& lk, ThreadRecord& t, common::MutexId mutex,
+  void waiter_to_lock_request(Lk& lk, PdsThread& t, common::MutexId mutex,
                               bool timed_out) ADETS_REQUIRES(mon_);
   /// Fetches the next work item per the configured assignment strategy.
-  std::optional<Request> fetch(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_);
+  std::optional<Request> fetch(Lk& lk, PdsThread& t) ADETS_REQUIRES(mon_);
   void spawn_worker(Lk& lk, bool pre_suspended) ADETS_REQUIRES(mon_);
   void wake_everyone(Lk& lk) ADETS_REQUIRES(mon_);
 

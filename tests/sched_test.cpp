@@ -667,6 +667,37 @@ TEST_F(SchedTestBase, LsaCallbackWaitsForItsCallerToReachTheCall) {
   EXPECT_EQ(cluster.trace(1), expected);
 }
 
+TEST_F(SchedTestBase, LsaReleasesPerThreadStateWhenThreadsFinish) {
+  // A thread's lock-operation count and its callback and binding entries
+  // belong to that thread.  None of it may outlive the thread, or a long
+  // run grows LSA's bookkeeping by one entry per request on every replica.
+  SchedulerCluster cluster(SchedulerKind::kLsa, 3);
+  constexpr int kRequests = 500;
+  constexpr int kWave = 50;
+  for (int i = 0; i < kRequests; ++i) {
+    cluster.set_body(i, [i](BodyCtx& ctx) {
+      const std::uint64_t m = 1 + i % 4;  // first uses bind dynamically
+      ctx.lock(m);
+      ctx.unlock(m);
+    });
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    cluster.submit(i);
+    if ((i + 1) % kWave == 0) {
+      ASSERT_TRUE(cluster.wait_completed(i + 1));
+    }
+  }
+  for (int r = 0; r < cluster.size(); ++r) {
+    auto& lsa = dynamic_cast<sched::LsaScheduler&>(cluster.replica(r));
+    // A request counts as completed just before its thread finishes.
+    const auto deadline = common::Clock::now() + ms(5000);
+    while (lsa.tracked_threads() > 0 && common::Clock::now() < deadline) {
+      common::Clock::sleep_real(ms(1));
+    }
+    EXPECT_EQ(lsa.tracked_threads(), 0u) << "replica " << r;
+  }
+}
+
 TEST_F(SchedTestBase, PdsExecutesRoundsAndStaysConsistent) {
   sched::SchedulerConfig config;
   config.pds_thread_pool = 4;

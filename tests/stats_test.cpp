@@ -81,5 +81,37 @@ TEST_P(StatsTest, TimedOutWaitIncrementsTimeoutCounter) {
   EXPECT_EQ(stats.timeouts_fired, 1u);
 }
 
+// The strategies that create one scheduler thread per request (PDS runs
+// a fixed set instead).
+class WorkerPoolTest : public StatsTest {};
+
+INSTANTIATE_TEST_SUITE_P(Kinds, WorkerPoolTest,
+                         ::testing::Values(SchedulerKind::kSeq, SchedulerKind::kSl,
+                                           SchedulerKind::kSat, SchedulerKind::kMat,
+                                           SchedulerKind::kLsa),
+                         [](const auto& info) { return sched::to_string(info.param); });
+
+TEST_P(WorkerPoolTest, SequentialRequestsReuseParkedWorkers) {
+  // Each request still gets its own scheduler thread, but one submitted
+  // after the previous one completed finds that one's worker parked.
+  SchedulerCluster cluster(GetParam(), 3);
+  constexpr std::uint64_t kRequests = 200;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    cluster.set_body(i, [](BodyCtx& ctx) {
+      ctx.lock(1);
+      ctx.unlock(1);
+    });
+  }
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    cluster.submit(i);
+    ASSERT_TRUE(cluster.wait_completed(i + 1));
+  }
+  for (int r = 0; r < cluster.size(); ++r) {
+    const auto stats = cluster.replica(r).stats();
+    EXPECT_GE(stats.threads_spawned, kRequests) << "replica " << r;
+    EXPECT_LE(stats.os_threads_started, 4u) << "replica " << r;
+  }
+}
+
 }  // namespace
 }  // namespace adets::testing
