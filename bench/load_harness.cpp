@@ -3,7 +3,7 @@
 // Drives N logical closed-loop clients (default 1000, see --clients)
 // against a 3-replica KvStore group for each scheduler strategy, twice
 // per strategy: once with sequencer batching disabled (max_batch_msgs=1,
-// the pre-batching wire behaviour) and once with batching enabled.
+// every message in a datagram of its own) and once with batching enabled.
 // Reports throughput and p50/p90/p99 latency per run and emits the
 // machine-readable trajectory consumed by CI.
 //

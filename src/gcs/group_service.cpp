@@ -143,13 +143,10 @@ void GroupService::on_message(transport::Message message) {
   }
   try {
     switch (kind) {
-      case WireKind::kSubmit: handle_submit(group, message, r); break;
       case WireKind::kSubmitBatch: handle_submit_batch(group, message, r); break;
-      case WireKind::kSubmitAck: handle_submit_ack(group, message.src, r); break;
       case WireKind::kSubmitAckBatch:
         handle_submit_ack_batch(group, message.src, r);
         break;
-      case WireKind::kSeqMsg: handle_seq_msg(group, message, r); break;
       case WireKind::kSeqBatch: handle_seq_batch(group, message, r); break;
       case WireKind::kNack: handle_nack(group, message.src, r); break;
       case WireKind::kHeartbeat: handle_heartbeat(group, message.src, r); break;
@@ -164,28 +161,14 @@ void GroupService::on_message(transport::Message message) {
   }
 }
 
-void GroupService::handle_submit(GroupId group, const transport::Message& m,
-                                 Reader& r) {
-  auto it = memberships_.find(group.value());
-  if (it == memberships_.end()) return;
-  MemberState& st = it->second;
-  if (st.view.sequencer() != self_) {
-    // Forward the original envelope to the current sequencer verbatim
-    // (the submission carries its own sender field); the sender will
-    // also retry.
-    send_wire(st.view.sequencer(), m.payload);
-    return;
-  }
-  sequence_submission(group, st, decode_submission(r, m.payload));
-  maybe_flush(group, st, /*force=*/false);
-}
-
 void GroupService::handle_submit_batch(GroupId group, const transport::Message& m,
                                        Reader& r) {
   auto it = memberships_.find(group.value());
   if (it == memberships_.end()) return;
   MemberState& st = it->second;
   if (st.view.sequencer() != self_) {
+    // Forward the original envelope to the current sequencer verbatim
+    // (it names its sender); the sender will also retry.
     send_wire(st.view.sequencer(), m.payload);
     return;
   }
@@ -215,11 +198,8 @@ void GroupService::sequence_submission(GroupId group, MemberState& st,
     // flush anyway, and acking earlier would widen the loss window on a
     // sequencer crash.
     if (!st.view.contains(submission.sender) && dup->second <= st.flushed_seq) {
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(WireKind::kSubmitAck));
-      w.u32(group.value());
-      w.u64(submission.sender_msg_id);
-      send_wire(submission.sender, w.take());
+      send_wire(submission.sender,
+                encode_submit_ack_batch(group, std::span(&submission.sender_msg_id, 1)));
     }
     return;
   }
@@ -273,22 +253,8 @@ void GroupService::flush_batch(GroupId group, MemberState& st) {
       bytes += st.batch[i + count].submission.payload.size();
       ++count;
     }
-    Writer w;
-    w.reserve(bytes + 20 * (count + 1));
-    if (count == 1) {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSeqMsg));
-      w.u32(group.value());
-      encode_sequenced(w, st.batch[i]);
-    } else {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSeqBatch));
-      w.u32(group.value());
-      encode_seq_batch_header(w, st.batch[i].seq.value(),
-                              static_cast<std::uint32_t>(count));
-      for (std::size_t j = 0; j < count; ++j) {
-        encode_submission(w, st.batch[i + j].submission);
-      }
-    }
-    const SharedBytes datagram{w.take()};
+    const SharedBytes datagram{
+        encode_seq_batch(group, std::span(st.batch).subspan(i, count))};
     for (auto m : st.view.members) send_wire(m, datagram);
     st.flushed_seq = st.batch[i + count - 1].seq.value();
     i += count;
@@ -296,32 +262,10 @@ void GroupService::flush_batch(GroupId group, MemberState& st) {
   st.batch.clear();
   st.batch_bytes = 0;
   // The deferred external acks: the messages are on the wire now.
-  for (auto& [node, ids] : st.batch_acks) {
-    if (ids.size() == 1) {
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(WireKind::kSubmitAck));
-      w.u32(group.value());
-      w.u64(ids.front());
-      send_wire(NodeId(node), w.take());
-      continue;
-    }
-    Writer w;
-    w.reserve(ids.size() * 8 + 16);
-    w.u8(static_cast<std::uint8_t>(WireKind::kSubmitAckBatch));
-    w.u32(group.value());
-    w.u32(static_cast<std::uint32_t>(ids.size()));
-    for (const std::uint64_t id : ids) w.u64(id);
-    send_wire(NodeId(node), w.take());
+  for (const auto& [node, ids] : st.batch_acks) {
+    send_wire(NodeId(node), encode_submit_ack_batch(group, ids));
   }
   st.batch_acks.clear();
-}
-
-void GroupService::handle_submit_ack(GroupId group, NodeId from, Reader& r) {
-  const std::uint64_t msg_id = r.u64();
-  auto it = senders_.find(group.value());
-  if (it == senders_.end()) return;
-  it->second.pending.erase(msg_id);
-  follow_sequencer(group, it->second, from);
 }
 
 void GroupService::handle_submit_ack_batch(GroupId group, NodeId from, Reader& r) {
@@ -344,14 +288,6 @@ void GroupService::follow_sequencer(GroupId group, SenderState& sender, NodeId f
   if (target != sender.target) retarget_pending(group, sender, target);
 }
 
-void GroupService::handle_seq_msg(GroupId group, const transport::Message& m,
-                                  Reader& r) {
-  auto it = memberships_.find(group.value());
-  if (it == memberships_.end()) return;
-  MemberState& st = it->second;
-  store_and_deliver(group, st, decode_sequenced(r, m.payload));
-}
-
 void GroupService::handle_seq_batch(GroupId group, const transport::Message& m,
                                     Reader& r) {
   auto it = memberships_.find(group.value());
@@ -364,6 +300,7 @@ void GroupService::handle_seq_batch(GroupId group, const transport::Message& m,
     message.seq = SeqNo(first_seq + i);
     message.submission = decode_submission(r, m.payload);
     const std::uint64_t seq = message.seq.value();
+    // A member observing its own submission sequenced can stop retrying it.
     if (message.submission.sender == self_) {
       if (auto sit = senders_.find(group.value()); sit != senders_.end()) {
         sit->second.pending.erase(message.submission.sender_msg_id);
@@ -373,22 +310,6 @@ void GroupService::handle_seq_batch(GroupId group, const transport::Message& m,
     if (st.commit_pending && seq > st.commit_final_highest) continue;
     st.holdback.emplace(seq, std::move(message));
   }
-  try_deliver(group, st);
-  send_nack_if_gap(group, st, /*force=*/false);
-}
-
-void GroupService::store_and_deliver(GroupId group, MemberState& st,
-                                     Sequenced message) {
-  const std::uint64_t seq = message.seq.value();
-  // A member observing its own submission sequenced can stop retrying it.
-  if (message.submission.sender == self_) {
-    if (auto sit = senders_.find(group.value()); sit != senders_.end()) {
-      sit->second.pending.erase(message.submission.sender_msg_id);
-    }
-  }
-  if (seq <= st.delivered_up_to) return;
-  if (st.commit_pending && seq > st.commit_final_highest) return;
-  st.holdback.emplace(seq, std::move(message));
   try_deliver(group, st);
   send_nack_if_gap(group, st, /*force=*/false);
 }
@@ -456,24 +377,11 @@ void GroupService::send_repair(GroupId group, MemberState& st, NodeId dst,
                                std::uint64_t from_seq, std::uint64_t to_seq) {
   // Repair at batch granularity: every maximal contiguous run of found
   // messages goes out as one SeqBatch (capped by the batch knobs).
-  std::vector<const Sequenced*> run;
+  std::vector<Sequenced> run;
   std::size_t run_bytes = 0;
   const auto emit = [&]() ADETS_REQUIRES(mutex_) {
     if (run.empty()) return;
-    Writer w;
-    w.reserve(run_bytes + 20 * (run.size() + 1));
-    if (run.size() == 1) {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSeqMsg));
-      w.u32(group.value());
-      encode_sequenced(w, *run.front());
-    } else {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSeqBatch));
-      w.u32(group.value());
-      encode_seq_batch_header(w, run.front()->seq.value(),
-                              static_cast<std::uint32_t>(run.size()));
-      for (const Sequenced* m : run) encode_submission(w, m->submission);
-    }
-    send_wire(dst, w.take());
+    send_wire(dst, encode_seq_batch(group, run));
     run.clear();
     run_bytes = 0;
   };
@@ -492,7 +400,7 @@ void GroupService::send_repair(GroupId group, MemberState& st, NodeId dst,
         run_bytes + found->submission.payload.size() > config_.max_batch_bytes) {
       emit();
     }
-    run.push_back(found);
+    run.push_back(*found);
     run_bytes += found->submission.payload.size();
   }
   emit();
@@ -502,7 +410,7 @@ void GroupService::handle_heartbeat(GroupId group, NodeId, Reader& r) {
   // Liveness was already recorded in on_message.  The heartbeat also
   // carries the peer's highest known sequence number: that is the only
   // way a member can detect a gap at the TAIL of the stream.  A dropped
-  // final SeqMsg leaves the holdback queue empty, so send_nack_if_gap
+  // final SeqBatch leaves the holdback queue empty, so send_nack_if_gap
   // never fires, and once the submitter has seen its own submission
   // sequenced nobody retransmits -- the member would lag forever.
   const std::uint64_t peer_highest = r.u64();
@@ -763,21 +671,14 @@ void GroupService::send_submissions(GroupId group, SenderState& sender,
     }
     Writer w;
     w.reserve(bytes + 20 * (count + 1));
-    if (count == 1) {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSubmit));
-      w.u32(group.value());
-      Submission submission{self_, msg_ids[i], sender.pending[msg_ids[i]].payload};
-      encode_submission(w, submission);
-    } else {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSubmitBatch));
-      w.u32(group.value());
-      w.u32(self_.value());
-      w.u32(static_cast<std::uint32_t>(count));
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::uint64_t id = msg_ids[i + j];
-        w.u64(id);
-        w.blob(sender.pending[id].payload);
-      }
+    w.u8(static_cast<std::uint8_t>(WireKind::kSubmitBatch));
+    w.u32(group.value());
+    w.u32(self_.value());
+    w.u32(static_cast<std::uint32_t>(count));
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::uint64_t id = msg_ids[i + j];
+      w.u64(id);
+      w.blob(sender.pending[id].payload);
     }
     send_wire(dst, w.take());
     i += count;

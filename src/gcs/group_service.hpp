@@ -10,10 +10,12 @@
 //  - The member with the lowest node id in the current view sequences
 //    submissions and multicasts them; members deliver in sequence order
 //    using a hold-back queue and NACK-based gap repair.
-//  - The sequencer coalesces the submissions of one sequencing round
-//    into a single SeqBatch multicast (a contiguous run of sequence
-//    numbers) instead of one datagram per message; flushing is governed
-//    by GcsConfig::max_batch_msgs / max_batch_bytes / batch_flush_delay.
+//  - Each ordering role has one wire format, a batch (SubmitBatch,
+//    SubmitAckBatch, SeqBatch); a lone message is a batch of one.  The
+//    sequencer coalesces the submissions of one sequencing round into a
+//    single SeqBatch multicast (a contiguous run of sequence numbers)
+//    instead of one datagram per message; flushing is governed by
+//    GcsConfig::max_batch_msgs / max_batch_bytes / batch_flush_delay.
 //    Acks to external senders are deferred to the flush, so an ack
 //    implies the message was actually multicast.  NACK repair responds
 //    at the same granularity (contiguous runs of the retained window).
@@ -28,7 +30,7 @@
 //    sequencer and never adopts a retransmission's rotation (one slow
 //    ack would otherwise send all its later submissions through a
 //    forwarding hop).  An external session (connect()) has no view; it
-//    follows the node that sent its last SubmitAck, which only the
+//    follows the node that sent its last SubmitAckBatch, which only the
 //    sequencer sends, and moves along with a retransmission that timed
 //    out on its target.  When an ack names a new sequencer, every
 //    pending submission is re-sent there at once.  So a sequencer
@@ -92,8 +94,9 @@ struct GcsConfig {
   std::size_t dedup_horizon_factor = 2;
 
   // --- sequencer batching ---------------------------------------------
-  /// Max sequenced messages multicast per SeqBatch datagram.  1 disables
-  /// batching (one datagram per message, the pre-batching wire shape).
+  /// Max messages per SeqBatch or SubmitBatch datagram.  1 disables
+  /// batching: every message travels in a datagram of its own, as a batch
+  /// of one.
   std::size_t max_batch_msgs = 64;
   /// Max payload bytes accumulated before a flush is forced.
   std::size_t max_batch_bytes = 64 * 1024;
@@ -107,9 +110,6 @@ struct GcsConfig {
   /// (effective delay is one timer_tick).  Zero sends immediately.
   common::Duration submit_flush_delay = common::Duration::zero();
 };
-
-/// Historical name, kept for existing call sites.
-using GroupServiceConfig = GcsConfig;
 
 /// Totally-ordered delivery and view callbacks of one group membership.
 struct GroupCallbacks {
@@ -234,16 +234,10 @@ class GroupService {
   // All handlers below run with mutex_ held (enforced by clang's
   // thread-safety analysis via ADETS_REQUIRES) unless stated otherwise.
   void on_message(transport::Message message);  // transport thread
-  void handle_submit(common::GroupId group, const transport::Message& m,
-                     common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_submit_batch(common::GroupId group, const transport::Message& m,
                            common::Reader& r) ADETS_REQUIRES(mutex_);
-  void handle_submit_ack(common::GroupId group, common::NodeId from, common::Reader& r)
-      ADETS_REQUIRES(mutex_);
   void handle_submit_ack_batch(common::GroupId group, common::NodeId from,
                                common::Reader& r) ADETS_REQUIRES(mutex_);
-  void handle_seq_msg(common::GroupId group, const transport::Message& m,
-                      common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_seq_batch(common::GroupId group, const transport::Message& m,
                         common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_nack(common::GroupId group, common::NodeId from, common::Reader& r)
@@ -265,8 +259,6 @@ class GroupService {
   void maybe_flush(common::GroupId group, MemberState& st, bool force)
       ADETS_REQUIRES(mutex_);
   void flush_batch(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
-  void store_and_deliver(common::GroupId group, MemberState& st, Sequenced message)
-      ADETS_REQUIRES(mutex_);
   void try_deliver(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void maybe_install_view(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void start_proposal(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);

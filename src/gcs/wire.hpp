@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/buffer.hpp"
@@ -16,11 +17,11 @@
 
 namespace adets::gcs {
 
-/// Protocol message kinds multiplexed over the transport.
+/// Protocol message kinds multiplexed over the transport.  Each of the
+/// three ordering roles (submission, ack to an external sender, sequenced
+/// message) has one wire format, a batch: a lone message travels as a
+/// batch of one.
 enum class WireKind : std::uint8_t {
-  kSubmit = 1,     // sender -> sequencer (or member, forwarded): order me
-  kSubmitAck = 2,  // sequencer -> external sender: your message is sequenced
-  kSeqMsg = 3,     // sequencer -> members: one totally ordered message
   kNack = 4,       // member -> sequencer: retransmit sequence range
   kHeartbeat = 5,  // member -> members: liveness
   kViewPropose = 6,
@@ -28,8 +29,8 @@ enum class WireKind : std::uint8_t {
   kViewCommit = 8,
   kDirect = 9,        // point-to-point datagram outside any total order
   kSeqBatch = 10,     // sequencer -> members: contiguous run of ordered messages
-  kSubmitBatch = 11,  // sender -> sequencer: several submissions, one datagram
-  kSubmitAckBatch = 12,  // sequencer -> external sender: several acks
+  kSubmitBatch = 11,  // sender -> sequencer (or member, forwarded): order these
+  kSubmitAckBatch = 12,  // sequencer -> external sender: these are sequenced
 };
 
 /// A message submitted for total ordering.  (sender, sender_msg_id) makes
@@ -66,6 +67,8 @@ inline Submission decode_submission(common::Reader& r,
   return s;
 }
 
+/// A sequenced message with its own seq: a ViewAck's entries need not be
+/// contiguous, so they cannot share a SeqBatch's implicit numbering.
 inline void encode_sequenced(common::Writer& w, const Sequenced& m) {
   w.id(m.seq);
   encode_submission(w, m.submission);
@@ -80,14 +83,34 @@ inline Sequenced decode_sequenced(common::Reader& r,
 }
 
 // A SeqBatch is a contiguous run [first_seq, first_seq + count): the per
-// message seq is implicit, so the batch header costs 12 bytes total
-// instead of 8 per message.  NACK repair responds with the same format
-// (any contiguous sub-run of the retained window is a valid SeqBatch).
+// message seq is implicit, so the run header costs 12 bytes however many
+// messages it carries.  A sequencer flush and NACK repair both send it
+// (any contiguous sub-run of the retained window is a valid SeqBatch);
+// `run` must be non-empty.
+inline common::Bytes encode_seq_batch(common::GroupId group,
+                                      std::span<const Sequenced> run) {
+  std::size_t bytes = 0;
+  for (const Sequenced& m : run) bytes += m.submission.payload.size();
+  common::Writer w;
+  w.reserve(bytes + 20 * (run.size() + 1));
+  w.u8(static_cast<std::uint8_t>(WireKind::kSeqBatch));
+  w.u32(group.value());
+  w.u64(run.front().seq.value());
+  w.u32(static_cast<std::uint32_t>(run.size()));
+  for (const Sequenced& m : run) encode_submission(w, m.submission);
+  return w.take();
+}
 
-inline void encode_seq_batch_header(common::Writer& w, std::uint64_t first_seq,
-                                    std::uint32_t count) {
-  w.u64(first_seq);
-  w.u32(count);
+/// Tells one external sender that its messages `msg_ids` are sequenced.
+inline common::Bytes encode_submit_ack_batch(common::GroupId group,
+                                             std::span<const std::uint64_t> msg_ids) {
+  common::Writer w;
+  w.reserve(msg_ids.size() * 8 + 16);
+  w.u8(static_cast<std::uint8_t>(WireKind::kSubmitAckBatch));
+  w.u32(group.value());
+  w.u32(static_cast<std::uint32_t>(msg_ids.size()));
+  for (const std::uint64_t id : msg_ids) w.u64(id);
+  return w.take();
 }
 
 inline void encode_view(common::Writer& w, const View& v) {

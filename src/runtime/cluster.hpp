@@ -14,7 +14,7 @@ namespace adets::runtime {
 
 struct ClusterConfig {
   transport::LinkConfig link;        // latency model of every link
-  gcs::GroupServiceConfig gcs;       // heartbeat / retransmit tunables
+  gcs::GcsConfig gcs;                // heartbeat / retransmit tunables
   std::uint64_t seed = 1;
 };
 

@@ -255,7 +255,6 @@ struct SchedulerConfig {
   // LSA ----------------------------------------------------------------
   std::size_t lsa_batch_grants = 1;         // grants per mutex-table broadcast
   common::Duration lsa_batch_delay = common::Duration::zero();  // max batching delay (real)
-  bool lsa_dynamic_mutex_ids = true;        // ADETS-LSA dynamic registration
   // Diagnostics ---------------------------------------------------------
   std::size_t decision_trace_capacity = 256;  // decision ring size (0 = off)
 };

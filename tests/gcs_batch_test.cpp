@@ -1,6 +1,8 @@
-// Sequencer-batching tests: the batched wire path (SeqBatch/SubmitBatch)
-// must be an invisible transport optimisation — same total order, same
-// exactly-once guarantee, same failover behaviour as max_batch_msgs=1.
+// Sequencer-batching tests: every ordering datagram is a batch
+// (SeqBatch/SubmitBatch/SubmitAckBatch), and packing several messages
+// into one must be an invisible transport optimisation — same total
+// order, same exactly-once guarantee, same failover behaviour as
+// max_batch_msgs=1, where each batch carries one message.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,8 +138,8 @@ TEST_F(GcsBatchTest, PartialBatchIsFlushedByTimer) {
 }
 
 TEST_F(GcsBatchTest, BatchedDeliveryMatchesUnbatchedOrder) {
-  // Same workload through max_batch_msgs=1 (the pre-batching wire shape)
-  // and through aggressive batching: both must deliver the submission
+  // Same workload through max_batch_msgs=1 (batches of one message) and
+  // through aggressive batching: both must deliver the submission
   // sequence verbatim on every member.  The sequencer submits to itself,
   // so the expected order is exactly the submission order.
   std::vector<std::string> expected;

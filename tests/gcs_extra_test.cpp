@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <mutex>
 
 #include "common/clock.hpp"
@@ -58,27 +59,32 @@ class GcsExtraTest : public ::testing::Test {
     }
   };
 
+  /// A sink owned by the fixture, so it outlives every service that may
+  /// still deliver to it until TearDown stops them.
+  Sink& sink() { return sinks_.emplace_back(); }
+
   double saved_scale_ = 1.0;
   std::unique_ptr<transport::SimNetwork> net_;
   std::vector<NodeId> nodes_;
+  std::deque<Sink> sinks_;
   std::vector<std::unique_ptr<GroupService>> services_;
 };
 
 TEST_F(GcsExtraTest, TailGapRepairedByHeartbeat) {
-  // A dropped FINAL SeqMsg leaves the receiver's holdback empty, so the
+  // A dropped final SeqBatch leaves the receiver's holdback empty, so the
   // gap NACK never fires, and once the submitter has seen its own
   // message sequenced nobody retransmits it either.  The only repair
   // path is the highest known sequence piggybacked on heartbeats.
   // Suspicion is effectively disabled so the outage cannot be healed by
   // a view change instead.
-  GroupServiceConfig patient;
+  GcsConfig patient;
   patient.suspect_timeout = std::chrono::seconds(30);
   const NodeId a = net_->create_node();
   const NodeId b = net_->create_node();
   GroupService sa(*net_, a, patient);
   GroupService sb(*net_, b, patient);
-  Sink s0;
-  Sink s1;
+  Sink& s0 = sink();
+  Sink& s1 = sink();
   const GroupId g(7);
   const std::vector<NodeId> members{a, b};
   sa.join(g, members, s0.callbacks());
@@ -101,10 +107,10 @@ TEST_F(GcsExtraTest, TailGapRepairedByHeartbeat) {
 }
 
 TEST_F(GcsExtraTest, MultipleGroupsAreIsolated) {
-  Sink a0;
-  Sink a1;
-  Sink b0;
-  Sink b1;
+  Sink& a0 = sink();
+  Sink& a1 = sink();
+  Sink& b0 = sink();
+  Sink& b1 = sink();
   const GroupId ga(1);
   const GroupId gb(2);
   services_[0]->join(ga, {nodes_[0], nodes_[1]}, a0.callbacks());
@@ -125,14 +131,14 @@ TEST_F(GcsExtraTest, MultipleGroupsAreIsolated) {
 }
 
 TEST_F(GcsExtraTest, LargePayloadRoundTrips) {
-  Sink sink;
+  Sink& s0 = sink();
   const GroupId g(1);
-  services_[0]->join(g, {nodes_[0]}, sink.callbacks());
+  services_[0]->join(g, {nodes_[0]}, s0.callbacks());
   Bytes big(256 * 1024);
   for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i);
   services_[0]->submit(g, big);
-  ASSERT_TRUE(sink.wait_count(1));
-  EXPECT_EQ(sink.messages[0], big);
+  ASSERT_TRUE(s0.wait_count(1));
+  EXPECT_EQ(s0.messages[0], big);
 }
 
 TEST_F(GcsExtraTest, SubmitWithoutSessionReturnsZero) {
@@ -140,19 +146,19 @@ TEST_F(GcsExtraTest, SubmitWithoutSessionReturnsZero) {
 }
 
 TEST_F(GcsExtraTest, DeliveredUpToAdvances) {
-  Sink sink;
+  Sink& s0 = sink();
   const GroupId g(1);
-  services_[0]->join(g, {nodes_[0]}, sink.callbacks());
+  services_[0]->join(g, {nodes_[0]}, s0.callbacks());
   EXPECT_EQ(services_[0]->delivered_up_to(g), 0u);
   for (int i = 0; i < 5; ++i) services_[0]->submit(g, Bytes{static_cast<std::uint8_t>(i)});
-  ASSERT_TRUE(sink.wait_count(5));
+  ASSERT_TRUE(s0.wait_count(5));
   EXPECT_EQ(services_[0]->delivered_up_to(g), 5u);
 }
 
 TEST_F(GcsExtraTest, NonSequencerCrashTriggersViewChangeWithoutLoss) {
-  Sink s0;
-  Sink s1;
-  Sink s2;
+  Sink& s0 = sink();
+  Sink& s1 = sink();
+  Sink& s2 = sink();
   const GroupId g(1);
   const std::vector<NodeId> members{nodes_[0], nodes_[1], nodes_[2]};
   services_[0]->join(g, members, s0.callbacks());
@@ -181,9 +187,9 @@ TEST_F(GcsExtraTest, NonSequencerCrashTriggersViewChangeWithoutLoss) {
 TEST_F(GcsExtraTest, TotalOrderSurvivesLossyLinks) {
   // 20% message loss on every link: sender retransmission, NACK repair
   // and ack dedup must still deliver everything exactly once, in order.
-  Sink s0;
-  Sink s1;
-  Sink s2;
+  Sink& s0 = sink();
+  Sink& s1 = sink();
+  Sink& s2 = sink();
   const GroupId g(1);
   const std::vector<NodeId> members{nodes_[0], nodes_[1], nodes_[2]};
   transport::LinkConfig lossy;
@@ -212,11 +218,11 @@ TEST_F(GcsExtraTest, TotalOrderSurvivesLossyLinks) {
 }
 
 TEST_F(GcsExtraTest, ViewEventDeliveredToApp) {
-  Sink s0;
-  Sink s1;
+  Sink& s0 = sink();
+  Sink& s1 = sink();
   const GroupId g(1);
   const std::vector<NodeId> members{nodes_[0], nodes_[1], nodes_[2]};
-  Sink s2;
+  Sink& s2 = sink();
   services_[0]->join(g, members, s0.callbacks());
   services_[1]->join(g, members, s1.callbacks());
   services_[2]->join(g, members, s2.callbacks());

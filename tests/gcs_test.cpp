@@ -157,16 +157,57 @@ TEST_F(GcsTest, TotalOrderAgreesAcrossMembersUnderConcurrency) {
 }
 
 TEST_F(GcsTest, SubmissionsAreDeduplicatedAcrossRetries) {
-  // Force retransmission by making acks slow: crash nothing, just submit
-  // and verify exactly-once delivery despite the sender-side retry timer.
+  common::Watchdog dog("gcs dedup across retries", std::chrono::seconds(60));
+  // Cut sequencer -> client, so no ack reaches the client: it retransmits
+  // every message, rotating through the members, and the sequencer sees
+  // each retry as a duplicate.  Delivery must stay exactly-once.
+  const NodeId client = nodes_[3];
+  const auto retry_link = std::make_pair(client.value(), nodes_[1].value());
+  transport::LinkConfig dead;
+  dead.drop_probability = 1.0;
+  net_->set_link(nodes_[0], client, dead);
+  net_->set_fault_plan(transport::FaultPlan{});  // records every send
+
+  std::vector<std::string> expected;
   for (int i = 0; i < 20; ++i) {
-    services_[3]->submit(kGroup, text("m" + std::to_string(i)));
+    expected.push_back("m" + std::to_string(i));
+    services_[3]->submit(kGroup, text(expected.back()));
   }
-  ASSERT_TRUE(logs_[0]->wait_count(20, std::chrono::seconds(10)));
-  // Allow extra time for would-be duplicates to arrive.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_EQ(logs_[0]->snapshot().size(), 20u);
-  EXPECT_EQ(logs_[1]->snapshot(), logs_[0]->snapshot());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(logs_[i]->wait_count(20, std::chrono::seconds(10))) << "member " << i;
+  }
+  // The first retransmission rotated to member 1, which forwarded it.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (net_->fault_trace().count(retry_link) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GT(net_->fault_trace().count(retry_link), 0u);
+
+  // With the link back, the next retry reaches the sequencer as a
+  // duplicate of a multicast message, and only its re-ack can stop the
+  // client retrying.  Wait for three retransmit intervals without a send
+  // from the client.
+  net_->set_link(nodes_[0], client, transport::LinkConfig{});
+  const auto sends_from_client = [&] {
+    std::size_t sends = 0;
+    for (const auto& [link, decisions] : net_->fault_trace()) {
+      if (link.first == client.value()) sends += decisions.size();
+    }
+    return sends;
+  };
+  std::size_t sends = 0;
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  do {
+    net_->set_fault_plan(transport::FaultPlan{});
+    std::this_thread::sleep_for(3 * config_.retransmit_interval);
+    sends = sends_from_client();
+  } while (sends > 0 && std::chrono::steady_clock::now() < deadline);
+  EXPECT_EQ(sends, 0u) << "the client still retransmits: no re-ack reached it";
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(logs_[i]->snapshot(), expected) << "member " << i;
+  }
 }
 
 TEST_F(GcsTest, SequencerFailoverContinuesTotalOrder) {
