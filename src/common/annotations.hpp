@@ -79,7 +79,7 @@
 /// needs a comment explaining why the analysis cannot see the invariant.
 #define ADETS_NO_THREAD_SAFETY_ANALYSIS ADETS_TSA(no_thread_safety_analysis)
 
-// --- adets-sa effect/conflict contracts -------------------------------------
+// --- adets-sa effect contracts ----------------------------------------------
 // The following macros expand to nothing for every compiler: they are
 // read only by the whole-program auditor (tools/adets-sa), which checks
 // them interprocedurally.
@@ -97,21 +97,3 @@
 /// threads already observed finished).  Every use needs a comment
 /// explaining why the blocking primitive cannot actually wait.
 #define ADETS_NON_BLOCKING
-
-/// Declared conflict class of a replicated-object operation, keyed by
-/// the named request parameter(s): two invocations conflict iff they
-/// agree on every dimension.  The distinguished terms: `all` conflicts
-/// with every operation on the object (always sound); `free` conflicts
-/// with nothing and must touch no replica state.  Checked by the
-/// conflict-class coverage pass; consumed by the early-scheduling
-/// strategy (ROADMAP seventh strategy).
-#define ADETS_CONFLICT(...)
-
-/// Member fields the operation (and its same-class call tree) may
-/// read.  Reads of fields listed in ADETS_WRITES need not be repeated.
-#define ADETS_READS(...)
-
-/// Member fields the operation (and its same-class call tree) may
-/// write.  Over-declaration is sound (widens the conflict footprint);
-/// an undeclared access is a conflict-uncovered finding.
-#define ADETS_WRITES(...)

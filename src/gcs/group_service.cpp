@@ -58,6 +58,9 @@ void GroupService::join(GroupId group, std::vector<NodeId> initial_members,
 
 void GroupService::connect(GroupId group, std::vector<NodeId> members) {
   const common::MutexLock guard(mutex_);
+  // A new session would restart the message numbering, and the sequencer
+  // would drop the next submissions as duplicates of earlier ones.
+  if (senders_.count(group.value()) > 0) return;
   std::sort(members.begin(), members.end());
   SenderState sender;
   sender.members = std::move(members);

@@ -138,6 +138,8 @@ class GroupService {
 
   /// Registers an external (non-member) session used to submit messages
   /// into `group`'s total order, e.g. a client or another replica group.
+  /// Idempotent: a node that already has a session for `group` (as a
+  /// member, or from an earlier connect) keeps it.
   void connect(common::GroupId group, std::vector<common::NodeId> members);
 
   /// Submits `payload` into the group's total order; returns the local

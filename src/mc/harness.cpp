@@ -133,7 +133,6 @@ class World {
         schedulers_.push_back(sched::make_scheduler(*kind_of(strategy), config));
       }
       envs_.push_back(std::make_unique<WorldEnv>(*this, r));
-      schedulers_.back()->set_trace(true);
     }
   }
 

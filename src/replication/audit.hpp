@@ -53,8 +53,8 @@ struct AuditReport {
 [[nodiscard]] AuditReport audit_group(runtime::Cluster& cluster, common::GroupId group);
 
 /// Per-mutex grantee projection of a decision trace (only kLockGrant
-/// entries; scheduler-internal mutexes excluded, mirroring
-/// consistency.cpp's grant-trace projection).
+/// entries; scheduler-internal mutexes excluded).  Shared with
+/// check_group (consistency.hpp).
 [[nodiscard]] std::map<std::uint64_t, std::vector<std::uint64_t>>
 per_mutex_decisions(const std::vector<sched::Decision>& decisions);
 

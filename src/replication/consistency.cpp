@@ -1,22 +1,12 @@
 #include "replication/consistency.hpp"
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 
-namespace adets::repl {
+#include "replication/audit.hpp"
 
-std::map<std::uint64_t, std::vector<std::uint64_t>> per_mutex_projection(
-    const std::vector<sched::GrantRecord>& trace) {
-  std::map<std::uint64_t, std::vector<std::uint64_t>> result;
-  for (const auto& record : trace) {
-    // Scheduler-internal mutexes (PDS request queue) keep being granted
-    // in idle no-op cycles after the workload drains; snapshots would
-    // truncate their streams at different points.  Application mutexes
-    // are the consistency contract.
-    if (record.mutex.value() >= (1ULL << 61)) continue;
-    result[record.mutex.value()].push_back(record.thread.value());
-  }
-  return result;
-}
+namespace adets::repl {
 
 ConsistencyReport check_group(runtime::Cluster& cluster, common::GroupId group) {
   ConsistencyReport report;
@@ -35,8 +25,9 @@ ConsistencyReport check_group(runtime::Cluster& cluster, common::GroupId group) 
   report.states_match = true;
   report.grant_orders_match = true;
   const std::uint64_t reference_hash = cluster.replica(group, live[0]).state_hash();
-  const auto reference_grants = per_mutex_projection(
-      cluster.replica(group, live[0]).scheduler().grant_trace());
+  // Per mutex, the longest grant sequence seen so far.  Every replica's
+  // sequence must be a prefix of it, or extend it.
+  std::map<std::uint64_t, std::vector<std::uint64_t>> longest;
 
   std::ostringstream detail;
   for (const int i : live) {
@@ -48,9 +39,16 @@ ConsistencyReport check_group(runtime::Cluster& cluster, common::GroupId group) 
       detail << "replica " << i << " state hash " << hash << " != reference "
              << reference_hash << "; ";
     }
-    if (per_mutex_projection(replica.scheduler().grant_trace()) != reference_grants) {
-      report.grant_orders_match = false;
-      detail << "replica " << i << " grant order diverges; ";
+    const auto decisions = replica.scheduler().decision_trace();
+    if (!decisions.empty() && decisions.front().seq != 0) continue;  // wrapped
+    for (auto& [mutex, grants] : per_mutex_decisions(decisions)) {
+      auto& reference = longest[mutex];
+      if (grants.size() > reference.size()) std::swap(grants, reference);
+      if (!std::equal(grants.begin(), grants.end(), reference.begin())) {
+        report.grant_orders_match = false;
+        detail << "replica " << i << " grant order diverges on mutex " << mutex
+               << "; ";
+      }
     }
   }
   report.detail = detail.str();

@@ -2,12 +2,11 @@
 //
 // After (or during) a run, compares the replicas of a group on two
 // axes: the object state hash, and the per-mutex projections of the
-// lock-grant traces (the global interleaving across different mutexes
-// is legitimately nondeterministic for truly multithreaded strategies;
-// the per-mutex grant order is the determinism contract).
+// schedulers' decision rings (the global interleaving across different
+// mutexes is legitimately nondeterministic for truly multithreaded
+// strategies; the per-mutex grant order is the determinism contract).
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -24,11 +23,11 @@ struct ConsistencyReport {
   [[nodiscard]] bool consistent() const { return states_match && grant_orders_match; }
 };
 
-/// Per-mutex grantee sequences of one grant trace.
-std::map<std::uint64_t, std::vector<std::uint64_t>> per_mutex_projection(
-    const std::vector<sched::GrantRecord>& trace);
-
-/// Compares all live replicas of `group`.
+/// Compares all live replicas of `group`.  Grant orders match when, for
+/// every application mutex, each replica's grant sequence is a prefix of
+/// the longest one (a lagging replica has simply granted fewer).  A
+/// replica whose decision ring has wrapped no longer holds its first
+/// grants and is left out of the grant comparison.
 ConsistencyReport check_group(runtime::Cluster& cluster, common::GroupId group);
 
 }  // namespace adets::repl

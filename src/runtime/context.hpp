@@ -84,7 +84,9 @@ class SyncContext {
   /// Asynchronous (one-way) invocation: fire-and-forget, no reply and no
   /// blocking.  Enables the paper's Sec. 2 pattern — issue an external
   /// request asynchronously, then wait() on a condition variable for the
-  /// callback the service sends later.
+  /// callback the service sends later.  The call runs on a logical thread
+  /// of its own, so whatever it leads back into this group takes this
+  /// thread's mutexes like any other request, not reentrantly.
   void invoke_oneway(common::GroupId target, const std::string& method,
                      const common::Bytes& args);
 

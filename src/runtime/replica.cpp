@@ -222,10 +222,14 @@ void Replica::nested_invoke_oneway(SyncContext& ctx, GroupId target,
                                    const std::string& method, const Bytes& args) {
   // Fire-and-forget: all replicas derive the same id, so the callee's
   // at-most-once filter collapses the copies; no reply is produced and
-  // the scheduler is not involved (the caller does not block).
+  // the scheduler is not involved (the caller does not block).  The call
+  // starts its own logical thread: a caller that never waits for it needs
+  // no shared id to avoid deadlock, and a shared one would let a call
+  // that comes back here re-enter a mutex the caller still holds,
+  // depending on when it arrives.
   RequestMessage request;
   request.id = derive_nested_id(ctx.request_id(), ctx.next_nested_counter());
-  request.logical = ctx.logical();
+  request.logical = LogicalThreadId(request.id.value());
   request.reply_mode = ReplyMode::kNone;
   request.reply_target = 0;
   request.method = method;

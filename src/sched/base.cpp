@@ -469,6 +469,52 @@ void SchedulerBase::run_request_body(ThreadRecord& t, const Request& request) {
   }
 }
 
+// --- callback gate ----------------------------------------------------------------
+
+void SchedulerBase::admit_callback(Lk& lk, Request request) {
+  for (auto& [id, record] : threads_) {
+    if (record->state == ThreadState::kBlockedNested &&
+        record->pending_nested == request.callback_of) {
+      spawn_callback(lk, *record, ThreadId(next_thread_id_++), std::move(request));
+      return;
+    }
+  }
+  // The caller has not reached the call on this replica yet.
+  const std::uint64_t call = request.callback_of.value();
+  deferred_callbacks_[call].emplace_back(ThreadId(next_thread_id_++), std::move(request));
+}
+
+void SchedulerBase::release_deferred_callbacks(Lk& lk, ThreadRecord& t) {
+  const auto deferred = deferred_callbacks_.find(t.pending_nested.value());
+  if (deferred == deferred_callbacks_.end()) return;
+  for (auto& [id, request] : deferred->second) {
+    spawn_callback(lk, t, id, std::move(request));
+  }
+  deferred_callbacks_.erase(deferred);
+}
+
+bool SchedulerBase::callbacks_running(const ThreadRecord& t) const {
+  return running_callbacks_.count(t.id.value()) > 0;
+}
+
+void SchedulerBase::finish_callback(Lk& lk, ThreadRecord& t) {
+  const auto caller = callback_caller_.find(t.id.value());
+  if (caller == callback_caller_.end()) return;
+  const auto running = running_callbacks_.find(caller->second);
+  if (running != running_callbacks_.end() && --running->second == 0) {
+    running_callbacks_.erase(running);
+  }
+  if (ThreadRecord* record = find_thread(lk, ThreadId(caller->second))) wake(*record);
+  callback_caller_.erase(caller);
+}
+
+void SchedulerBase::spawn_callback(Lk& lk, ThreadRecord& caller, ThreadId id,
+                                   Request request) {
+  spawn_thread(lk, std::move(request), id);
+  callback_caller_[id.value()] = caller.id.value();
+  running_callbacks_[caller.id.value()]++;
+}
+
 // --- timed waits ------------------------------------------------------------------
 
 void SchedulerBase::arm_wait_timer(ThreadRecord& t, MutexId mutex, CondVarId condvar,

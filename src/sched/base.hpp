@@ -21,6 +21,9 @@
 //    including the default "broadcast a timeout message, handle it as a
 //    normal request" mechanism used by ADETS-SAT/MAT/PDS (ADETS-LSA
 //    overrides it with the timeout-thread construct of paper Fig. 1);
+//  - the callback gate used by SL and ADETS-LSA: a callback runs only
+//    while its caller is parked in the call that caused it, and the
+//    caller resumes only after the callback finished;
 //  - grant tracing for cross-replica determinism checks.
 #pragma once
 
@@ -31,6 +34,7 @@
 #include <semaphore>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -218,6 +222,25 @@ class SchedulerBase : public Scheduler {
   void arm_wait_timer(ThreadRecord& t, common::MutexId mutex, common::CondVarId condvar,
                       std::uint64_t generation, common::Duration timeout);
 
+  // --- callback gate (SL, LSA) ------------------------------------------
+  // How far a caller has got when its callback is delivered differs
+  // between replicas.  Running the callback only inside the caller's
+  // call, and resuming the caller only after it, gives the callback the
+  // same place in the caller's program order on every replica.
+
+  /// Spawns callback `request` (callback_of valid) under its caller if
+  /// the caller is parked in that call; otherwise reserves its ThreadId
+  /// now, in delivery order, and defers it until the caller gets there.
+  void admit_callback(Lk& lk, Request request) ADETS_REQUIRES(mon_);
+  /// `t` is parked in its pending call (kBlockedNested): spawns the
+  /// callbacks of that call that arrived before it.
+  void release_deferred_callbacks(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_);
+  /// True while callbacks spawned under `t`'s pending call still run.
+  [[nodiscard]] bool callbacks_running(const ThreadRecord& t) const
+      ADETS_REQUIRES(mon_);
+  /// Thread `t` finished: if it ran a callback, wakes its caller.
+  void finish_callback(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_);
+
   /// Encodes/decodes the timeout broadcast payload.
   static common::Bytes encode_timeout(const TimeoutInfo& info);
   static std::optional<TimeoutInfo> decode_timeout(const common::Bytes& payload);
@@ -252,6 +275,16 @@ class SchedulerBase : public Scheduler {
   };
   std::map<std::uint64_t, ReentrantState> reentrant_ ADETS_GUARDED_BY(mon_);
 
+  // Callback gate state.
+  /// Callbacks whose caller has not reached the call yet, keyed by the
+  /// call's request id, with the thread ids reserved at delivery.
+  std::map<std::uint64_t, std::vector<std::pair<common::ThreadId, Request>>>
+      deferred_callbacks_ ADETS_GUARDED_BY(mon_);
+  /// Callback thread id -> the thread whose call it runs under.
+  std::map<std::uint64_t, std::uint64_t> callback_caller_ ADETS_GUARDED_BY(mon_);
+  /// Thread id -> callbacks still running under its pending call.
+  std::map<std::uint64_t, std::size_t> running_callbacks_ ADETS_GUARDED_BY(mon_);
+
   // Tracing and counters.
   bool trace_enabled_ ADETS_GUARDED_BY(mon_) = false;
   std::vector<GrantRecord> trace_ ADETS_GUARDED_BY(mon_);
@@ -284,6 +317,10 @@ class SchedulerBase : public Scheduler {
   /// Loop of one pooled OS thread: run the handed-over record, release
   /// it, park; exit on a null record or once stopping.
   void worker_main(Worker& w);
+
+  /// Spawns callback `request` as thread `id` under `caller`'s pending call.
+  void spawn_callback(Lk& lk, ThreadRecord& caller, common::ThreadId id,
+                      Request request) ADETS_REQUIRES(mon_);
 
   /// Parked workers, most recently parked last.
   std::vector<Worker*> idle_ ADETS_GUARDED_BY(mon_);

@@ -72,26 +72,10 @@ void LsaScheduler::on_view_change(const std::vector<common::NodeId>& members) {
 
 void LsaScheduler::handle_request(Lk& lk, Request request) {
   if (request.callback_of.valid()) {
-    for (auto& [id, record] : threads_) {
-      if (record->state == ThreadState::kBlockedNested &&
-          record->pending_nested == request.callback_of) {
-        spawn_callback(lk, *record, ThreadId(next_thread_id_++), std::move(request));
-        return;
-      }
-    }
-    // The caller has not reached the call on this replica yet.
-    const std::uint64_t call = request.callback_of.value();
-    deferred_callbacks_[call].emplace_back(ThreadId(next_thread_id_++), std::move(request));
+    admit_callback(lk, std::move(request));
     return;
   }
   spawn_thread(lk, std::move(request));  // runs concurrently right away
-}
-
-void LsaScheduler::spawn_callback(Lk& lk, ThreadRecord& caller, ThreadId id,
-                                  Request request) {
-  spawn_thread(lk, std::move(request), id);
-  callback_caller_[id.value()] = caller.id.value();
-  running_callbacks_[caller.id.value()]++;
 }
 
 void LsaScheduler::handle_reply(Lk&, ThreadRecord& t) { wake(t); }
@@ -350,34 +334,21 @@ void LsaScheduler::on_wait_timer_expired(ThreadId thread, MutexId mutex,
 
 void LsaScheduler::base_before_nested(Lk& lk, ThreadRecord& t) {
   t.state = ThreadState::kBlockedNested;
-  const auto deferred = deferred_callbacks_.find(t.pending_nested.value());
-  if (deferred == deferred_callbacks_.end()) return;
-  for (auto& [id, request] : deferred->second) {
-    spawn_callback(lk, t, id, std::move(request));
-  }
-  deferred_callbacks_.erase(deferred);
+  release_deferred_callbacks(lk, t);
 }
 
 void LsaScheduler::base_after_nested(Lk& lk, ThreadRecord& t) {
   // Every callback of the call was delivered before its reply, so none
   // can start after this wait ends.
-  while ((!t.reply_arrived || running_callbacks_[t.id.value()] > 0) && !stopping()) {
+  while ((!t.reply_arrived || callbacks_running(t)) && !stopping()) {
     block(lk, t);
   }
-  running_callbacks_.erase(t.id.value());
   t.state = ThreadState::kRunning;
 }
 
 void LsaScheduler::on_thread_start(Lk&, ThreadRecord&) {}
 
-void LsaScheduler::on_thread_done(Lk& lk, ThreadRecord& t) {
-  const auto caller = callback_caller_.find(t.id.value());
-  if (caller == callback_caller_.end()) return;
-  const auto running = running_callbacks_.find(caller->second);
-  if (running != running_callbacks_.end() && running->second > 0) running->second--;
-  if (ThreadRecord* record = find_thread(lk, ThreadId(caller->second))) wake(*record);
-  callback_caller_.erase(caller);
-}
+void LsaScheduler::on_thread_done(Lk& lk, ThreadRecord& t) { finish_callback(lk, t); }
 
 // --- wire format ------------------------------------------------------------------------
 

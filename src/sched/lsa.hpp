@@ -134,9 +134,6 @@ class LsaScheduler : public SchedulerBase {
   void flush_batched();
   void bind(common::MutexId mutex, std::uint64_t lsa_id) ADETS_REQUIRES(mon_);
   void wake_lock_waiters(Lk& lk) ADETS_REQUIRES(mon_);
-  /// Spawns callback `request` as thread `id` under `caller`'s pending call.
-  void spawn_callback(Lk& lk, ThreadRecord& caller, common::ThreadId id,
-                      Request request) ADETS_REQUIRES(mon_);
 
   struct Table {
     std::uint64_t number = 0;  // the sending leader's running table count
@@ -164,14 +161,6 @@ class LsaScheduler : public SchedulerBase {
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> early_new_entries_ ADETS_GUARDED_BY(mon_);
   std::map<std::uint64_t, std::deque<Waiter>> cond_queues_ ADETS_GUARDED_BY(mon_);
   std::vector<TableEntry> outgoing_ ADETS_GUARDED_BY(mon_);
-  /// Callbacks whose caller has not reached the call yet, keyed by the
-  /// call's request id, with the thread ids reserved at delivery.
-  std::map<std::uint64_t, std::vector<std::pair<common::ThreadId, Request>>>
-      deferred_callbacks_ ADETS_GUARDED_BY(mon_);
-  /// Callback thread id -> the thread whose call it runs under.
-  std::map<std::uint64_t, std::uint64_t> callback_caller_ ADETS_GUARDED_BY(mon_);
-  /// Thread id -> callbacks still running under its pending call.
-  std::map<std::uint64_t, std::size_t> running_callbacks_ ADETS_GUARDED_BY(mon_);
   /// Leader: number of the next table it broadcasts.
   std::uint64_t next_outgoing_table_ ADETS_GUARDED_BY(mon_) = 0;
   /// Follower: per sending node, the number of the next table to apply,

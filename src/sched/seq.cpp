@@ -27,9 +27,9 @@ bool SeqScheduler::is_callback(Lk&, const Request&) { return false; }
 
 void SeqScheduler::handle_request(Lk& lk, Request request) {
   if (is_callback(lk, request)) {
-    // Same logical thread as a blocked local thread: run it now on an
-    // additional physical thread (SL model).
-    spawn_thread(lk, std::move(request));
+    // Runs on an additional physical thread inside its caller's call
+    // (SL model).
+    admit_callback(lk, std::move(request));
     return;
   }
   if (busy_) {
@@ -65,13 +65,15 @@ bool SeqScheduler::base_resume_timed_out(Lk&, ThreadRecord&, MutexId, CondVarId,
   return false;
 }
 
-void SeqScheduler::base_before_nested(Lk&, ThreadRecord&) {}
+void SeqScheduler::base_before_nested(Lk& lk, ThreadRecord& t) {
+  t.state = ThreadState::kBlockedNested;
+  release_deferred_callbacks(lk, t);  // none under plain SEQ
+}
 
 void SeqScheduler::base_after_nested(Lk& lk, ThreadRecord& t) {
-  // The (logical) thread simply blocks until the reply is delivered;
-  // non-callback requests queue up behind it.
-  while (!t.reply_arrived && !stopping()) {
-    t.state = ThreadState::kBlockedNested;
+  // The (logical) thread blocks until the reply is delivered and its
+  // callbacks (SL) finished; non-callback requests queue up behind it.
+  while ((!t.reply_arrived || callbacks_running(t)) && !stopping()) {
     block(lk, t);
   }
   t.state = ThreadState::kRunning;
@@ -80,6 +82,7 @@ void SeqScheduler::base_after_nested(Lk& lk, ThreadRecord& t) {
 void SeqScheduler::on_thread_start(Lk&, ThreadRecord&) {}
 
 void SeqScheduler::on_thread_done(Lk& lk, ThreadRecord& t) {
+  finish_callback(lk, t);
   // Callback threads (SL) do not own the sequential slot.
   if (t.id != slot_owner_) return;
   if (queue_.empty()) {
@@ -110,13 +113,7 @@ SchedulerCapabilities SlScheduler::capabilities() const {
 }
 
 bool SlScheduler::is_callback(Lk&, const Request& request) {
-  if (request.kind != RequestKind::kApplication) return false;
-  for (const auto& [id, record] : threads_) {
-    if (record->state != ThreadState::kDone && record->logical == request.logical) {
-      return true;
-    }
-  }
-  return false;
+  return request.callback_of.valid();
 }
 
 }  // namespace adets::sched

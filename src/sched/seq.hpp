@@ -8,10 +8,15 @@
 // nested invocation deadlocks the object — exactly the limitation that
 // motivates the other strategies.
 //
-// SL additionally recognises callbacks: an incoming request whose
-// logical-thread id matches a locally blocked thread belongs to the same
-// logical thread and is executed immediately on an additional physical
-// thread, which makes nested invocation cycles (A -> B -> A) deadlock-free.
+// SL additionally recognises callbacks: an incoming request that a
+// synchronous nested call of a local thread led back into this group
+// (Request::callback_of) belongs to the caller's logical thread and is
+// executed on an additional physical thread, which makes nested
+// invocation cycles (A -> B -> A) deadlock-free.  The callback runs only
+// while its caller is parked in that call, and the call returns only
+// after the callback finished (SchedulerBase's callback gate, shared
+// with ADETS-LSA), so every replica runs it at the same point of the
+// caller's program order.
 #pragma once
 
 #include <deque>
@@ -45,8 +50,8 @@ class SeqScheduler : public SchedulerBase {
   void on_thread_start(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void on_thread_done(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
 
-  /// True if `request` continues the logical thread of a live local
-  /// thread (i.e. it is a callback).  Always false for plain SEQ.
+  /// True if `request` is a callback to admit through the callback
+  /// gate.  Always false for plain SEQ.
   virtual bool is_callback(Lk& lk, const Request& request) ADETS_REQUIRES(mon_);
 
   std::deque<Request> queue_ ADETS_GUARDED_BY(mon_);

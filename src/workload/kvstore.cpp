@@ -64,7 +64,7 @@ Bytes KvStore::pack_watch(const std::string& key, std::uint64_t timeout_paper_ms
 }
 
 // dispatch only unmarshals and delegates: all state access lives in the
-// conflict-annotated handlers below (adets-sa audits dispatch for strays).
+// handlers below.
 Bytes KvStore::dispatch(const std::string& method, const Bytes& args,
                         SyncContext& ctx) {
   common::Reader r(args);

@@ -13,13 +13,6 @@
 //                until the key changes (put/remove/cas) or the bounded
 //                wait times out — condition variable per bucket.
 //   "size"       ()                          -> number of keys
-//
-// Every method is implemented by a private handler carrying an
-// ADETS_CONFLICT / ADETS_READS / ADETS_WRITES contract (checked
-// transitively by tools/adets-sa pass 5, exported with --conflicts):
-// two invocations conflict iff they agree on every dimension, so
-// key-disjoint operations are safe to schedule early (ROADMAP seventh
-// strategy), while "size" conflicts with everything.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "runtime/context.hpp"
 #include "runtime/object.hpp"
 
@@ -51,23 +43,14 @@ class KvStore : public runtime::ReplicatedObject {
 
  private:
   common::Bytes do_put(const std::string& key, const std::string& value,
-                       runtime::SyncContext& ctx)
-      ADETS_CONFLICT(key) ADETS_WRITES(data_, versions_);
-  common::Bytes do_get(const std::string& key, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(key) ADETS_READS(data_);
-  common::Bytes do_remove(const std::string& key, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(key) ADETS_WRITES(data_, versions_);
-  // cas mutates through a map iterator (lexically a read of data_), so
-  // data_ is over-declared as written — which it is on the success path.
+                       runtime::SyncContext& ctx);
+  common::Bytes do_get(const std::string& key, runtime::SyncContext& ctx);
+  common::Bytes do_remove(const std::string& key, runtime::SyncContext& ctx);
   common::Bytes do_cas(const std::string& key, const std::string& expected,
-                       const std::string& value, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(key) ADETS_WRITES(data_, versions_);
-  // versions_[key] may default-insert the key's counter, hence WRITES.
+                       const std::string& value, runtime::SyncContext& ctx);
   common::Bytes do_watch(const std::string& key, common::Duration timeout,
-                         runtime::SyncContext& ctx)
-      ADETS_CONFLICT(key) ADETS_READS(data_) ADETS_WRITES(versions_);
-  common::Bytes do_size(runtime::SyncContext& ctx)
-      ADETS_CONFLICT(all) ADETS_READS(data_);
+                         runtime::SyncContext& ctx);
+  common::Bytes do_size(runtime::SyncContext& ctx);
 
   [[nodiscard]] std::uint32_t bucket(const std::string& key) const;
   void touch(std::uint32_t b, const std::string& key, runtime::SyncContext& ctx);

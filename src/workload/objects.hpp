@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "runtime/context.hpp"
 #include "runtime/object.hpp"
 
@@ -45,23 +44,17 @@ class ComputePatterns : public runtime::ReplicatedObject {
   [[nodiscard]] std::uint64_t state_hash() const override;
 
  private:
-  // Pattern handlers.  "a" is pure computation (conflict-free: touches
-  // no replica state); the rest serialize on the chosen logical mutex
-  // and append to its access log.
-  common::Bytes do_a(std::uint64_t compute_ms, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(free);
+  // Pattern handlers.  "a" is pure computation; the rest serialize on
+  // the chosen logical mutex and append to its access log.
+  common::Bytes do_a(std::uint64_t compute_ms, runtime::SyncContext& ctx);
   common::Bytes do_b(std::uint64_t compute_ms, std::uint64_t mutex_index,
-                     runtime::SyncContext& ctx)
-      ADETS_CONFLICT(mutex) ADETS_WRITES(access_log_);
+                     runtime::SyncContext& ctx);
   common::Bytes do_c(std::uint64_t compute_ms, std::uint64_t mutex_index,
-                     runtime::SyncContext& ctx)
-      ADETS_CONFLICT(mutex) ADETS_WRITES(access_log_);
+                     runtime::SyncContext& ctx);
   common::Bytes do_d(std::uint64_t compute_ms, std::uint64_t mutex_index,
-                     runtime::SyncContext& ctx)
-      ADETS_CONFLICT(mutex) ADETS_WRITES(access_log_);
+                     runtime::SyncContext& ctx);
   common::Bytes do_dy(std::uint64_t compute_ms, std::uint64_t mutex_index,
-                      runtime::SyncContext& ctx)
-      ADETS_CONFLICT(mutex) ADETS_WRITES(access_log_);
+                      runtime::SyncContext& ctx);
 
   void access_state(std::uint64_t mutex_index, runtime::SyncContext& ctx);
 
@@ -83,14 +76,9 @@ class EchoService : public runtime::ReplicatedObject {
   [[nodiscard]] std::uint64_t state_hash() const override { return calls_; }
 
  private:
-  // Every method bumps the shared call counter, so all three conflict
-  // with everything (dimension "all").
-  common::Bytes do_echo(const common::Bytes& args)
-      ADETS_CONFLICT(all) ADETS_WRITES(calls_);
-  common::Bytes do_delay(std::uint64_t delay_ms, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(all) ADETS_WRITES(calls_);
-  common::Bytes do_callback(std::uint64_t group, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(all) ADETS_WRITES(calls_);
+  common::Bytes do_echo(const common::Bytes& args);
+  common::Bytes do_delay(std::uint64_t delay_ms, runtime::SyncContext& ctx);
+  common::Bytes do_callback(std::uint64_t group, runtime::SyncContext& ctx);
 
   std::uint64_t calls_ = 0;  // monotone; not lock-protected state
 };
@@ -110,12 +98,9 @@ class NestedPatterns : public runtime::ReplicatedObject {
   [[nodiscard]] std::uint64_t state_hash() const override;
 
  private:
-  // Every permutation may contain an S step (shared state-log append),
-  // so all patterns are in one conflict class.
   common::Bytes do_pattern(const std::string& pattern,
                            const std::vector<std::uint64_t>& a,
-                           runtime::SyncContext& ctx)
-      ADETS_CONFLICT(all) ADETS_WRITES(state_log_);
+                           runtime::SyncContext& ctx);
 
   std::vector<std::uint64_t> state_log_;
 };
@@ -133,13 +118,9 @@ class UnboundedBuffer : public runtime::ReplicatedObject {
   [[nodiscard]] std::uint64_t state_hash() const override;
 
  private:
-  // One queue, one mutex: every operation conflicts with every other.
-  common::Bytes do_produce(std::uint64_t item, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(all) ADETS_WRITES(items_);
-  common::Bytes do_consume(runtime::SyncContext& ctx)
-      ADETS_CONFLICT(all) ADETS_WRITES(items_, consumed_);
-  common::Bytes do_poll_consume(runtime::SyncContext& ctx)
-      ADETS_CONFLICT(all) ADETS_WRITES(items_, consumed_);
+  common::Bytes do_produce(std::uint64_t item, runtime::SyncContext& ctx);
+  common::Bytes do_consume(runtime::SyncContext& ctx);
+  common::Bytes do_poll_consume(runtime::SyncContext& ctx);
 
   std::deque<std::uint64_t> items_;
   std::uint64_t consumed_ = 0;
@@ -158,14 +139,10 @@ class BoundedBuffer : public runtime::ReplicatedObject {
   [[nodiscard]] std::uint64_t state_hash() const override;
 
  private:
-  common::Bytes do_produce(std::uint64_t item, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(all) ADETS_WRITES(items_, produced_);
-  common::Bytes do_consume(runtime::SyncContext& ctx)
-      ADETS_CONFLICT(all) ADETS_WRITES(items_, consumed_);
-  common::Bytes do_poll_produce(std::uint64_t item, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(all) ADETS_WRITES(items_, produced_);
-  common::Bytes do_poll_consume(runtime::SyncContext& ctx)
-      ADETS_CONFLICT(all) ADETS_WRITES(items_, consumed_);
+  common::Bytes do_produce(std::uint64_t item, runtime::SyncContext& ctx);
+  common::Bytes do_consume(runtime::SyncContext& ctx);
+  common::Bytes do_poll_produce(std::uint64_t item, runtime::SyncContext& ctx);
+  common::Bytes do_poll_consume(runtime::SyncContext& ctx);
 
   const std::size_t capacity_;  // configuration, not replicated state
   std::deque<std::uint64_t> items_;
@@ -189,21 +166,13 @@ class BankAccounts : public runtime::ReplicatedObject {
   [[nodiscard]] std::uint64_t state_hash() const override;
 
  private:
-  // All four operations are keyed by account identity (transfer by both
-  // endpoints): operations on disjoint accounts commute, but the lexical
-  // footprint is the whole balances_ vector, so the contracts share one
-  // "account" dimension rather than splitting into separate classes.
   common::Bytes do_deposit(std::uint64_t account, std::uint64_t amount,
-                           runtime::SyncContext& ctx)
-      ADETS_CONFLICT(account) ADETS_WRITES(balances_);
+                           runtime::SyncContext& ctx);
   common::Bytes do_withdraw(std::uint64_t account, std::uint64_t amount,
-                            common::Duration timeout, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(account) ADETS_WRITES(balances_);
-  common::Bytes do_balance(std::uint64_t account, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(account) ADETS_READS(balances_);
+                            common::Duration timeout, runtime::SyncContext& ctx);
+  common::Bytes do_balance(std::uint64_t account, runtime::SyncContext& ctx);
   common::Bytes do_transfer(std::uint64_t from, std::uint64_t to,
-                            std::uint64_t amount, runtime::SyncContext& ctx)
-      ADETS_CONFLICT(account) ADETS_WRITES(balances_);
+                            std::uint64_t amount, runtime::SyncContext& ctx);
 
   std::vector<std::int64_t> balances_;
 };

@@ -1,5 +1,5 @@
 // adets-sa auditor tests: program-model parsing on in-memory sources,
-// per-rule checks for each pass (pass 6, the determinism lint, as one
+// per-rule checks for each pass (pass 5, the determinism lint, as one
 // table of path/source/expected-findings rows), seeded negative-control
 // fixtures under tests/sa_fixtures (each must yield exactly one
 // finding), and the whole-tree positive control (src/ must audit clean).
@@ -392,94 +392,6 @@ TEST(SaEffectsTest, MayBlockBoundaryCutsGrantPath) {
   EXPECT_TRUE(adets::sa::effects_pass(prog).empty());
 }
 
-// --- conflict-class coverage -----------------------------------------------
-
-TEST(SaConflictsTest, UndeclaredWriteThroughHelperFlagged) {
-  const Program prog = parse(R"(
-    class Obj {
-     private:
-      void do_put(const std::string& key) ADETS_CONFLICT(key) ADETS_READS(rows_) {
-        store(key);
-      }
-      void store(const std::string& key) { rows_[key] = 1; }
-      std::map<std::string, int> rows_;
-    };
-  )");
-  const auto findings = adets::sa::conflicts_pass(prog);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "conflict-uncovered");
-  EXPECT_NE(findings[0].message.find("via do_put -> store"), std::string::npos);
-}
-
-TEST(SaConflictsTest, OverDeclarationIsSound) {
-  const Program prog = parse(R"(
-    class Obj {
-     private:
-      void do_put(const std::string& key)
-          ADETS_CONFLICT(key) ADETS_WRITES(rows_, journal_) {
-        rows_[key] = 1;
-      }
-      std::map<std::string, int> rows_;
-      std::vector<std::string> journal_;
-    };
-  )");
-  EXPECT_TRUE(adets::sa::conflicts_pass(prog).empty());
-}
-
-TEST(SaConflictsTest, FreeHandlerMustTouchNoState) {
-  const Program prog = parse(R"(
-    class Obj {
-     private:
-      void do_ping() ADETS_CONFLICT(free) { hits_++; }
-      int hits_ = 0;
-    };
-  )");
-  const auto findings = adets::sa::conflicts_pass(prog);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "conflict-uncovered");
-  EXPECT_NE(findings[0].message.find("free"), std::string::npos);
-}
-
-TEST(SaConflictsTest, DisjointClassesSharingWritesFlagged) {
-  const Program prog = parse(R"(
-    class Obj {
-     private:
-      void do_put(const std::string& key) ADETS_CONFLICT(key) ADETS_WRITES(rows_) {
-        rows_ = rows_ + 1;
-      }
-      void do_scan(int range) ADETS_CONFLICT(range) ADETS_READS(rows_) {
-        int n = rows_;
-      }
-      int rows_ = 0;
-    };
-  )");
-  const auto findings = adets::sa::conflicts_pass(prog);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "conflict-overlap");
-}
-
-TEST(SaConflictsTest, DispatchMayNotBypassHandlers) {
-  const Program prog = parse(R"(
-    class Obj {
-     public:
-      void dispatch(const std::string& method) {
-        hits_++;
-        do_put(method);
-      }
-     private:
-      void do_put(const std::string& key) ADETS_CONFLICT(key) ADETS_WRITES(rows_) {
-        rows_[key] = 1;
-      }
-      std::map<std::string, int> rows_;
-      int hits_ = 0;
-    };
-  )");
-  const auto findings = adets::sa::conflicts_pass(prog);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "conflict-uncovered");
-  EXPECT_NE(findings[0].message.find("hits_"), std::string::npos);
-}
-
 // --- suppressions ----------------------------------------------------------
 
 TEST(SaAllowTest, AllowWithReasonSuppressesLine) {
@@ -510,7 +422,7 @@ TEST(SaAllowTest, AllowInsideStringLiteralIgnored) {
 }
 
 TEST(SaAllowTest, AllowNamesOneRuleAcrossPasses) {
-  // Line 3 trips pass 2 (unguarded field) and pass 6 (raw std type);
+  // Line 3 trips pass 2 (unguarded field) and pass 5 (raw std type);
   // an allow for one leaves the other reported.
   const std::string field =
       "class Pool {\n"
@@ -529,7 +441,7 @@ TEST(SaAllowTest, AllowNamesOneRuleAcrossPasses) {
   EXPECT_EQ(findings[0].line, 3);
 }
 
-// --- pass 6: determinism lint ----------------------------------------------
+// --- pass 5: determinism lint ----------------------------------------------
 
 struct LexicalCase {
   std::string path;
@@ -537,7 +449,7 @@ struct LexicalCase {
   Hits expected;
 };
 
-/// (rule, line) of every pass-6 finding -- and bad-allow, which any
+/// (rule, line) of every pass-5 finding -- and bad-allow, which any
 /// source can trip -- in report order.
 Hits lexical_hits(const std::string& path, const std::string& source) {
   static const std::set<std::string> kRules = {
@@ -772,17 +684,9 @@ TEST(SaFixtureTest, GrantPathWriteFixtureYieldsExactlyOneFinding) {
   EXPECT_NE(findings[0].message.find("bump"), std::string::npos);
 }
 
-TEST(SaFixtureTest, ConflictCoverageFixtureYieldsExactlyOneFinding) {
-  const auto findings = scan_fixture("conflict_coverage.hpp");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "conflict-uncovered");
-  EXPECT_NE(findings[0].message.find("table_"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("do_put -> store_row"), std::string::npos);
-}
-
 TEST(SaFixtureTest, RacySchedulerIsCaught) {
   // The shared negative control: its unannotated state is what the
-  // model passes see under the real path (outside pass 6's scope).
+  // model passes see under the real path (outside pass 5's scope).
   const auto findings =
       adets::sa::scan({std::string(ADETS_SOURCE_DIR) + "/tests/racy_scheduler.hpp"});
   ASSERT_EQ(findings.size(), 8u);
@@ -821,36 +725,15 @@ TEST(SaReportTest, RulesListMatchesPassRules) {
   const std::vector<std::string> expected = {
       "lock-cycle", "requires-unheld", "unguarded-field", "condvar-unguarded",
       "public-requires", "det-taint", "blocking-under-monitor",
-      "grant-path-taint", "grant-path-write", "conflict-uncovered",
-      "conflict-overlap", "wall-clock", "thread-id", "randomness",
-      "unordered-iter", "raw-mutex", "ptr-key", "real-time-wait", "sleep-for",
-      "bad-allow"};
+      "grant-path-taint", "grant-path-write", "wall-clock", "thread-id",
+      "randomness", "unordered-iter", "raw-mutex", "ptr-key", "real-time-wait",
+      "sleep-for", "bad-allow"};
   EXPECT_EQ(names, expected);
 }
 
 TEST(SaReportTest, FindingFormatting) {
   const Finding finding{"src/sched/x.cpp", 12, "wall-clock", "msg", {}};
   EXPECT_EQ(adets::sa::to_string(finding), "src/sched/x.cpp:12: [wall-clock] msg");
-}
-
-TEST(SaReportTest, ConflictManifestListsHandlers) {
-  const Program prog = parse(R"(
-    class Obj {
-     private:
-      void do_put(const std::string& key)
-          ADETS_CONFLICT(key) ADETS_READS(meta_) ADETS_WRITES(rows_) {
-        rows_[key] = 1;
-      }
-      std::map<std::string, int> rows_;
-      std::map<std::string, int> meta_;
-    };
-  )");
-  const std::string json = adets::sa::conflict_manifest(prog);
-  EXPECT_NE(json.find("\"class\": \"Obj\""), std::string::npos);
-  EXPECT_NE(json.find("\"method\": \"do_put\""), std::string::npos);
-  EXPECT_NE(json.find("\"conflict\": [\"key\"]"), std::string::npos);
-  EXPECT_NE(json.find("\"reads\": [\"meta_\"]"), std::string::npos);
-  EXPECT_NE(json.find("\"writes\": [\"rows_\"]"), std::string::npos);
 }
 
 TEST(SaModelTest, DigitSeparatorsDoNotDerailTheTokenizer) {

@@ -1,6 +1,7 @@
 // Tests for the consistency checker and the client stub edge cases.
 #include <gtest/gtest.h>
 
+#include "racy_scheduler.hpp"
 #include "replication/consistency.hpp"
 #include "runtime/cluster.hpp"
 #include "workload/objects.hpp"
@@ -22,18 +23,6 @@ class ConsistencyTest : public ::testing::Test {
   double saved_scale_ = 1.0;
 };
 
-TEST_F(ConsistencyTest, ProjectionSplitsByMutex) {
-  std::vector<sched::GrantRecord> trace{
-      {common::MutexId(1), common::ThreadId(10)},
-      {common::MutexId(2), common::ThreadId(20)},
-      {common::MutexId(1), common::ThreadId(11)},
-  };
-  const auto projected = per_mutex_projection(trace);
-  ASSERT_EQ(projected.size(), 2u);
-  EXPECT_EQ(projected.at(1), (std::vector<std::uint64_t>{10, 11}));
-  EXPECT_EQ(projected.at(2), (std::vector<std::uint64_t>{20}));
-}
-
 TEST_F(ConsistencyTest, HealthyGroupReportsConsistent) {
   runtime::Cluster cluster;
   const GroupId bank = cluster.create_group(
@@ -47,6 +36,23 @@ TEST_F(ConsistencyTest, HealthyGroupReportsConsistent) {
   EXPECT_TRUE(report.grant_orders_match);
   EXPECT_EQ(report.state_hashes.size(), 3u);
   EXPECT_TRUE(report.detail.empty());
+}
+
+TEST_F(ConsistencyTest, RacyGroupFailsTheGrantOrderCheck) {
+  // Negative control: deposits commute, so the replicas agree on state,
+  // but each grants the one account mutex in its own real-time order.
+  runtime::Cluster cluster;
+  const GroupId bank = cluster.create_group(
+      3, [] { return std::make_unique<testing::RacyScheduler>(); },
+      [] { return std::make_unique<workload::BankAccounts>(1); });
+  runtime::Client& client = cluster.create_client();
+  for (int i = 0; i < 8; ++i) {
+    client.invoke_async(bank, "deposit", pack_u64(0, 1), [](common::Bytes) {});
+  }
+  ASSERT_TRUE(cluster.wait_drained(bank, 8));
+  const auto report = check_group(cluster, bank);
+  EXPECT_TRUE(report.states_match) << report.detail;
+  EXPECT_FALSE(report.grant_orders_match);
 }
 
 TEST_F(ConsistencyTest, CrashedReplicasAreExcluded) {

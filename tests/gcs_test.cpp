@@ -122,6 +122,26 @@ TEST_F(GcsTest, ExternalSubmissionDeliveredToAllMembers) {
   }
 }
 
+TEST_F(GcsTest, ConnectOnAMemberKeepsItsSession) {
+  // A replica that invokes its own group connects to it as well.  Its
+  // member session must keep numbering its submissions, or the sequencer
+  // drops the later ones as duplicates.
+  services_[1]->submit(kGroup, text("a"));
+  services_[1]->submit(kGroup, text("b"));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(logs_[i]->wait_count(2, std::chrono::seconds(3))) << "member " << i;
+  }
+  services_[1]->connect(kGroup, members_);
+  services_[1]->submit(kGroup, text("c"));
+  services_[1]->submit(kGroup, text("d"));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(logs_[i]->wait_count(4, std::chrono::seconds(3))) << "member " << i;
+    auto delivered = logs_[i]->snapshot();
+    std::sort(delivered.begin(), delivered.end());
+    EXPECT_EQ(delivered, (std::vector<std::string>{"a", "b", "c", "d"}));
+  }
+}
+
 TEST_F(GcsTest, TotalOrderAgreesAcrossMembersUnderConcurrency) {
   common::Watchdog dog("gcs total order", std::chrono::seconds(60));
   constexpr int kPerSender = 40;

@@ -121,6 +121,73 @@ TEST_P(AsyncCallbackSchedulers, AsyncRequestThenCondvarCallback) {
   EXPECT_TRUE(repl::check_group(cluster, requester).consistent());
 }
 
+/// "start" holds mutex 1 across a one-way call to a relay group, whose
+/// one-way "poke" comes back and takes mutex 1 too.  The state records
+/// whether "poke" got the mutex while "start" still held it (2), after
+/// it (1), or has not run (0).
+class OneWayIssuer : public ReplicatedObject {
+ public:
+  OneWayIssuer(GroupId relay, GroupId self) : relay_(relay), self_(self) {}
+
+  Bytes dispatch(const std::string& method, const Bytes&, SyncContext& ctx) override {
+    const MutexId m(1);
+    DetLock lock(ctx, m);
+    if (method == "start") {
+      in_cs_ = true;
+      ctx.invoke_oneway(relay_, "relay", pack_u64(self_.value()));
+      ctx.compute(common::paper_ms(200));
+      in_cs_ = false;
+      return {};
+    }
+    if (method == "poke") {
+      poke_ = in_cs_ ? 2 : 1;
+      return {};
+    }
+    throw std::invalid_argument("unknown method " + method);
+  }
+  [[nodiscard]] std::uint64_t state_hash() const override { return poke_; }
+
+ private:
+  GroupId relay_;
+  GroupId self_;
+  bool in_cs_ = false;
+  std::uint64_t poke_ = 0;
+};
+
+/// Relay: calls "poke" one-way on group args[0].
+class OneWayRelay : public ReplicatedObject {
+ public:
+  Bytes dispatch(const std::string&, const Bytes& args, SyncContext& ctx) override {
+    ctx.invoke_oneway(GroupId(static_cast<std::uint32_t>(unpack_u64(args).at(0))),
+                      "poke", {});
+    return {};
+  }
+};
+
+TEST_P(AsyncCallbackSchedulers, OneWayCallDoesNotEnterTheMutexItsIssuerHolds) {
+  Cluster cluster;
+  sched::SchedulerConfig config;
+  config.pds_thread_pool = 3;
+  const GroupId issuer_id(1);
+  const GroupId relay_id(2);
+  const GroupId issuer = cluster.create_group(
+      3, GetParam(), [=] { return std::make_unique<OneWayIssuer>(relay_id, issuer_id); },
+      config);
+  const GroupId relay = cluster.create_group(
+      3, SchedulerKind::kMat, [] { return std::make_unique<OneWayRelay>(); });
+  ASSERT_EQ(issuer, issuer_id);
+  ASSERT_EQ(relay, relay_id);
+
+  Client& client = cluster.create_client();
+  client.invoke(issuer, "start", {});
+  // start + poke on the issuer group.
+  ASSERT_TRUE(cluster.wait_drained(issuer, 2));
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(cluster.replica(issuer, r).state_hash(), 1u) << "replica " << r;
+  }
+  EXPECT_TRUE(repl::check_group(cluster, issuer).consistent());
+}
+
 /// Three-level nested chain: Front -> Middle -> EchoService.
 class ChainFront : public ReplicatedObject {
  public:

@@ -338,6 +338,9 @@ TEST_F(RuntimeTest, LsaLeaderCrashFailsOverAndStaysConsistent) {
     total += unpack_u64(client.invoke(bank, "balance", pack_u64(a)))[0];
   }
   EXPECT_EQ(total, 100u);
+  // The client's reply comes from the first survivor to finish; wait for
+  // both (20 deposits + 4 balance reads) before comparing their states.
+  ASSERT_TRUE(cluster.wait_drained(bank, 24));
   EXPECT_EQ(cluster.replica(bank, 1).state_hash(), cluster.replica(bank, 2).state_hash());
 }
 

@@ -137,15 +137,15 @@ class SchedulerCluster {
     auto_reply_delay_ = delay;
   }
 
-  /// Submits a request into the emulated total order.
-  void submit(std::uint64_t request_id, std::uint64_t logical_id) {
+  /// Submits a request, on its own logical thread, into the emulated
+  /// total order.
+  void submit(std::uint64_t request_id) {
     sched::Request request;
     request.kind = sched::RequestKind::kApplication;
     request.id = common::RequestId(request_id);
-    request.logical = common::LogicalThreadId(logical_id);
+    request.logical = common::LogicalThreadId(request_id);
     bus_.push(RequestEvent{request});
   }
-  void submit(std::uint64_t request_id) { submit(request_id, request_id); }
 
   /// Submits a callback: a request of `logical_id` that the nested call
   /// `callback_of` (made by a thread of that logical thread) led back

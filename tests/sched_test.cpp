@@ -470,11 +470,11 @@ TEST_F(SchedTestBase, SlExecutesCallbackOnAdditionalThread) {
     ctx.nested_call(500);
     ctx.trace("r1-end");
   });
-  // Callback: same logical thread id (1) as the blocked request.
+  // Callback: led back into the group by request 1's nested call 500.
   cluster.set_body(77, [](BodyCtx& ctx) { ctx.trace("callback"); });
   cluster.submit(1);
   common::Clock::sleep_real(ms(10));
-  cluster.submit(77, /*logical=*/1);  // belongs to logical thread 1
+  cluster.submit_callback(77, /*logical_id=*/1, /*callback_of=*/500);
   ASSERT_TRUE(cluster.wait_completed(1));  // callback completed counts too
   common::Clock::sleep_real(ms(5));
   cluster.deliver_reply(500);
@@ -635,12 +635,13 @@ bool wait_trace(const SchedulerCluster& cluster, int r, std::size_t n) {
   return true;
 }
 
-TEST_F(SchedTestBase, LsaCallbackWaitsForItsCallerToReachTheCall) {
-  // The follower starts the originator late, so the callback reaches it
-  // before the originator has taken mutex 7.  The callback re-enters 7
-  // (on the leader the originator holds it across the call), so it must
-  // not run until the originator is parked in that call.
-  SchedulerCluster cluster(SchedulerKind::kLsa, 2);
+/// Replica 1 starts the originator late, so the callback reaches it
+/// before the originator has taken mutex 7.  The callback re-enters 7,
+/// which the originator holds across the call, so it must not run until
+/// the originator is parked in that call, and the call must not return
+/// before it finished.
+void expect_callback_waits_for_its_caller(SchedulerKind kind) {
+  SchedulerCluster cluster(kind, 2);
   cluster.set_perturbation([](int replica, std::uint64_t request) {
     if (replica == 1 && request == 1) common::Clock::sleep_real(ms(30));
   });
@@ -665,6 +666,14 @@ TEST_F(SchedTestBase, LsaCallbackWaitsForItsCallerToReachTheCall) {
   const std::vector<std::string> expected{"start", "callback", "resumed"};
   EXPECT_EQ(cluster.trace(0), expected);
   EXPECT_EQ(cluster.trace(1), expected);
+}
+
+TEST_F(SchedTestBase, LsaCallbackWaitsForItsCallerToReachTheCall) {
+  expect_callback_waits_for_its_caller(SchedulerKind::kLsa);
+}
+
+TEST_F(SchedTestBase, SlCallbackWaitsForItsCallerToReachTheCall) {
+  expect_callback_waits_for_its_caller(SchedulerKind::kSl);
 }
 
 TEST_F(SchedTestBase, LsaReleasesPerThreadStateWhenThreadsFinish) {

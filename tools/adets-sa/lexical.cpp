@@ -1,10 +1,10 @@
-// Pass 6: determinism lint.
+// Pass 5: determinism lint.
 //
 // Line rules for constructs that smuggle replica-local information into
 // replicated code: wall-clock reads, OS thread ids, unseeded entropy,
 // iteration in hash order, raw std synchronisation types (which bypass
 // the annotated, order-checked common::Mutex), pointer-keyed ordered
-// containers, timed waits and raw sleeps.  Unlike passes 1-5 it needs
+// containers, timed waits and raw sleeps.  Unlike passes 1-4 it needs
 // no program model: each rule is a regex over one file's comment- and
 // literal-stripped lines (preprocess()), plus a declared-identifier
 // scan that finds the file's unordered containers.

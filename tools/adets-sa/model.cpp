@@ -634,12 +634,6 @@ class Parser {
           fn.may_block = true;
         } else if (w == "ADETS_NON_BLOCKING") {
           fn.non_blocking = true;
-        } else if (w == "ADETS_CONFLICT") {
-          for (auto& a : args_of(k + 1)) fn.conflict_dims.push_back(a);
-        } else if (w == "ADETS_READS") {
-          for (auto& a : args_of(k + 1)) fn.declared_reads.push_back(a);
-        } else if (w == "ADETS_WRITES") {
-          for (auto& a : args_of(k + 1)) fn.declared_writes.push_back(a);
         }
       }
     }
@@ -920,9 +914,6 @@ void Program::finalize() {
       fn.takes_lock_param = fn.takes_lock_param || decl.takes_lock_param;
       fn.may_block = fn.may_block || decl.may_block;
       fn.non_blocking = fn.non_blocking || decl.non_blocking;
-      for (const auto& d : decl.conflict_dims) fn.conflict_dims.push_back(d);
-      for (const auto& d : decl.declared_reads) fn.declared_reads.push_back(d);
-      for (const auto& d : decl.declared_writes) fn.declared_writes.push_back(d);
       merged = true;
     }
     (void)merged;

@@ -85,7 +85,7 @@ struct CondVarWait {
 };
 
 /// One textual read or write of a member field inside a function body
-/// (the conflict-class coverage pass consumes these).
+/// (the grant-path-write audit consumes the writes).
 struct FieldAccess {
   std::string field;  // unqualified member name
   int line = 0;
@@ -124,13 +124,6 @@ struct Function {
   std::vector<std::string> requires_held;
   std::vector<std::string> acquires;
   std::vector<std::string> releases;
-  /// Conflict-class contract (ADETS_CONFLICT / ADETS_READS / ADETS_WRITES):
-  /// the dimension terms of the declared conflict class ("key", "account",
-  /// "all", "free") and the member fields the handler declares it reads
-  /// and writes.  Empty conflict_dims = not a declared handler.
-  std::vector<std::string> conflict_dims;
-  std::vector<std::string> declared_reads;
-  std::vector<std::string> declared_writes;
 
   // Derived by analyze_bodies():
   std::vector<CallSite> calls;

@@ -92,12 +92,6 @@ const std::vector<Rule>& rules() {
       {"grant-path-write",
        "write to a field with no ADETS_GUARDED_BY contract in a function "
        "reachable from a grant decision"},
-      {"conflict-uncovered",
-       "state access in a handler's call tree not covered by its declared "
-       "ADETS_CONFLICT/READS/WRITES contract"},
-      {"conflict-overlap",
-       "handlers in different conflict classes share written state, so "
-       "parallel execution could diverge"},
       {"wall-clock", "steady_clock/system_clock/high_resolution_clock::now read"},
       {"thread-id", "std::this_thread::get_id in replicated code"},
       {"randomness", "rand()/srand()/std::random_device (unseeded randomness)"},
@@ -143,7 +137,7 @@ Allows collect_allows(const std::string& path, const std::vector<Line>& lines) {
 namespace {
 
 /// What the scan keeps of one file's text: its tokens for the model,
-/// its suppressions and its pass-6 findings.  All three come from one
+/// its suppressions and its pass-5 findings.  All three come from one
 /// preprocess() of the file.
 struct FileFacts {
   std::vector<Token> tokens;
@@ -186,7 +180,7 @@ struct Audit {
     raw.insert(raw.end(), facts.lexical.begin(), facts.lexical.end());
   }
 
-  /// Runs passes 1-5 over the finalized model, applies suppressions and
+  /// Runs passes 1-4 over the finalized model, applies suppressions and
   /// appends the surviving findings to `out` in report order.
   void finish(std::vector<Finding>& out) {
     prog.finalize();
@@ -194,7 +188,6 @@ struct Audit {
     for (auto& f : guard_pass(prog)) raw.push_back(std::move(f));
     for (auto& f : taint_pass(prog)) raw.push_back(std::move(f));
     for (auto& f : effects_pass(prog)) raw.push_back(std::move(f));
-    for (auto& f : conflicts_pass(prog)) raw.push_back(std::move(f));
 
     for (auto& f : raw) {
       const auto it = allows.find(f.file);
@@ -345,11 +338,9 @@ std::string to_sarif(const std::vector<Finding>& findings) {
 int run_cli(const std::vector<std::string>& args) {
   bool report = false;
   std::string sarif_path;
-  std::string conflicts_path;
   std::vector<std::string> paths;
   static const char* usage =
-      "usage: adets-sa [--report] [--rules] [--sarif out.sarif] "
-      "[--conflicts out.json] <path>...\n";
+      "usage: adets-sa [--report] [--rules] [--sarif out.sarif] <path>...\n";
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--report") {
@@ -365,12 +356,6 @@ int run_cli(const std::vector<std::string>& args) {
         return 2;
       }
       sarif_path = args[++i];
-    } else if (a == "--conflicts") {
-      if (i + 1 >= args.size()) {
-        std::cerr << "adets-sa: --conflicts requires a file argument\n";
-        return 2;
-      }
-      conflicts_path = args[++i];
     } else if (!a.empty() && a[0] == '-') {
       std::cerr << "adets-sa: unknown flag '" << a << "'\n" << usage;
       return 2;
@@ -409,18 +394,13 @@ int run_cli(const std::vector<std::string>& args) {
         if (!f.guarded_by.empty()) guarded++;
       }
     }
-    std::size_t handlers = 0;
-    for (const auto& fn : prog.functions) {
-      if (!fn.conflict_dims.empty()) handlers++;
-    }
     std::cerr << "adets-sa model: " << prog.classes.size() << " classes, "
               << prog.functions.size() << " functions (" << bodies
               << " with bodies), " << fields << " fields (" << guarded
               << " lock-annotated), " << annotated
               << " annotated functions, " << acquisitions
               << " lock acquisitions over " << mutexes.size()
-              << " distinct mutexes, " << handlers
-              << " conflict-annotated handlers; " << findings.size()
+              << " distinct mutexes; " << findings.size()
               << " finding(s)\n";
     std::cerr << "adets-sa timing: " << stats.files << " files ("
               << stats.memo_hits << " memo hits), parse "
@@ -434,14 +414,6 @@ int run_cli(const std::vector<std::string>& args) {
       return 2;
     }
     out << to_sarif(findings);
-  }
-  if (!conflicts_path.empty()) {
-    std::ofstream out(conflicts_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "adets-sa: cannot write " << conflicts_path << "\n";
-      return 2;
-    }
-    out << conflict_manifest(prog);
   }
   if (io_error) return 2;
   return findings.empty() ? 0 : 1;

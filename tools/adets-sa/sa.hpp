@@ -1,6 +1,6 @@
 // adets-sa: whole-program static concurrency auditor.
 //
-// Five passes over the lexical program model (model.hpp), and a sixth
+// Four passes over the lexical program model (model.hpp), and a fifth
 // over each file's preprocessed lines:
 //
 //   1. lock-graph   -- builds a static lock graph whose nodes are mutex
@@ -34,14 +34,7 @@
 //      reads and writes to unguarded state (the PR 8 taint pass saw
 //      only one hop).
 //
-//   5. conflicts -- conflict-class coverage.  Workload operations
-//      declare their conflict class with ADETS_CONFLICT plus the state
-//      they touch with ADETS_READS/ADETS_WRITES; the pass proves every
-//      field access in the handler's (same-class) call tree is covered
-//      by the declaration, so the parallel early-scheduling strategy
-//      can trust the classes it is given.
-//
-//   6. lexical -- determinism lint: line rules for replica-local
+//   5. lexical -- determinism lint: line rules for replica-local
 //      constructs (wall-clock reads, thread ids, unseeded randomness,
 //      unordered iteration, raw std mutexes, pointer keys, timed waits,
 //      raw sleeps) in files under sched/, replication/ or lin/.
@@ -92,10 +85,7 @@ std::vector<Finding> taint_pass(const Program& prog);
 /// and grant-path effect audit (grant-path-taint, grant-path-write).
 std::vector<Finding> effects_pass(const Program& prog);
 
-/// Pass 5: conflict-class coverage (conflict-uncovered, conflict-overlap).
-std::vector<Finding> conflicts_pass(const Program& prog);
-
-/// Pass 6: determinism lint over one file's preprocessed lines (wall-clock,
+/// Pass 5: determinism lint over one file's preprocessed lines (wall-clock,
 /// thread-id, randomness, unordered-iter, raw-mutex, ptr-key,
 /// real-time-wait, sleep-for); empty unless lexical_scoped(path).
 std::vector<Finding> lexical_pass(const std::string& path,
@@ -106,17 +96,12 @@ std::vector<Finding> lexical_pass(const std::string& path,
 /// class deriving Scheduler/SchedulerBase).
 bool sched_scoped(const Program& prog, const Function& fn);
 
-/// Scope of pass 6, keyed on the path alone: true when `path` has a
+/// Scope of pass 5, keyed on the path alone: true when `path` has a
 /// `sched`, `replication` or `lin` directory component.
 bool lexical_scoped(const std::string& path);
 
 /// Nondeterminism-source kind matched by a statement, or nullptr.
 const char* nondet_source_kind(const std::string& text);
-
-/// JSON manifest of declared conflict classes (class -> handlers ->
-/// dims/reads/writes): the statically verified input format for the
-/// early-scheduling strategy.
-std::string conflict_manifest(const Program& prog);
 
 /// Per-file `adets-sa:allow` suppressions harvested from comments.
 struct Allows {
@@ -135,8 +120,8 @@ Allows collect_allows(const std::string& path, const std::vector<Line>& lines);
 struct ScanStats {
   std::size_t files = 0;
   std::size_t memo_hits = 0;  // files served from the parsed-file memo
-  double parse_ms = 0.0;      // read+preprocess+tokenize+parse+pass 6
-  double analyze_ms = 0.0;    // finalize + passes 1-5
+  double parse_ms = 0.0;      // read+preprocess+tokenize+parse+pass 5
+  double analyze_ms = 0.0;    // finalize + passes 1-4
 };
 
 /// Builds the model over `paths` (files or directories recursed for C++
@@ -148,7 +133,7 @@ std::vector<Finding> scan(const std::vector<std::string>& paths,
                           Program* model_out = nullptr,
                           ScanStats* stats_out = nullptr);
 
-/// scan() over one in-memory source; `path` decides pass 6's scope and
+/// scan() over one in-memory source; `path` decides pass 5's scope and
 /// names the file in findings.
 std::vector<Finding> scan_source(const std::string& path,
                                  const std::string& content);
@@ -160,7 +145,7 @@ std::string to_string(const Finding& finding);
 std::string to_sarif(const std::vector<Finding>& findings);
 
 /// CLI entry.  Flags: --report (model statistics + timing), --sarif
-/// <file>, --conflicts <file> (conflict-class manifest), --rules.
+/// <file>, --rules.
 /// Exit 0 clean, 1 findings, 2 usage/io error.
 int run_cli(const std::vector<std::string>& args);
 
