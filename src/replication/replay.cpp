@@ -105,19 +105,15 @@ ReplayResult replay_log(const runtime::EventLog& log, sched::SchedulerKind kind,
         common::Reader r(event.payload);
         sched::Request request;
         try {
-          r.u8();
-          request.id = r.id<RequestId>();
-          request.logical = r.id<common::LogicalThreadId>();
-          r.u8();
-          r.u32();
-          request.kind = r.str() == "__poison" ? sched::RequestKind::kPoison
-                                               : sched::RequestKind::kApplication;
+          const runtime::RequestMessage message = runtime::decode_request(r);
+          request.id = message.id;
+          request.logical = message.logical;
         } catch (const common::SerializationError&) {
           continue;
         }
         request.payload = event.payload;
         request.callback_of = event.callback_of;
-        if (request.kind == sched::RequestKind::kApplication) app_requests++;
+        app_requests++;
         scheduler->on_request(std::move(request));
         break;
       }

@@ -51,7 +51,7 @@ void Replica::on_deliver(const gcs::Sequenced& message) {
         const auto logical = r.id<LogicalThreadId>();
         r.u8();   // reply mode
         r.u32();  // reply target
-        const bool poison = r.str() == "__poison";
+        r.str();        // method and
         r.blob_span();  // args, decoded by execute()
         const RequestId callback = callback_of(read_callers(r), group_);
         // One materialisation per request: the scheduler API owns plain
@@ -72,8 +72,6 @@ void Replica::on_deliver(const gcs::Sequenced& message) {
           }
         }
         sched::Request request;
-        request.kind = poison ? sched::RequestKind::kPoison
-                              : sched::RequestKind::kApplication;
         request.id = id;
         request.logical = logical;
         request.payload = std::move(payload);

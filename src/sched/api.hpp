@@ -67,8 +67,7 @@ struct SchedulerCapabilities {
 enum class RequestKind : std::uint8_t {
   kApplication = 0,  // client or nested invocation of an object method
   kTimeout = 1,      // internal: resume a timed-out wait()
-  kPoison = 2,       // internal: orderly worker shutdown (PDS pools)
-  kNoop = 3,         // internal: PDS artificial request (paper Sec. 3.2:
+  kNoop = 2,         // internal: PDS artificial request (paper Sec. 3.2:
                      // keeps rounds starting when clients fall silent)
 };
 
@@ -248,7 +247,6 @@ struct SchedulerConfig {
   int pds_variant = 1;              // 1 = PDS-1, 2 = PDS-2
   std::size_t pds_thread_pool = 4;  // initial/fixed pool size
   bool pds_round_robin_assignment = false;  // false = synchronized (paper default)
-  std::size_t pds_min_nonwaiting = 1;       // pool-resize threshold (ADETS-PDS)
   /// How long a fetch-idle worker waits before broadcasting an
   /// artificial request to un-wedge the round (real time).
   common::Duration pds_idle_fill_interval = std::chrono::milliseconds(10);

@@ -1,5 +1,6 @@
 #include "sched/base.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -166,8 +167,12 @@ WaitResult SchedulerBase::wait(MutexId mutex, CondVarId condvar, Duration timeou
     }
     arm_wait_timer(t, mutex, condvar, generation, timeout);
   }
-  WaitResult result = base_wait(lk, t, mutex, condvar, generation, timeout);
-  result.stopping = stopping();
+  cond_queues_[condvar.value()].push_back(Waiter{t.id, generation});
+  t.timed_out = false;
+  t.state = ThreadState::kBlockedWait;
+  base_wait(lk, t, mutex);
+  t.state = ThreadState::kRunning;
+  const WaitResult result{!t.timed_out, stopping()};
   record_decision(result.notified ? Decision::Kind::kCvWakeup
                                   : Decision::Kind::kCvTimeout,
                   mutex, condvar, t.id, generation);
@@ -178,8 +183,16 @@ WaitResult SchedulerBase::wait(MutexId mutex, CondVarId condvar, Duration timeou
 }
 
 void SchedulerBase::notify_one(MutexId mutex, CondVarId condvar) {
-  // Note: notify is permitted even without condvar support (it can have
-  // no effect there), so condvar-style objects run under SEQ/SL with
+  notify(mutex, condvar, /*all=*/false);
+}
+
+void SchedulerBase::notify_all(MutexId mutex, CondVarId condvar) {
+  notify(mutex, condvar, /*all=*/true);
+}
+
+void SchedulerBase::notify(MutexId mutex, CondVarId condvar, bool all) {
+  // Note: notify is permitted even without condvar support (nothing
+  // ever waits there), so condvar-style objects run under SEQ/SL with
   // polling consumers.
   ThreadRecord& t = current();
   Lk lk(mon_);
@@ -190,20 +203,37 @@ void SchedulerBase::notify_one(MutexId mutex, CondVarId condvar) {
   }
   stats_.notifies++;
   record_decision(Decision::Kind::kNotify, mutex, condvar, t.id);
-  base_notify(lk, t, mutex, condvar, /*all=*/false);
+  const auto queue = cond_queues_.find(condvar.value());
+  if (queue == cond_queues_.end()) return;
+  // FIFO: the head waiter is resumed.  A popped entry whose thread is no
+  // longer in wait() (only possible while stopping) resumes nobody.
+  do {
+    if (queue->second.empty()) return;
+    const Waiter waiter = queue->second.front();
+    queue->second.pop_front();
+    ThreadRecord* record = find_thread(lk, waiter.thread);
+    if (record != nullptr && record->state == ThreadState::kBlockedWait) {
+      resume_waiter(lk, *record, mutex);
+    }
+  } while (all);
 }
 
-void SchedulerBase::notify_all(MutexId mutex, CondVarId condvar) {
-  ThreadRecord& t = current();
-  Lk lk(mon_);
-  const ReentrantState& r = reentrant_[mutex.value()];
-  if (r.owner != t.logical) {
-    if (stopping()) return;
-    throw std::logic_error("notify requires holding the mutex");
-  }
-  stats_.notifies++;
-  record_decision(Decision::Kind::kNotify, mutex, condvar, t.id);
-  base_notify(lk, t, mutex, condvar, /*all=*/true);
+bool SchedulerBase::resume_timed_out(Lk& lk, const TimeoutInfo& timeout) {
+  const auto queue = cond_queues_.find(timeout.condvar.value());
+  if (queue == cond_queues_.end()) return false;
+  const auto waiter = std::find_if(
+      queue->second.begin(), queue->second.end(), [&timeout](const Waiter& w) {
+        return w.thread == timeout.thread && w.generation == timeout.generation;
+      });
+  // Not queued: a notify already resumed this wait (the "no effect"
+  // branch of paper Fig. 1).
+  if (waiter == queue->second.end()) return false;
+  queue->second.erase(waiter);
+  ThreadRecord* record = find_thread(lk, timeout.thread);
+  if (record == nullptr || record->state != ThreadState::kBlockedWait) return false;
+  record->timed_out = true;
+  resume_waiter(lk, *record, timeout.mutex);
+  return true;
 }
 
 void SchedulerBase::before_nested_call(RequestId nested_id) {
@@ -222,6 +252,24 @@ void SchedulerBase::after_nested_call(RequestId) {
   base_after_nested(lk, t);
   t.pending_nested = RequestId::invalid();
   t.reply_arrived = false;
+}
+
+// --- default hook bodies ----------------------------------------------------
+
+void SchedulerBase::handle_reply(Lk&, ThreadRecord& t) { wake(t); }
+
+void SchedulerBase::base_before_nested(Lk& lk, ThreadRecord& t) {
+  t.state = ThreadState::kBlockedNested;
+  release_deferred_callbacks(lk, t);
+}
+
+void SchedulerBase::base_after_nested(Lk& lk, ThreadRecord& t) {
+  // Every callback of the call was delivered before its reply, so none
+  // can start after this wait ends.
+  while ((!t.reply_arrived || callbacks_running(t)) && !stopping()) {
+    block(lk, t);
+  }
+  t.state = ThreadState::kRunning;
 }
 
 // --- introspection ------------------------------------------------------------
@@ -397,9 +445,10 @@ void SchedulerBase::thread_body(Lk& lk, ThreadRecord& t) {
   }
   t.state = ThreadState::kRunning;
   lk.unlock();
-  run_request_body(t, t.request);
+  run_request_body(t.request);
   lk.lock();
   t.state = ThreadState::kDone;
+  finish_callback(lk, t);
   on_thread_done(lk, t);
 }
 
@@ -434,7 +483,7 @@ SchedulerBase::ThreadRecord* SchedulerBase::find_thread(Lk&, ThreadId id) {
   return it == threads_.end() ? nullptr : it->second.get();
 }
 
-void SchedulerBase::run_request_body(ThreadRecord& t, const Request& request) {
+void SchedulerBase::run_request_body(const Request& request) {
   switch (request.kind) {
     case RequestKind::kApplication:
       env_->execute(request);
@@ -448,9 +497,7 @@ void SchedulerBase::run_request_body(ThreadRecord& t, const Request& request) {
       this->lock(request.timeout.mutex);
       {
         Lk lk(mon_);
-        if (base_resume_timed_out(lk, t, request.timeout.mutex,
-                                  request.timeout.condvar, request.timeout.thread,
-                                  request.timeout.generation)) {
+        if (resume_timed_out(lk, request.timeout)) {
           stats_.timeouts_fired++;
         } else {
           // The waiter was already notified (or resumed by an earlier
@@ -463,7 +510,6 @@ void SchedulerBase::run_request_body(ThreadRecord& t, const Request& request) {
       this->unlock(request.timeout.mutex);
       break;
     }
-    case RequestKind::kPoison:
     case RequestKind::kNoop:
       break;
   }

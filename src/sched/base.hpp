@@ -17,6 +17,12 @@
 //  - the reentrancy layer (paper Sec. 4): lock counts per logical thread,
 //    so only 0->1 / 1->0 transitions reach the strategy's base_lock /
 //    base_unlock;
+//  - the condition-variable wait queues of every strategy that has
+//    them (SAT, MAT, LSA, PDS): one FIFO queue per condvar, the notify
+//    that resumes its head, and the timeout lookup that resumes only the
+//    wait of a matching generation.  A strategy says only how it parks
+//    a waiter (base_wait) and what it does with one that left its queue
+//    (resume_waiter);
 //  - wait-generation bookkeeping for deterministic time-bounded waits,
 //    including the default "broadcast a timeout message, handle it as a
 //    normal request" mechanism used by ADETS-SAT/MAT/PDS (ADETS-LSA
@@ -25,9 +31,17 @@
 //    while its caller is parked in the call that caused it, and the
 //    caller resumes only after the callback finished;
 //  - grant tracing for cross-replica determinism checks.
+//
+// Strategies override the hooks below.  handle_request, base_lock and
+// base_unlock are pure.  handle_reply, base_before_nested and
+// base_after_nested default to the bodies most strategies share;
+// on_thread_start and on_thread_done default to nothing; base_wait and
+// resume_waiter matter only with condition variables, which SEQ and SL
+// lack.
 #pragma once
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -124,35 +138,37 @@ class SchedulerBase : public Scheduler {
   /// A new totally-ordered request arrived.
   virtual void handle_request(Lk& lk, Request request) ADETS_REQUIRES(mon_) = 0;
   /// A nested reply for `t` arrived (t.reply_arrived already set).
-  virtual void handle_reply(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_) = 0;
+  /// Default: wake `t`, which waits for it in base_after_nested.
+  virtual void handle_reply(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_);
   /// Block the calling thread until it holds `mutex` (base level: the
   /// reentrancy layer already filtered recursive acquisitions).
   virtual void base_lock(Lk& lk, ThreadRecord& t, common::MutexId mutex)
       ADETS_REQUIRES(mon_) = 0;
   virtual void base_unlock(Lk& lk, ThreadRecord& t, common::MutexId mutex)
       ADETS_REQUIRES(mon_) = 0;
-  /// Release `mutex`, enqueue on the condvar's deterministic wait queue,
-  /// block, reacquire `mutex`.  Returns notified/timed-out.
-  virtual WaitResult base_wait(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                               common::CondVarId condvar, std::uint64_t generation,
-                               common::Duration timeout) ADETS_REQUIRES(mon_) = 0;
-  virtual void base_notify(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                           common::CondVarId condvar, bool all)
-      ADETS_REQUIRES(mon_) = 0;
-  /// Resume thread `target` (blocked in wait()) because its timeout
-  /// message arrived; returns false if the wait generation is stale.
-  virtual bool base_resume_timed_out(Lk& lk, ThreadRecord& handler,
-                                     common::MutexId mutex, common::CondVarId condvar,
-                                     common::ThreadId target, std::uint64_t generation)
-      ADETS_REQUIRES(mon_) = 0;
-  virtual void base_before_nested(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_) = 0;
-  virtual void base_after_nested(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_) = 0;
-  /// Called when a thread's work item finished, just before its record
-  /// is released.
-  virtual void on_thread_done(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_) = 0;
+  // The defaults of base_wait and resume_waiter are never called: only
+  // SEQ and SL keep them, and wait() rejects those first.
+  /// wait() has queued `t` on the condvar and set it kBlockedWait:
+  /// release `mutex`, park until resume_waiter() took `t` out of the
+  /// wait, and return holding `mutex` again.
+  virtual void base_wait(Lk&, ThreadRecord&, common::MutexId) ADETS_REQUIRES(mon_) {}
+  /// `t` left its condvar queue, notified or (t.timed_out) timed out,
+  /// while the calling thread holds `mutex`: start `t` on its way back
+  /// to `mutex`.
+  virtual void resume_waiter(Lk&, ThreadRecord&, common::MutexId)
+      ADETS_REQUIRES(mon_) {}
+  /// `t` issues a nested call.  Default: mark it kBlockedNested and
+  /// spawn the callbacks of that call that arrived early (callback gate).
+  virtual void base_before_nested(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_);
+  /// `t` waits for its nested call to return.  Default: block until the
+  /// reply arrived and the call's callbacks finished.
+  virtual void base_after_nested(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_);
+  /// Called when a thread's work item finished and the callback gate
+  /// released its caller, just before its record is released.
+  virtual void on_thread_done(Lk&, ThreadRecord&) ADETS_REQUIRES(mon_) {}
   /// Called once when the thread starts, before executing its request;
-  /// strategies gate admission here (SAT single-active, MAT secondaries run).
-  virtual void on_thread_start(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_) = 0;
+  /// SAT gates admission here (single active thread).
+  virtual void on_thread_start(Lk&, ThreadRecord&) ADETS_REQUIRES(mon_) {}
   /// Wake every blocked thread for shutdown.
   virtual void wake_all_for_stop(Lk& lk) ADETS_REQUIRES(mon_);
 
@@ -164,8 +180,9 @@ class SchedulerBase : public Scheduler {
 
   /// Runs scheduler thread `t` on the worker that adopted it; entered and
   /// left with mon_ held, and `t` must be kDone on return.  The default
-  /// runs one work item: admission gate, execute, completion hook.  PDS
-  /// overrides it with a loop that fetches work items from its queue.
+  /// runs one work item: admission gate, execute, callback gate,
+  /// completion hook.  PDS overrides it with a loop that fetches work
+  /// items from its queue.
   virtual void thread_body(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_);
 
   /// A wait() timeout expired locally.  Default: broadcast a timeout
@@ -216,7 +233,7 @@ class SchedulerBase : public Scheduler {
 
   /// Executes one work item (application request or timeout handler) on
   /// the calling scheduler thread.  mon_ must NOT be held.
-  void run_request_body(ThreadRecord& t, const Request& request);
+  void run_request_body(const Request& request);
 
   /// Arms the local timer for a timed wait.
   void arm_wait_timer(ThreadRecord& t, common::MutexId mutex, common::CondVarId condvar,
@@ -314,14 +331,30 @@ class SchedulerBase : public Scheduler {
     std::thread os_thread;           // declared last: it uses the fields above
   };
 
+  /// One entry of a condvar wait queue.
+  struct Waiter {
+    common::ThreadId thread;
+    std::uint64_t generation;
+  };
+
   /// Loop of one pooled OS thread: run the handed-over record, release
   /// it, park; exit on a null record or once stopping.
   void worker_main(Worker& w);
+
+  /// notify_one (all = false) and notify_all.
+  void notify(common::MutexId mutex, common::CondVarId condvar, bool all);
+  /// A timeout request's handler, holding the guarding mutex: resumes
+  /// the wait `timeout` names if it is still queued; false if a notify
+  /// (or an earlier copy of the timeout) already resumed it.
+  bool resume_timed_out(Lk& lk, const TimeoutInfo& timeout) ADETS_REQUIRES(mon_);
 
   /// Spawns callback `request` as thread `id` under `caller`'s pending call.
   void spawn_callback(Lk& lk, ThreadRecord& caller, common::ThreadId id,
                       Request request) ADETS_REQUIRES(mon_);
 
+  /// Condvar id -> its waiters in wait() order.  An entry leaves its
+  /// queue when a notify or its timeout resumes it.
+  std::map<std::uint64_t, std::deque<Waiter>> cond_queues_ ADETS_GUARDED_BY(mon_);
   /// Parked workers, most recently parked last.
   std::vector<Worker*> idle_ ADETS_GUARDED_BY(mon_);
   /// Every worker started; last, as the workers use the state above.

@@ -78,8 +78,6 @@ void LsaScheduler::handle_request(Lk& lk, Request request) {
   spawn_thread(lk, std::move(request));  // runs concurrently right away
 }
 
-void LsaScheduler::handle_reply(Lk&, ThreadRecord& t) { wake(t); }
-
 void LsaScheduler::on_scheduler_message(common::NodeId sender, const Bytes& payload) {
   auto table = decode_table(payload);
   if (!table) return;
@@ -262,56 +260,17 @@ void LsaScheduler::flush_outgoing(Lk&) {
 
 // --- condition variables ------------------------------------------------------------
 
-WaitResult LsaScheduler::base_wait(Lk& lk, ThreadRecord& t, MutexId mutex,
-                                   CondVarId condvar, std::uint64_t generation,
-                                   common::Duration) {
-  cond_queues_[condvar.value()].push_back(Waiter{t.id, generation});
+void LsaScheduler::base_wait(Lk& lk, ThreadRecord& t, MutexId mutex) {
   unlock_impl(lk, mutex);
-  LsaThread& waiter = lsa(t);
-  waiter.wait_satisfied = false;
-  t.timed_out = false;
-  t.state = ThreadState::kBlockedWait;
-  while (!waiter.wait_satisfied && !stopping()) block(lk, t);
+  while (t.state == ThreadState::kBlockedWait && !stopping()) block(lk, t);
   // Reacquire the guarding mutex through the normal LSA machinery: the
   // leader records the reacquisition, followers replay it.
-  t.state = ThreadState::kBlockedReacquire;
   lock_impl(lk, t, mutex);
-  t.state = ThreadState::kRunning;
-  return WaitResult{!t.timed_out};
 }
 
-void LsaScheduler::base_notify(Lk& lk, ThreadRecord&, MutexId, CondVarId condvar,
-                               bool all) {
-  auto& queue = cond_queues_[condvar.value()];
-  do {
-    if (queue.empty()) return;
-    const Waiter waiter = queue.front();
-    queue.pop_front();
-    ThreadRecord* record = find_thread(lk, waiter.thread);
-    if (record != nullptr && record->state == ThreadState::kBlockedWait) {
-      lsa(*record).wait_satisfied = true;
-      record->timed_out = false;
-      wake(*record);
-    }
-  } while (all);
-}
-
-bool LsaScheduler::base_resume_timed_out(Lk& lk, ThreadRecord&, MutexId,
-                                         CondVarId condvar, ThreadId target,
-                                         std::uint64_t generation) {
-  auto& queue = cond_queues_[condvar.value()];
-  for (auto it = queue.begin(); it != queue.end(); ++it) {
-    if (it->thread == target && it->generation == generation) {
-      queue.erase(it);
-      ThreadRecord* record = find_thread(lk, target);
-      if (record == nullptr || record->state != ThreadState::kBlockedWait) return false;
-      lsa(*record).wait_satisfied = true;
-      record->timed_out = true;
-      wake(*record);
-      return true;
-    }
-  }
-  return false;  // "no effect" branch of paper Fig. 1
+void LsaScheduler::resume_waiter(Lk&, ThreadRecord& t, MutexId) {
+  t.state = ThreadState::kBlockedReacquire;
+  wake(t);
 }
 
 void LsaScheduler::on_wait_timer_expired(ThreadId thread, MutexId mutex,
@@ -329,26 +288,6 @@ void LsaScheduler::on_wait_timer_expired(ThreadId thread, MutexId mutex,
   request.timeout = TimeoutInfo{thread, mutex, condvar, generation};
   spawn_thread(lk, std::move(request), derived);
 }
-
-// --- nested invocations ----------------------------------------------------------------
-
-void LsaScheduler::base_before_nested(Lk& lk, ThreadRecord& t) {
-  t.state = ThreadState::kBlockedNested;
-  release_deferred_callbacks(lk, t);
-}
-
-void LsaScheduler::base_after_nested(Lk& lk, ThreadRecord& t) {
-  // Every callback of the call was delivered before its reply, so none
-  // can start after this wait ends.
-  while ((!t.reply_arrived || callbacks_running(t)) && !stopping()) {
-    block(lk, t);
-  }
-  t.state = ThreadState::kRunning;
-}
-
-void LsaScheduler::on_thread_start(Lk&, ThreadRecord&) {}
-
-void LsaScheduler::on_thread_done(Lk& lk, ThreadRecord& t) { finish_callback(lk, t); }
 
 // --- wire format ------------------------------------------------------------------------
 

@@ -74,21 +74,11 @@ class LsaScheduler : public SchedulerBase {
 
  protected:
   void handle_request(Lk& lk, Request request) override ADETS_REQUIRES(mon_);
-  void handle_reply(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void base_lock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
   void base_unlock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
-  WaitResult base_wait(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                       common::CondVarId condvar, std::uint64_t generation,
-                       common::Duration timeout) override ADETS_REQUIRES(mon_);
-  void base_notify(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                   common::CondVarId condvar, bool all) override ADETS_REQUIRES(mon_);
-  bool base_resume_timed_out(Lk& lk, ThreadRecord& handler, common::MutexId mutex,
-                             common::CondVarId condvar, common::ThreadId target,
-                             std::uint64_t generation) override ADETS_REQUIRES(mon_);
-  void base_before_nested(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
-  void base_after_nested(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
-  void on_thread_start(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
-  void on_thread_done(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
+  void base_wait(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
+  /// Marks the waiter as reacquiring and wakes it.
+  void resume_waiter(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
   void on_wait_timer_expired(common::ThreadId thread, common::MutexId mutex,
                              common::CondVarId condvar, std::uint64_t generation) override;
   std::unique_ptr<ThreadRecord> new_record() const override;
@@ -99,7 +89,6 @@ class LsaScheduler : public SchedulerBase {
     /// order, so the count agrees across replicas and keys the
     /// dynamic-binding protocol.
     std::uint64_t lock_ops = 0;
-    bool wait_satisfied = false;  // popped from a condvar queue
   };
   static LsaThread& lsa(ThreadRecord& t) { return static_cast<LsaThread&>(t); }
 
@@ -118,11 +107,6 @@ class LsaScheduler : public SchedulerBase {
     common::ThreadId owner = common::ThreadId::invalid();
     std::deque<common::ThreadId> rt_waiters;  // leader: real-time arrival order
   };
-  struct Waiter {
-    common::ThreadId thread;
-    std::uint64_t generation;
-  };
-
   /// The full lock algorithm (leader record / follower replay).
   void lock_impl(Lk& lk, ThreadRecord& t, common::MutexId mutex) ADETS_REQUIRES(mon_);
   void unlock_impl(Lk& lk, common::MutexId mutex) ADETS_REQUIRES(mon_);
@@ -159,7 +143,6 @@ class LsaScheduler : public SchedulerBase {
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> unknown_requests_ ADETS_GUARDED_BY(mon_);
   /// Follower: is_new entries that arrived before the thread's op.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> early_new_entries_ ADETS_GUARDED_BY(mon_);
-  std::map<std::uint64_t, std::deque<Waiter>> cond_queues_ ADETS_GUARDED_BY(mon_);
   std::vector<TableEntry> outgoing_ ADETS_GUARDED_BY(mon_);
   /// Leader: number of the next table it broadcasts.
   std::uint64_t next_outgoing_table_ ADETS_GUARDED_BY(mon_) = 0;

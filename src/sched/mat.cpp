@@ -4,7 +4,6 @@
 
 namespace adets::sched {
 
-using common::CondVarId;
 using common::MutexId;
 using common::ThreadId;
 
@@ -122,10 +121,6 @@ void MatScheduler::handle_reply(Lk& lk, ThreadRecord& t) {
   wake(t);
 }
 
-void MatScheduler::on_thread_start(Lk&, ThreadRecord&) {
-  // Secondaries start running right away: true multithreading.
-}
-
 void MatScheduler::on_thread_done(Lk& lk, ThreadRecord& t) {
   transfer_token(lk, t);
 }
@@ -190,23 +185,13 @@ void MatScheduler::hand_over(Lk& lk, MutexId mutex) {
 
 // --- condition variables -----------------------------------------------------------------
 
-WaitResult MatScheduler::base_wait(Lk& lk, ThreadRecord& t, MutexId mutex,
-                                   CondVarId condvar, std::uint64_t generation,
-                                   common::Duration) {
-  cond_queues_[condvar.value()].push_back(Waiter{t.id, generation});
-  mutexes_[mutex.value()].owner = ThreadId::invalid();
-  hand_over(lk, mutex);
-  t.timed_out = false;
-  t.state = ThreadState::kBlockedWait;
+void MatScheduler::base_wait(Lk& lk, ThreadRecord& t, MutexId mutex) {
+  base_unlock(lk, t, mutex);
   transfer_token(lk, t);
   while (mutexes_[mutex.value()].owner != t.id && !stopping()) block(lk, t);
-  t.state = ThreadState::kRunning;
-  return WaitResult{!t.timed_out};
 }
 
-void MatScheduler::resume_waiter(Lk& lk, ThreadRecord& t, MutexId mutex,
-                                 bool timed_out) {
-  t.timed_out = timed_out;
+void MatScheduler::resume_waiter(Lk& lk, ThreadRecord& t, MutexId mutex) {
   t.state = ThreadState::kBlockedReacquire;
   mutexes_[mutex.value()].reacquirers.push_back(t.id);
   const std::uint64_t epoch = ++mat(t).ticket_epoch;  // old tickets become stale
@@ -215,46 +200,11 @@ void MatScheduler::resume_waiter(Lk& lk, ThreadRecord& t, MutexId mutex,
   hand_over(lk, mutex);  // no-op while the notifier holds the mutex
 }
 
-void MatScheduler::base_notify(Lk& lk, ThreadRecord&, MutexId mutex,
-                               CondVarId condvar, bool all) {
-  auto& queue = cond_queues_[condvar.value()];
-  do {
-    if (queue.empty()) return;
-    const Waiter waiter = queue.front();
-    queue.pop_front();
-    ThreadRecord* record = find_thread(lk, waiter.thread);
-    if (record != nullptr && record->state == ThreadState::kBlockedWait) {
-      resume_waiter(lk, *record, mutex, /*timed_out=*/false);
-    }
-  } while (all);
-}
-
-bool MatScheduler::base_resume_timed_out(Lk& lk, ThreadRecord&, MutexId mutex,
-                                         CondVarId condvar, ThreadId target,
-                                         std::uint64_t generation) {
-  auto& queue = cond_queues_[condvar.value()];
-  for (auto it = queue.begin(); it != queue.end(); ++it) {
-    if (it->thread == target && it->generation == generation) {
-      queue.erase(it);
-      ThreadRecord* record = find_thread(lk, target);
-      if (record == nullptr || record->state != ThreadState::kBlockedWait) return false;
-      resume_waiter(lk, *record, mutex, /*timed_out=*/true);
-      return true;
-    }
-  }
-  return false;
-}
-
 // --- nested invocations ---------------------------------------------------------------------
 
 void MatScheduler::base_before_nested(Lk& lk, ThreadRecord& t) {
   t.state = ThreadState::kBlockedNested;
   transfer_token(lk, t);
-}
-
-void MatScheduler::base_after_nested(Lk& lk, ThreadRecord& t) {
-  while (!t.reply_arrived && !stopping()) block(lk, t);
-  t.state = ThreadState::kRunning;
 }
 
 void MatScheduler::debug_extra(std::string& out) const {

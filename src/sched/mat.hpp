@@ -54,17 +54,10 @@ class MatScheduler : public SchedulerBase {
   void handle_reply(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void base_lock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
   void base_unlock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
-  WaitResult base_wait(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                       common::CondVarId condvar, std::uint64_t generation,
-                       common::Duration timeout) override ADETS_REQUIRES(mon_);
-  void base_notify(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                   common::CondVarId condvar, bool all) override ADETS_REQUIRES(mon_);
-  bool base_resume_timed_out(Lk& lk, ThreadRecord& handler, common::MutexId mutex,
-                             common::CondVarId condvar, common::ThreadId target,
-                             std::uint64_t generation) override ADETS_REQUIRES(mon_);
+  void base_wait(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
+  /// Queues the waiter as a priority reacquirer with a fresh ticket.
+  void resume_waiter(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
   void base_before_nested(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
-  void base_after_nested(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
-  void on_thread_start(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void on_thread_done(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void debug_extra(std::string& out) const override ADETS_REQUIRES(mon_);
   std::unique_ptr<ThreadRecord> new_record() const override;
@@ -81,11 +74,6 @@ class MatScheduler : public SchedulerBase {
     /// The unique token-holding plain waiter (if any).
     common::ThreadId token_waiter = common::ThreadId::invalid();
   };
-  struct Waiter {
-    common::ThreadId thread;
-    std::uint64_t generation;
-  };
-
   /// Pops tickets until a thread that can use the token is found.
   void try_assign_token(Lk& lk) ADETS_REQUIRES(mon_);
   /// Gives the token up (if held by `t`) and reassigns.
@@ -93,7 +81,6 @@ class MatScheduler : public SchedulerBase {
   /// Grants `mutex` at unlock: pending reacquirers first, then the
   /// token-holding waiter.
   void hand_over(Lk& lk, common::MutexId mutex) ADETS_REQUIRES(mon_);
-  void resume_waiter(Lk& lk, ThreadRecord& t, common::MutexId mutex, bool timed_out) ADETS_REQUIRES(mon_);
 
   /// A thread's claim on the token, valid for one eligibility *epoch*
   /// (epochs advance at nested-reply claims and notifications).  A
@@ -114,7 +101,6 @@ class MatScheduler : public SchedulerBase {
   /// reply id -> claiming thread's ticket (resolves placeholders).
   std::map<std::uint64_t, ThreadTicket> claimed_replies_ ADETS_GUARDED_BY(mon_);
   std::map<std::uint64_t, MutexState> mutexes_ ADETS_GUARDED_BY(mon_);
-  std::map<std::uint64_t, std::deque<Waiter>> cond_queues_ ADETS_GUARDED_BY(mon_);
 };
 
 }  // namespace adets::sched

@@ -6,7 +6,6 @@
 
 namespace adets::sched {
 
-using common::CondVarId;
 using common::MutexId;
 using common::ThreadId;
 
@@ -78,12 +77,12 @@ void PdsScheduler::thread_body(Lk& lk, ThreadRecord& record) {
   PdsThread& t = pds(record);
   while (!stopping() && !t.terminate) {
     auto fetched = fetch(lk, t);
-    if (!fetched || fetched->kind == RequestKind::kPoison || stopping()) break;
+    if (!fetched || stopping()) break;
     t.request = std::move(*fetched);
     t.logical = t.request.logical;
     t.state = ThreadState::kRunning;
     lk.unlock();
-    run_request_body(t, t.request);
+    run_request_body(t.request);
     lk.lock();
   }
   t.state = ThreadState::kDone;
@@ -179,11 +178,6 @@ void PdsScheduler::handle_request(Lk& lk, Request request) {
   request_queue_.push_back(std::move(request));
   wake_everyone(lk);  // a fetch-idle queue-mutex holder may be waiting
 }
-
-void PdsScheduler::handle_reply(Lk&, ThreadRecord& t) { wake(t); }
-
-void PdsScheduler::on_thread_start(Lk&, ThreadRecord&) {}
-void PdsScheduler::on_thread_done(Lk&, ThreadRecord&) {}
 
 void PdsScheduler::debug_extra(std::string& out) const {
   out += " wanted:";
@@ -293,30 +287,26 @@ void PdsScheduler::maybe_start_round(Lk& lk) {
         return;  // someone is still running / in a nested call
     }
   }
-  // ADETS-PDS pool resizing (paper Sec. 4.2): avoid the all-waiting
-  // deadlock by adding workers, retire surplus fetch-idle ones.
-  if (non_waiting_alive < config_.pds_min_nonwaiting) {
-    const std::size_t missing = config_.pds_min_nonwaiting - non_waiting_alive;
-    for (std::size_t i = 0; i < missing; ++i) spawn_worker(lk, /*pre_suspended=*/true);
+  // ADETS-PDS pool resizing (paper Sec. 4.2): when every worker waits
+  // (or is done), add one to avoid the all-waiting deadlock; retire
+  // surplus fetch-idle workers beyond the initial pool.
+  if (non_waiting_alive == 0) {
+    spawn_worker(lk, /*pre_suspended=*/true);
     any_lock_suspended = true;
-    ADETS_LOG_DEBUG("pds") << "pool grown by " << missing << " at round " << round_;
-  } else {
-    const std::size_t target =
-        std::max(initial_pool_, config_.pds_min_nonwaiting);
-    if (non_waiting_alive > target) {
-      // Retire the youngest surplus workers that are idle at the queue
-      // mutex (a deterministic, state-based choice).
-      std::size_t surplus = non_waiting_alive - target;
-      for (auto it = threads_.rbegin(); it != threads_.rend() && surplus > 0; ++it) {
-        PdsThread& record = pds(*it->second);
-        if (record.state == ThreadState::kBlockedLock &&
-            record.wanted_mutex == MutexId(kQueueMutexId) &&
-            it->first >= initial_pool_) {
-          record.terminate = true;
-          record.wanted_mutex = MutexId::invalid();
-          wake(record);
-          surplus--;
-        }
+    ADETS_LOG_DEBUG("pds") << "pool grown by 1 at round " << round_;
+  } else if (non_waiting_alive > initial_pool_) {
+    // Retire the youngest surplus workers that are idle at the queue
+    // mutex (a deterministic, state-based choice).
+    std::size_t surplus = non_waiting_alive - initial_pool_;
+    for (auto it = threads_.rbegin(); it != threads_.rend() && surplus > 0; ++it) {
+      PdsThread& record = pds(*it->second);
+      if (record.state == ThreadState::kBlockedLock &&
+          record.wanted_mutex == MutexId(kQueueMutexId) &&
+          it->first >= initial_pool_) {
+        record.terminate = true;
+        record.wanted_mutex = MutexId::invalid();
+        wake(record);
+        surplus--;
       }
     }
   }
@@ -336,73 +326,21 @@ void PdsScheduler::maybe_start_round(Lk& lk) {
 
 // --- condition variables -----------------------------------------------------------------
 
-WaitResult PdsScheduler::base_wait(Lk& lk, ThreadRecord& t, MutexId mutex,
-                                   CondVarId condvar, std::uint64_t generation,
-                                   common::Duration) {
-  cond_queues_[condvar.value()].push_back(Waiter{t.id, generation});
+void PdsScheduler::base_wait(Lk& lk, ThreadRecord& t, MutexId mutex) {
   pds_unlock(lk, mutex);
-  t.timed_out = false;
-  t.state = ThreadState::kBlockedWait;
   maybe_start_round(lk);
-  // Resumption: a notify/timeout converts us into a mutex request; we
+  // Resumption: resume_waiter converts us into a mutex request; we
   // proceed once the round machinery grants the guarding mutex.
   while (mutexes_[mutex.value()].owner != t.id && !stopping()) block(lk, t);
-  t.state = ThreadState::kRunning;
-  return WaitResult{!t.timed_out};
 }
 
-void PdsScheduler::waiter_to_lock_request(Lk& lk, PdsThread& t, MutexId mutex,
-                                          bool timed_out) {
-  t.timed_out = timed_out;
+void PdsScheduler::resume_waiter(Lk&, ThreadRecord& t, MutexId mutex) {
   // Paper Fig. 2: the resumed thread must first reacquire the lock,
   // which makes it wait until the start of the next round.
-  t.wanted_mutex = mutex;
-  t.request_round = round_;
-  t.state = ThreadState::kBlockedLock;
-  (void)lk;
-}
-
-void PdsScheduler::base_notify(Lk& lk, ThreadRecord&, MutexId mutex,
-                               CondVarId condvar, bool all) {
-  auto& queue = cond_queues_[condvar.value()];
-  do {
-    if (queue.empty()) return;
-    const Waiter waiter = queue.front();
-    queue.pop_front();
-    ThreadRecord* record = find_thread(lk, waiter.thread);
-    if (record != nullptr && record->state == ThreadState::kBlockedWait) {
-      waiter_to_lock_request(lk, pds(*record), mutex, /*timed_out=*/false);
-    }
-  } while (all);
-}
-
-bool PdsScheduler::base_resume_timed_out(Lk& lk, ThreadRecord&, MutexId mutex,
-                                         CondVarId condvar, ThreadId target,
-                                         std::uint64_t generation) {
-  auto& queue = cond_queues_[condvar.value()];
-  for (auto it = queue.begin(); it != queue.end(); ++it) {
-    if (it->thread == target && it->generation == generation) {
-      queue.erase(it);
-      ThreadRecord* record = find_thread(lk, target);
-      if (record == nullptr || record->state != ThreadState::kBlockedWait) return false;
-      waiter_to_lock_request(lk, pds(*record), mutex, /*timed_out=*/true);
-      return true;
-    }
-  }
-  return false;
-}
-
-// --- nested invocations -------------------------------------------------------------------
-
-void PdsScheduler::base_before_nested(Lk&, ThreadRecord& t) {
-  // Evaluated variant (paper Sec. 4.2): the thread counts as running, so
-  // the round stalls until the reply arrives.
-  t.state = ThreadState::kBlockedNested;
-}
-
-void PdsScheduler::base_after_nested(Lk& lk, ThreadRecord& t) {
-  while (!t.reply_arrived && !stopping()) block(lk, t);
-  t.state = ThreadState::kRunning;
+  PdsThread& waiter = pds(t);
+  waiter.wanted_mutex = mutex;
+  waiter.request_round = round_;
+  waiter.state = ThreadState::kBlockedLock;
 }
 
 }  // namespace adets::sched

@@ -26,11 +26,10 @@
 //    set; notify() converts the waiter into a mutex request that is
 //    granted at the next round start (paper Fig. 2).
 //  - Time-bounded waits: timeout broadcast handled as a normal request.
-//  - Automatic thread-pool resizing: if fewer than a threshold of
-//    workers are non-waiting at a round boundary, new workers are added
-//    (pre-suspended on the queue mutex) to avoid the all-waiting
-//    deadlock; surplus fetch-idle workers beyond the initial pool are
-//    retired at round boundaries.
+//  - Automatic thread-pool resizing: if every worker is waiting at a
+//    round boundary, a new worker is added (pre-suspended on the queue
+//    mutex) to avoid the all-waiting deadlock; surplus fetch-idle
+//    workers beyond the initial pool are retired at round boundaries.
 #pragma once
 
 #include <deque>
@@ -57,21 +56,11 @@ class PdsScheduler : public SchedulerBase {
 
  protected:
   void handle_request(Lk& lk, Request request) override ADETS_REQUIRES(mon_);
-  void handle_reply(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void base_lock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
   void base_unlock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
-  WaitResult base_wait(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                       common::CondVarId condvar, std::uint64_t generation,
-                       common::Duration timeout) override ADETS_REQUIRES(mon_);
-  void base_notify(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                   common::CondVarId condvar, bool all) override ADETS_REQUIRES(mon_);
-  bool base_resume_timed_out(Lk& lk, ThreadRecord& handler, common::MutexId mutex,
-                             common::CondVarId condvar, common::ThreadId target,
-                             std::uint64_t generation) override ADETS_REQUIRES(mon_);
-  void base_before_nested(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
-  void base_after_nested(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
-  void on_thread_start(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
-  void on_thread_done(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
+  void base_wait(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
+  /// Converts the waiter into a next-round request for `mutex`.
+  void resume_waiter(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
   void debug_extra(std::string& out) const override ADETS_REQUIRES(mon_);
   std::unique_ptr<ThreadRecord> new_record() const override;
   void thread_body(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
@@ -97,10 +86,6 @@ class PdsScheduler : public SchedulerBase {
   struct MutexState {
     common::ThreadId owner = common::ThreadId::invalid();
   };
-  struct Waiter {
-    common::ThreadId thread;
-    std::uint64_t generation;
-  };
 
   void pds_lock(Lk& lk, PdsThread& t, common::MutexId mutex) ADETS_REQUIRES(mon_);
   void pds_unlock(Lk& lk, common::MutexId mutex) ADETS_REQUIRES(mon_);
@@ -112,9 +97,6 @@ class PdsScheduler : public SchedulerBase {
   /// once requests arrive, so they need no artificial one.
   bool round_awaited(Lk& lk) const ADETS_REQUIRES(mon_);
   bool lower_ids_have_phase1(Lk& lk, const PdsThread& t) const ADETS_REQUIRES(mon_);
-  /// Converts a condvar waiter into a next-round mutex request.
-  void waiter_to_lock_request(Lk& lk, PdsThread& t, common::MutexId mutex,
-                              bool timed_out) ADETS_REQUIRES(mon_);
   /// Fetches the next work item per the configured assignment strategy.
   std::optional<Request> fetch(Lk& lk, PdsThread& t) ADETS_REQUIRES(mon_);
   void spawn_worker(Lk& lk, bool pre_suspended) ADETS_REQUIRES(mon_);
@@ -125,7 +107,6 @@ class PdsScheduler : public SchedulerBase {
   std::uint64_t next_fetch_index_ ADETS_GUARDED_BY(mon_) = 0;  // consumed count (round-robin)
   std::size_t initial_pool_ ADETS_GUARDED_BY(mon_) = 0;
   std::map<std::uint64_t, MutexState> mutexes_ ADETS_GUARDED_BY(mon_);
-  std::map<std::uint64_t, std::deque<Waiter>> cond_queues_ ADETS_GUARDED_BY(mon_);
 };
 
 }  // namespace adets::sched

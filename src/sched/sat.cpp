@@ -2,7 +2,6 @@
 
 namespace adets::sched {
 
-using common::CondVarId;
 using common::MutexId;
 using common::RequestId;
 using common::ThreadId;
@@ -167,57 +166,17 @@ void SatScheduler::hand_over(Lk& lk, MutexId mutex) {
 
 // --- condition variables --------------------------------------------------------------
 
-WaitResult SatScheduler::base_wait(Lk& lk, ThreadRecord& t, MutexId mutex,
-                                   CondVarId condvar, std::uint64_t generation,
-                                   common::Duration) {
-  cond_queues_[condvar.value()].push_back(Waiter{t.id, generation});
-  mutexes_[mutex.value()].owner = ThreadId::invalid();
-  hand_over(lk, mutex);
-  t.timed_out = false;
-  t.state = ThreadState::kBlockedWait;
+void SatScheduler::base_wait(Lk& lk, ThreadRecord& t, MutexId mutex) {
+  base_unlock(lk, t, mutex);
   release_activity(lk, t);
   await_activation(lk, t);  // woken only after reacquiring the mutex
-  t.state = ThreadState::kRunning;
-  return WaitResult{!t.timed_out};
 }
 
-void SatScheduler::move_to_reacquire(Lk& lk, ThreadRecord& t, MutexId mutex,
-                                     bool timed_out) {
-  t.timed_out = timed_out;
+void SatScheduler::resume_waiter(Lk& lk, ThreadRecord& t, MutexId mutex) {
   t.state = ThreadState::kBlockedReacquire;
   mutexes_[mutex.value()].waiters.push_back(t.id);
   // The notifier holds the mutex; the waiter proceeds at its unlock.
   hand_over(lk, mutex);
-}
-
-void SatScheduler::base_notify(Lk& lk, ThreadRecord&, MutexId mutex,
-                               CondVarId condvar, bool all) {
-  auto& queue = cond_queues_[condvar.value()];
-  do {
-    if (queue.empty()) return;
-    const Waiter waiter = queue.front();
-    queue.pop_front();
-    ThreadRecord* record = find_thread(lk, waiter.thread);
-    if (record != nullptr && record->state == ThreadState::kBlockedWait) {
-      move_to_reacquire(lk, *record, mutex, /*timed_out=*/false);
-    }
-  } while (all);
-}
-
-bool SatScheduler::base_resume_timed_out(Lk& lk, ThreadRecord&, MutexId mutex,
-                                         CondVarId condvar, ThreadId target,
-                                         std::uint64_t generation) {
-  auto& queue = cond_queues_[condvar.value()];
-  for (auto it = queue.begin(); it != queue.end(); ++it) {
-    if (it->thread == target && it->generation == generation) {
-      queue.erase(it);
-      ThreadRecord* record = find_thread(lk, target);
-      if (record == nullptr || record->state != ThreadState::kBlockedWait) return false;
-      move_to_reacquire(lk, *record, mutex, /*timed_out=*/true);
-      return true;
-    }
-  }
-  return false;  // stale: a notify already consumed this wait
 }
 
 // --- nested invocations ------------------------------------------------------------------

@@ -43,14 +43,9 @@ class SatScheduler : public SchedulerBase {
   void handle_reply(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void base_lock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
   void base_unlock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
-  WaitResult base_wait(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                       common::CondVarId condvar, std::uint64_t generation,
-                       common::Duration timeout) override ADETS_REQUIRES(mon_);
-  void base_notify(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                   common::CondVarId condvar, bool all) override ADETS_REQUIRES(mon_);
-  bool base_resume_timed_out(Lk& lk, ThreadRecord& handler, common::MutexId mutex,
-                             common::CondVarId condvar, common::ThreadId target,
-                             std::uint64_t generation) override ADETS_REQUIRES(mon_);
+  void base_wait(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
+  /// Moves the waiter into the mutex-reacquire FIFO.
+  void resume_waiter(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
   void base_before_nested(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void base_after_nested(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void on_thread_start(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
@@ -64,11 +59,6 @@ class SatScheduler : public SchedulerBase {
     common::ThreadId owner = common::ThreadId::invalid();
     std::deque<common::ThreadId> waiters;  // FIFO: blocked lockers + reacquirers
   };
-  struct Waiter {
-    common::ThreadId thread;
-    std::uint64_t generation;
-  };
-
   /// Releases the activity token and activates the next ready thread.
   void release_activity(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_);
   void activate_next(Lk& lk) ADETS_REQUIRES(mon_);
@@ -76,14 +66,11 @@ class SatScheduler : public SchedulerBase {
   void await_activation(Lk& lk, ThreadRecord& t) ADETS_REQUIRES(mon_);
   /// Grants `mutex` to the FIFO head waiter (if any) and readies it.
   void hand_over(Lk& lk, common::MutexId mutex) ADETS_REQUIRES(mon_);
-  /// Wakes `t` out of the condvar queue into the mutex-reacquire FIFO.
-  void move_to_reacquire(Lk& lk, ThreadRecord& t, common::MutexId mutex, bool timed_out) ADETS_REQUIRES(mon_);
 
   common::ThreadId active_ ADETS_GUARDED_BY(mon_) = common::ThreadId::invalid();
   std::deque<common::ThreadId> ready_ ADETS_GUARDED_BY(mon_);       // internal resumptions (priority)
   std::deque<StreamEvent> stream_ ADETS_GUARDED_BY(mon_);           // external events, consumed lazily
   std::map<std::uint64_t, MutexState> mutexes_ ADETS_GUARDED_BY(mon_);
-  std::map<std::uint64_t, std::deque<Waiter>> cond_queues_ ADETS_GUARDED_BY(mon_);
 };
 
 }  // namespace adets::sched

@@ -34,20 +34,8 @@ class SeqScheduler : public SchedulerBase {
 
  protected:
   void handle_request(Lk& lk, Request request) override ADETS_REQUIRES(mon_);
-  void handle_reply(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void base_lock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
   void base_unlock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override ADETS_REQUIRES(mon_);
-  WaitResult base_wait(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                       common::CondVarId condvar, std::uint64_t generation,
-                       common::Duration timeout) override ADETS_REQUIRES(mon_);
-  void base_notify(Lk& lk, ThreadRecord& t, common::MutexId mutex,
-                   common::CondVarId condvar, bool all) override ADETS_REQUIRES(mon_);
-  bool base_resume_timed_out(Lk& lk, ThreadRecord& handler, common::MutexId mutex,
-                             common::CondVarId condvar, common::ThreadId target,
-                             std::uint64_t generation) override ADETS_REQUIRES(mon_);
-  void base_before_nested(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
-  void base_after_nested(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
-  void on_thread_start(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
   void on_thread_done(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_);
 
   /// True if `request` is a callback to admit through the callback

@@ -359,21 +359,31 @@ TEST(SaEffectsTest, DeferredLambdaCallDoesNotPropagateBlocking) {
   EXPECT_TRUE(adets::sa::effects_pass(prog).empty());
 }
 
+// One row per SchedulerBase strategy hook: each is a grant-path root on
+// its own, so a clock read that only it reaches, through a helper, is
+// reported.
 TEST(SaEffectsTest, GrantPathAuditedInterprocedurally) {
-  const Program prog = parse(R"(
-    class Strat : public sched::SchedulerBase {
-     public:
-      void handle_request(int tid) { stamp(tid); }
-     private:
-      void stamp(int tid) {
-        last_grant_ = common::Clock::now();
-      }
-      common::TimePoint last_grant_;
-    };
-  )");
-  const auto findings = adets::sa::effects_pass(prog);
-  EXPECT_TRUE(has_rule(findings, "grant-path-taint"));
-  EXPECT_TRUE(has_rule(findings, "grant-path-write"));
+  const std::vector<std::string> hooks = {
+      "handle_request",     "handle_reply",      "base_lock",
+      "base_unlock",        "base_wait",         "resume_waiter",
+      "base_before_nested", "base_after_nested", "on_thread_done",
+      "on_thread_start"};
+  for (const std::string& hook : hooks) {
+    const Program prog = parse(R"(
+      class Strat : public sched::SchedulerBase {
+       public:
+        void )" + hook + R"((int tid) { stamp(tid); }
+       private:
+        void stamp(int tid) {
+          last_grant_ = common::Clock::now();
+        }
+        common::TimePoint last_grant_;
+      };
+    )");
+    const auto findings = adets::sa::effects_pass(prog);
+    EXPECT_TRUE(has_rule(findings, "grant-path-taint")) << hook;
+    EXPECT_TRUE(has_rule(findings, "grant-path-write")) << hook;
+  }
 }
 
 TEST(SaEffectsTest, MayBlockBoundaryCutsGrantPath) {

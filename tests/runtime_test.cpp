@@ -11,6 +11,7 @@
 #include "replication/consistency.hpp"
 #include "runtime/cluster.hpp"
 #include "sched/lsa.hpp"
+#include "sched/pds.hpp"
 #include "workload/objects.hpp"
 
 namespace adets::runtime {
@@ -344,7 +345,9 @@ TEST_F(RuntimeTest, LsaLeaderCrashFailsOverAndStaysConsistent) {
   EXPECT_EQ(cluster.replica(bank, 1).state_hash(), cluster.replica(bank, 2).state_hash());
 }
 
-TEST_F(RuntimeTest, PoisonRequestsTerminatePdsWorkersCleanly) {
+// No method name is special: "__poison" is an unknown method like any
+// other, so a client cannot shrink a PDS pool by calling it.
+TEST_F(RuntimeTest, PoisonMethodLeavesPdsPoolIntact) {
   Cluster cluster;
   sched::SchedulerConfig config = pds_pool(2);
   const GroupId group = cluster.create_group(
@@ -353,8 +356,14 @@ TEST_F(RuntimeTest, PoisonRequestsTerminatePdsWorkersCleanly) {
   Client& client = cluster.create_client();
   client.invoke(group, "echo", pack_u64(1));
   for (int i = 0; i < 2; ++i) client.invoke_oneway(group, "__poison", {});
-  // Workers exit; nothing to assert beyond clean teardown (no hang).
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(client.invoke(group, "echo", pack_u64(2), std::chrono::seconds(3)),
+            pack_u64(2));
+  EXPECT_TRUE(cluster.wait_drained(group, 4, std::chrono::seconds(3)));
+  for (int r = 0; r < 3; ++r) {
+    const auto& pds =
+        dynamic_cast<const sched::PdsScheduler&>(cluster.replica(group, r).scheduler());
+    EXPECT_EQ(pds.pool_size(), 2u) << "replica " << r;
+  }
 }
 
 TEST_F(RuntimeTest, DirectoryResolvesGroupsForNestedCalls) {

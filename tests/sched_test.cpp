@@ -766,7 +766,6 @@ TEST_F(SchedTestBase, Pds2NeedsFewerRoundsThanPds1ForTwoLockWork) {
 TEST_F(SchedTestBase, PdsPoolGrowsOutOfAllWaitingDeadlock) {
   sched::SchedulerConfig config;
   config.pds_thread_pool = 2;
-  config.pds_min_nonwaiting = 1;
   SchedulerCluster cluster(SchedulerKind::kPds, 2, config);
   std::vector<std::unique_ptr<std::atomic<bool>>> ready;
   for (int r = 0; r < 2; ++r) ready.push_back(std::make_unique<std::atomic<bool>>(false));

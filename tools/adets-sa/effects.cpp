@@ -50,10 +50,10 @@ const std::set<std::string>& blocking_primitives() {
 /// the only places a grant decision can originate.
 const std::set<std::string>& grant_hooks() {
   static const std::set<std::string>* k = new std::set<std::string>{
-      "handle_request", "handle_reply",   "base_wait",
-      "base_notify",    "base_lock",      "base_unlock",
-      "base_resume_timed_out", "base_before_nested", "base_after_nested",
-      "on_thread_done", "on_thread_start",
+      "handle_request",     "handle_reply",      "base_lock",
+      "base_unlock",        "base_wait",         "resume_waiter",
+      "base_before_nested", "base_after_nested", "on_thread_done",
+      "on_thread_start",
   };
   return *k;
 }
