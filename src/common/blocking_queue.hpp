@@ -1,6 +1,6 @@
 // Unbounded MPMC blocking queue with shutdown support.
 //
-// Used by the transport delivery service and by scheduler internals.
+// Used by the scheduler test harness's event bus.
 // pop() blocks with a predicate (CP.42) and returns nullopt once the
 // queue is closed and drained, letting consumer threads exit cleanly.
 #pragma once

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -68,12 +67,6 @@ class Interceptor {
   /// them it is not and holds no intercepted lock.
   virtual void thread_begin(std::uint64_t ticket) = 0;
   virtual void thread_end() = 0;
-
-  // --- transport delivery choice (transport/network.cpp) ------------------
-  /// Given `count` messages that are all releasable now, returns the index
-  /// the dispatcher should release next.  Lets the checker enumerate
-  /// delivery orders that real link-latency jitter would only sample.
-  virtual std::size_t delivery_choice(std::size_t count) = 0;
 };
 
 /// Null except while src/mc has a run active.  Ordinary builds never

@@ -22,20 +22,18 @@ GroupService::GroupService(transport::SimNetwork& net, NodeId self, GcsConfig co
     : net_(net), self_(self), config_(config) {
   net_.set_handler(self_, [this](transport::Message m) { on_message(std::move(m)); });
   timer_ = std::thread([this] { timer_loop(); });
-  delivery_ = std::thread([this] { delivery_loop(); });
 }
 
 GroupService::~GroupService() { stop(); }
 
 void GroupService::stop() {
   {
-    const common::MutexLock guard(mutex_);
+    common::MutexLock lock(mutex_);
     if (stopping_) return;
     stopping_ = true;
+    while (running_callbacks_) callbacks_done_.wait(lock);
   }
-  events_.close();
   if (timer_.joinable()) timer_.join();
-  if (delivery_.joinable()) delivery_.join();
 }
 
 void GroupService::join(GroupId group, std::vector<NodeId> initial_members,
@@ -129,17 +127,19 @@ void GroupService::on_message(transport::Message message) {
     return;
   }
 
+  common::MutexLock lock(mutex_);
+  if (stopping_) return;
   if (kind == WireKind::kDirect) {
     try {
       const auto [offset, length] = r.blob_span();
-      events_.push(DirectEvent{message.src, message.payload.slice(offset, length)});
+      events_.push_back(
+          DirectEvent{direct_handler_, message.src, message.payload.slice(offset, length)});
     } catch (const common::SerializationError&) {
     }
+    run_callbacks(lock);
     return;
   }
 
-  const common::MutexLock guard(mutex_);
-  if (stopping_) return;
   // Any protocol traffic from a peer counts as a liveness signal.
   if (auto it = memberships_.find(group.value()); it != memberships_.end()) {
     it->second.last_heard[message.src.value()] = common::Clock::now();
@@ -162,6 +162,32 @@ void GroupService::on_message(transport::Message message) {
     ADETS_LOG_ERROR("gcs") << "malformed message kind=" << static_cast<int>(kind)
                            << ": " << e.what();
   }
+  run_callbacks(lock);
+}
+
+void GroupService::run_callbacks(common::MutexLock& lock) {
+  if (events_.empty()) return;
+  std::vector<Event> batch;
+  batch.swap(events_);
+  running_callbacks_ = true;
+  lock.unlock();
+  for (Event& event : batch) {
+    if (auto* deliver = std::get_if<DeliverEvent>(&event)) {
+      if (deliver->deliver) {
+        for (const Sequenced& message : deliver->messages) {
+          deliver->deliver(deliver->group, message);
+        }
+      }
+    } else if (auto* view = std::get_if<ViewEvent>(&event)) {
+      if (view->on_view) view->on_view(view->group, view->view);
+    } else if (auto* direct = std::get_if<DirectEvent>(&event)) {
+      if (direct->handler) direct->handler(direct->src, direct->payload);
+    }
+  }
+  batch.clear();
+  lock.lock();
+  running_callbacks_ = false;
+  callbacks_done_.notify_all();
 }
 
 void GroupService::handle_submit_batch(GroupId group, const transport::Message& m,
@@ -318,8 +344,8 @@ void GroupService::handle_seq_batch(GroupId group, const transport::Message& m,
 }
 
 void GroupService::try_deliver(GroupId group, MemberState& st) {
-  // Collect the whole contiguous run and hand it to the delivery thread
-  // as one event (one queue operation and one callback lookup per run).
+  // Collect the whole contiguous run and queue it as one event (one
+  // queue operation and one callback copy per run).
   std::vector<Sequenced> ready;
   while (true) {
     const auto it = st.holdback.find(st.delivered_up_to + 1);
@@ -329,7 +355,9 @@ void GroupService::try_deliver(GroupId group, MemberState& st) {
     ready.push_back(std::move(it->second));
     st.holdback.erase(it);
   }
-  if (!ready.empty()) events_.push(DeliverEvent{group, std::move(ready)});
+  if (!ready.empty()) {
+    events_.push_back(DeliverEvent{st.callbacks.deliver, group, std::move(ready)});
+  }
   // Slide the repair window; also bound the sequencer's dedup map (its
   // entries reference sequence numbers below the window anyway).
   while (st.retained.size() > config_.retained_limit) {
@@ -606,7 +634,7 @@ void GroupService::maybe_install_view(GroupId group, MemberState& st) {
       st.dedup[{msg.submission.sender.value(), msg.submission.sender_msg_id}] = seq;
     }
   }
-  events_.push(ViewEvent{group, st.view});
+  events_.push_back(ViewEvent{st.callbacks.on_view, group, st.view});
   // Re-target our own pending submissions at the new sequencer.
   if (auto sit = senders_.find(group.value()); sit != senders_.end()) {
     sit->second.members = st.view.members;
@@ -753,39 +781,6 @@ void GroupService::timer_loop() {
       }
     }
     common::Clock::sleep_real(config_.timer_tick);
-  }
-}
-
-void GroupService::delivery_loop() {
-  while (auto event = events_.pop()) {
-    if (auto* deliver = std::get_if<DeliverEvent>(&*event)) {
-      GroupCallbacks callbacks;
-      {
-        const common::MutexLock guard(mutex_);
-        const auto it = memberships_.find(deliver->group.value());
-        if (it != memberships_.end()) callbacks = it->second.callbacks;
-      }
-      if (callbacks.deliver) {
-        for (const Sequenced& message : deliver->messages) {
-          callbacks.deliver(deliver->group, message);
-        }
-      }
-    } else if (auto* view = std::get_if<ViewEvent>(&*event)) {
-      GroupCallbacks callbacks;
-      {
-        const common::MutexLock guard(mutex_);
-        const auto it = memberships_.find(view->group.value());
-        if (it != memberships_.end()) callbacks = it->second.callbacks;
-      }
-      if (callbacks.on_view) callbacks.on_view(view->group, view->view);
-    } else if (auto* direct = std::get_if<DirectEvent>(&*event)) {
-      std::function<void(NodeId, const SharedBytes&)> handler;
-      {
-        const common::MutexLock guard(mutex_);
-        handler = direct_handler_;
-      }
-      if (handler) handler(direct->src, direct->payload);
-    }
   }
 }
 

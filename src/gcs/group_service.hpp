@@ -46,10 +46,20 @@
 //    sequencer had not flushed is discarded wholesale: none of it was
 //    acked or retained anywhere, so senders re-submit and the new
 //    sequencer re-sequences.  View events are delivered in-stream, after
-//    all messages of the old view.
+//    all messages of the old view.  A view installs only once every
+//    member it names has acked, so a member that suspects all its peers
+//    (crashed, or merely stalled past suspect_timeout) never installs a
+//    view of itself alone: it stops ordering rather than split the group.
 //
-// Delivery callbacks run on a dedicated per-service delivery thread and
-// must not block for long; schedulers only enqueue work there.
+// Callbacks (deliver, view, direct) are produced only while a received
+// message is handled (the timer thread sends, but never delivers), and
+// run on the node's network thread right after mutex_ is released, in
+// the order they were produced.  A callback may re-enter the service
+// (submit, send_direct), but its node receives nothing while it runs, so
+// it must take monitors only briefly and never wait for a message: the
+// scheduler entry points only enqueue work, and a client's reply
+// callback records the reply or issues the next request.  No callback
+// runs after stop() returns.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +75,6 @@
 #include <vector>
 
 #include "common/annotations.hpp"
-#include "common/blocking_queue.hpp"
 #include "common/buffer.hpp"
 #include "common/clock.hpp"
 #include "common/mutex.hpp"
@@ -150,8 +159,9 @@ class GroupService {
   /// from replicas to clients).
   void send_direct(common::NodeId dst, common::Bytes payload);
 
-  /// Handler for kDirect datagrams; runs on the delivery thread.  The
-  /// payload is a zero-copy view of the received datagram.
+  /// Handler for kDirect datagrams; runs like the group callbacks (see
+  /// the header comment).  The payload is a zero-copy view of the
+  /// received datagram.
   void set_direct_handler(
       std::function<void(common::NodeId, const common::SharedBytes&)> handler);
 
@@ -217,17 +227,22 @@ class GroupService {
     std::map<std::uint64_t, Pending> pending;
   };
 
+  // A callback to run once mutex_ is released, with the function it
+  // calls copied when the event was produced.
   struct DeliverEvent {
+    std::function<void(common::GroupId, const Sequenced&)> deliver;
     common::GroupId group;
     /// One contiguous run of sequenced messages (a delivered batch); the
-    /// delivery thread invokes the callback once per message, in order.
+    /// callback runs once per message, in order.
     std::vector<Sequenced> messages;
   };
   struct ViewEvent {
+    std::function<void(common::GroupId, const View&)> on_view;
     common::GroupId group;
     View view;
   };
   struct DirectEvent {
+    std::function<void(common::NodeId, const common::SharedBytes&)> handler;
     common::NodeId src;
     common::SharedBytes payload;
   };
@@ -235,7 +250,7 @@ class GroupService {
 
   // All handlers below run with mutex_ held (enforced by clang's
   // thread-safety analysis via ADETS_REQUIRES) unless stated otherwise.
-  void on_message(transport::Message message);  // transport thread
+  void on_message(transport::Message message);  // network thread
   void handle_submit_batch(common::GroupId group, const transport::Message& m,
                            common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_submit_ack_batch(common::GroupId group, common::NodeId from,
@@ -287,10 +302,13 @@ class GroupService {
                    std::uint64_t from_seq, std::uint64_t to_seq)
       ADETS_REQUIRES(mutex_);
 
+  /// Runs the callbacks the handler just queued with `lock` (on mutex_)
+  /// released; returns with `lock` held.  Network thread only.
+  void run_callbacks(common::MutexLock& lock) ADETS_REQUIRES(mutex_);
+
   void send_wire(common::NodeId dst, common::Bytes bytes);
   void send_wire(common::NodeId dst, const common::SharedBytes& bytes);
   void timer_loop();
-  void delivery_loop();
 
   transport::SimNetwork& net_;
   const common::NodeId self_;
@@ -302,11 +320,13 @@ class GroupService {
   std::function<void(common::NodeId, const common::SharedBytes&)> direct_handler_
       ADETS_GUARDED_BY(mutex_);
 
-  // adets-sa:allow(unguarded-field) BlockingQueue is internally synchronized
-  common::BlockingQueue<Event> events_;
+  /// Callbacks queued by the handler of the current message, not yet run.
+  std::vector<Event> events_ ADETS_GUARDED_BY(mutex_);
+  /// The network thread is running callbacks; stop() waits until it is not.
+  bool running_callbacks_ ADETS_GUARDED_BY(mutex_) = false;
+  common::CondVar callbacks_done_;
   bool stopping_ ADETS_GUARDED_BY(mutex_) = false;
   std::thread timer_;
-  std::thread delivery_;
 };
 
 }  // namespace adets::gcs

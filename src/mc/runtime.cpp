@@ -282,13 +282,6 @@ void McRuntime::thread_end() {
   ctrl_cv_.notify_all();
 }
 
-std::size_t McRuntime::delivery_choice(std::size_t /*count*/) {
-  // SimNetwork-based scenarios are not explored yet; pinning the choice
-  // to the earliest due message keeps any incidental SimNetwork traffic
-  // deterministic while a run is active.
-  return 0;
-}
-
 // --- external (harness) tasks -----------------------------------------------
 
 void McRuntime::expect_adoption() {

@@ -71,7 +71,6 @@ class McRuntime final : public mchook::Interceptor {
   std::uint64_t thread_spawning() override;
   void thread_begin(std::uint64_t ticket) override;
   void thread_end() override;
-  std::size_t delivery_choice(std::size_t count) override;
 
   // --- controller API (the unmanaged thread driving the execution) --------
   enum class Quiescence { kQuiet, kHang };

@@ -92,8 +92,9 @@ void Client::on_direct(NodeId /*src*/, const SharedBytes& payload) {
     const auto it = pending_.find(reply->request.value());
     if (it == pending_.end() || it->second.ready) return;  // duplicate replica reply
     if (it->second.callback) {
-      // Async invocation: complete outside the lock, on this (delivery)
-      // thread; the callback may immediately issue the next invocation.
+      // Async invocation: complete outside the lock, on this node's
+      // network thread; the callback may immediately issue the next
+      // invocation.
       callback = std::move(it->second.callback);
       pending_.erase(it);
     } else {

@@ -10,8 +10,9 @@
 //  - invoke_async(): registers a completion callback, so one client
 //    node can multiplex many logical closed-loop sessions (the load
 //    harness drives thousands of simulated clients over a handful of
-//    client nodes this way).  Callbacks run on the GCS delivery thread
-//    and must not block.
+//    client nodes this way).  Callbacks run on the client node's
+//    network thread (GroupService's callback contract) and must not
+//    block.
 #pragma once
 
 #include <chrono>
@@ -48,9 +49,10 @@ class Client {
                        const common::Bytes& args,
                        std::chrono::milliseconds timeout = std::chrono::seconds(60));
 
-  /// Asynchronous invocation: `on_reply` fires once, on the delivery
-  /// thread, with the first replica reply.  No built-in timeout — a
-  /// caller that needs one owns the deadline (the load harness does).
+  /// Asynchronous invocation: `on_reply` fires once, on the client
+  /// node's network thread, with the first replica reply.  No built-in
+  /// timeout — a caller that needs one owns the deadline (the load
+  /// harness does).
   common::RequestId invoke_async(common::GroupId group, const std::string& method,
                                  const common::Bytes& args, ReplyCallback on_reply);
 

@@ -148,8 +148,8 @@ class Replica : private sched::SchedulerEnv, public InvocationHost {
   gcs::GroupService& gcs_;
   const common::GroupId group_;
   // Wired once in the constructor, before the replica is visible to any
-  // delivery thread; only the pointees (which synchronize themselves)
-  // are touched afterwards.
+  // GCS callback; only the pointees (which synchronize themselves) are
+  // touched afterwards.
   // adets-sa:allow(unguarded-field) set in the constructor, const thereafter
   std::unique_ptr<sched::Scheduler> scheduler_;
   // adets-sa:allow(unguarded-field) set in the constructor, const thereafter

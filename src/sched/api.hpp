@@ -189,7 +189,7 @@ class Scheduler {
   /// after the workload has drained (or when tearing a replica down).
   virtual void stop() = 0;
 
-  // --- totally-ordered event stream (GCS delivery thread; non-blocking) ---
+  // --- totally-ordered event stream (GCS callbacks; non-blocking) ---
 
   virtual void on_request(Request request) = 0;
   virtual void on_reply(common::RequestId nested_id) = 0;

@@ -169,8 +169,6 @@ class SchedulerBase : public Scheduler {
   /// Called once when the thread starts, before executing its request;
   /// SAT gates admission here (single active thread).
   virtual void on_thread_start(Lk&, ThreadRecord&) ADETS_REQUIRES(mon_) {}
-  /// Wake every blocked thread for shutdown.
-  virtual void wake_all_for_stop(Lk& lk) ADETS_REQUIRES(mon_);
 
   /// Appends strategy-specific diagnostics (called with mon_ held).
   virtual void debug_extra(std::string&) const ADETS_REQUIRES(mon_) {}
@@ -340,6 +338,9 @@ class SchedulerBase : public Scheduler {
   /// Loop of one pooled OS thread: run the handed-over record, release
   /// it, park; exit on a null record or once stopping.
   void worker_main(Worker& w);
+
+  /// Wakes every blocked thread for shutdown.
+  void wake_all_for_stop(Lk& lk) ADETS_REQUIRES(mon_);
 
   /// notify_one (all = false) and notify_all.
   void notify(common::MutexId mutex, common::CondVarId condvar, bool all);

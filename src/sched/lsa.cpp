@@ -251,8 +251,9 @@ void LsaScheduler::flush_outgoing(Lk&) {
   if (outgoing_.empty()) return;
   stats_.broadcasts++;
   // Broadcast must stay under mon_ so the broadcast order matches the
-  // table-append order; the transport send is enqueue-only (GCS delivery
-  // runs on its own thread), so the monitor is never held across a park.
+  // table-append order.  The GCS submit only queues a send (GCS callbacks
+  // run only after GroupService releases its lock), so the monitor is
+  // never held across a park.
   // adets-sa:allow(blocking-under-monitor) ordered broadcast; send is enqueue-only
   env_->broadcast(encode_table(Table{next_outgoing_table_++, outgoing_}));
   outgoing_.clear();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "common/mc_hooks.hpp"
 
 namespace adets::transport {
 
@@ -12,35 +11,30 @@ using common::NodeId;
 using common::TimePoint;
 
 SimNetwork::SimNetwork(LinkConfig default_link, std::uint64_t seed)
-    : default_link_(default_link), rng_(seed) {
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
-}
+    : default_link_(default_link), rng_(seed) {}
 
 SimNetwork::~SimNetwork() { stop(); }
 
 NodeId SimNetwork::create_node() {
   const common::MutexLock guard(mutex_);
   const auto id = NodeId(static_cast<NodeId::rep_type>(nodes_.size()));
+  heaps_.emplace_back();
+  handlers_.emplace_back();
   auto node = std::make_unique<Node>();
   Node* raw = node.get();
-  node->worker = std::thread([this, raw] { node_loop(*raw); });
+  node->thread = std::thread([this, id, raw] { node_loop(id, *raw); });
   nodes_.push_back(std::move(node));
   return id;
 }
 
 void SimNetwork::set_handler(NodeId node, Handler handler) {
-  Node* n = nullptr;
-  {
-    const common::MutexLock guard(mutex_);
-    n = nodes_.at(node.value()).get();
-  }
-  const common::MutexLock guard(n->handler_mutex);
-  n->handler = std::move(handler);
+  const common::MutexLock guard(mutex_);
+  handlers_.at(node.value()) = std::move(handler);
 }
 
 bool SimNetwork::send(NodeId src, NodeId dst, common::SharedBytes payload) {
   const auto now = common::Clock::now();
-  const common::MutexLock guard(mutex_);
+  common::MutexLock lock(mutex_);
   if (stopping_) return false;
   if (src.value() >= nodes_.size() || dst.value() >= nodes_.size()) return false;
   stats_.messages_sent++;
@@ -94,21 +88,32 @@ bool SimNetwork::send(NodeId src, NodeId dst, common::SharedBytes payload) {
     last_scheduled_[key] = due;
   }
 
+  Node& to = *nodes_[dst.value()];
+  bool earliest = false;
   if (fault.duplicated) {
     // The trailing copy is delivered one base latency later and does not
     // advance the FIFO horizon (a late duplicate, as on a retransmitting
     // real network); dedup is the upper layers' job.  The duplicate
     // aliases the original's buffer.
     stats_.messages_duplicated++;
-    heap_.push_back(Pending{due + common::Clock::scaled(link.base_latency),
-                            next_seq_++, Message{src, dst, payload}, std::nullopt});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    earliest = push(dst, Pending{due + common::Clock::scaled(link.base_latency),
+                                 next_seq_++, Message{src, dst, payload}, std::nullopt});
   }
-  heap_.push_back(
-      Pending{due, next_seq_++, Message{src, dst, std::move(payload)}, std::nullopt});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  heap_cv_.notify_one();
+  earliest |= push(
+      dst, Pending{due, next_seq_++, Message{src, dst, std::move(payload)}, std::nullopt});
+  lock.unlock();
+  // A node thread sleeps until its earliest entry is due, so only a new
+  // earliest entry needs to wake it.
+  if (earliest) to.cv.notify_one();
   return true;
+}
+
+bool SimNetwork::push(NodeId dst, Pending item) {
+  std::vector<Pending>& heap = heaps_[dst.value()];
+  const std::uint64_t seq = item.seq;
+  heap.push_back(std::move(item));
+  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  return heap.front().seq == seq;
 }
 
 void SimNetwork::set_link(NodeId src, NodeId dst, LinkConfig config) {
@@ -148,13 +153,15 @@ void SimNetwork::set_fault_plan(FaultPlan plan) {
   fault_plan_armed_ = true;
   fault_counters_.clear();
   fault_trace_.clear();
+  // Each event fires on the thread of the node it names.
   for (const auto& event : fault_plan_.node_events) {
-    heap_.push_back(Pending{now + common::Clock::scaled(event.at), next_seq_++,
-                            Message{}, event});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    if (event.node.value() >= nodes_.size()) continue;
+    if (push(event.node,
+             Pending{now + common::Clock::scaled(event.at), next_seq_++, Message{}, event})) {
+      nodes_[event.node.value()]->cv.notify_one();
+    }
     pending_node_events_++;
   }
-  heap_cv_.notify_one();
 }
 
 FaultTrace SimNetwork::fault_trace() const {
@@ -178,22 +185,16 @@ NetworkStats SimNetwork::stats() const {
 }
 
 void SimNetwork::stop() {
+  std::vector<Node*> nodes;
   {
     const common::MutexLock guard(mutex_);
     if (stopping_) return;
     stopping_ = true;
-  }
-  heap_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  // Close inboxes after the dispatcher is gone (no more pushes).
-  std::vector<Node*> nodes;
-  {
-    const common::MutexLock guard(mutex_);
     for (auto& n : nodes_) nodes.push_back(n.get());
   }
-  for (Node* n : nodes) n->inbox.close();
+  for (Node* n : nodes) n->cv.notify_all();
   for (Node* n : nodes) {
-    if (n->worker.joinable()) n->worker.join();
+    if (n->thread.joinable()) n->thread.join();
   }
 }
 
@@ -202,93 +203,43 @@ LinkConfig SimNetwork::link_for(NodeId src, NodeId dst) const {
   return it == links_.end() ? default_link_ : it->second;
 }
 
-SimNetwork::Pending SimNetwork::pop_earliest_due() {
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  Pending item = std::move(heap_.back());
-  heap_.pop_back();
-  return item;
-}
-
-void SimNetwork::dispatcher_loop() {
+void SimNetwork::node_loop(NodeId id, Node& node) {
   common::MutexLock lock(mutex_);
   // Plain (predicate-free) waits: the enclosing loop re-evaluates the
   // full condition after every wakeup, and keeping guarded members out
   // of wait predicates is what lets clang's thread-safety analysis see
   // this function whole (lambda bodies are analyzed separately).
-  while (true) {
-    if (stopping_) return;
-    if (heap_.empty()) {
-      heap_cv_.wait(lock);
+  while (!stopping_) {
+    // Looked up on every pass: create_node may grow heaps_ meanwhile.
+    std::vector<Pending>& heap = heaps_[id.value()];
+    if (heap.empty()) {
+      node.cv.wait(lock);
       continue;
     }
-    const TimePoint due = heap_.front().due;
-    const auto now = common::Clock::now();
-    if (due > now) {
-      heap_cv_.wait_until(lock, due);
+    const TimePoint due = heap.front().due;
+    if (due > common::Clock::now()) {
+      node.cv.wait_until(lock, due);
       continue;
     }
-    // Everything due at-or-before `now` is releasable; real latency only
-    // sampled one order, so under adets-mc the release order across
-    // *distinct* links becomes an exploration point.  Per-link FIFO stays
-    // inviolable: only the oldest due message of each (src,dst) link is a
-    // candidate, so the choice can never reorder within a link.
-    Pending item = [&]() ADETS_REQUIRES(mutex_) {
-      auto* mc = mchook::active();
-      if (mc == nullptr) return pop_earliest_due();
-      std::vector<Pending> released;
-      while (!heap_.empty() && heap_.front().due <= now) {
-        released.push_back(pop_earliest_due());
-      }
-      std::vector<std::size_t> candidates;
-      for (std::size_t i = 0; i < released.size(); ++i) {
-        bool first_on_link = true;
-        for (std::size_t j = 0; j < i; ++j) {
-          if (!released[i].node_event && !released[j].node_event &&
-              released[i].message.src == released[j].message.src &&
-              released[i].message.dst == released[j].message.dst) {
-            first_on_link = false;
-            break;
-          }
-        }
-        if (first_on_link) candidates.push_back(i);
-      }
-      const std::size_t pick =
-          candidates.empty()
-              ? 0
-              : candidates[mc->delivery_choice(candidates.size()) %
-                           candidates.size()];
-      Pending chosen = std::move(released[pick]);
-      for (std::size_t i = 0; i < released.size(); ++i) {
-        if (i == pick) continue;
-        heap_.push_back(std::move(released[i]));
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      }
-      return chosen;
-    }();
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    Pending item = std::move(heap.back());
+    heap.pop_back();
     if (item.node_event) {
       pending_node_events_--;
       apply_node_event(*item.node_event);
       continue;
     }
-    Node* dst = nodes_[item.message.dst.value()].get();
-    if (dst->crashed.load()) {
+    if (node.crashed.load()) {
       stats_.messages_dropped++;
       continue;
     }
     stats_.messages_delivered++;
-    dst->inbox.push(std::move(item.message));
-  }
-}
-
-void SimNetwork::node_loop(Node& node) {
-  while (auto message = node.inbox.pop()) {
-    if (node.crashed.load()) continue;
-    Handler handler;
-    {
-      const common::MutexLock guard(node.handler_mutex);
-      handler = node.handler;
-    }
-    if (handler) handler(std::move(*message));
+    if (!handlers_[id.value()]) continue;
+    // A copy, so set_handler may replace the handler while it runs.
+    const Handler handler = handlers_[id.value()];
+    lock.unlock();
+    handler(std::move(item.message));
+    lock.lock();
   }
 }
 

@@ -1,9 +1,10 @@
 // Simulated point-to-point network.
 //
 // Replaces the paper's 100 Mbit/s switched LAN.  Every simulated machine
-// is a "node": it has an id, an inbox and a dedicated delivery thread
-// that hands received messages to a registered handler.  A central
-// dispatcher thread releases messages after their link latency elapses.
+// is a "node" with an id and one thread of its own.  A sent message goes
+// onto its destination's queue of in-flight messages, ordered by due
+// time (send time plus link latency); the node's thread sleeps until the
+// earliest one is due and runs the node's handler on it.
 //
 // Properties (mirroring a TCP LAN, which the paper's middleware assumes):
 //  - per-(src,dst) FIFO ordering, even with latency jitter;
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "common/annotations.hpp"
-#include "common/blocking_queue.hpp"
 #include "common/mutex.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
@@ -73,7 +73,8 @@ class SimNetwork {
   common::NodeId create_node();
 
   /// Registers (or replaces) the message handler of a node.  The handler
-  /// runs on the node's private delivery thread, one message at a time.
+  /// runs on the node's thread, one message at a time, and holds up the
+  /// node's later messages while it runs.
   void set_handler(common::NodeId node, Handler handler);
 
   /// Sends `payload` from `src` to `dst`; returns false if either end is
@@ -109,19 +110,10 @@ class SimNetwork {
 
   [[nodiscard]] NetworkStats stats() const;
 
-  /// Stops all delivery threads; pending messages are discarded.
+  /// Stops all node threads; pending messages are discarded.
   void stop();
 
  private:
-  struct Node {
-    // adets-sa:allow(unguarded-field) BlockingQueue is internally synchronized
-    common::BlockingQueue<Message> inbox;
-    common::Mutex handler_mutex{"net::node.handler"};
-    Handler handler ADETS_GUARDED_BY(handler_mutex);
-    std::atomic<bool> crashed{false};
-    std::thread worker;
-  };
-
   struct Pending {
     common::TimePoint due;
     std::uint64_t seq;  // tie-break, preserves send order
@@ -133,9 +125,21 @@ class SimNetwork {
     }
   };
 
-  void dispatcher_loop();
-  void node_loop(Node& node);
-  Pending pop_earliest_due() ADETS_REQUIRES(mutex_);
+  /// One simulated machine; its queue and handler live in heaps_ and
+  /// handlers_ under the same index.
+  struct Node {
+    /// Waits on mutex_; woken when a send makes its entry the earliest,
+    /// and on stop.
+    common::CondVar cv;
+    std::atomic<bool> crashed{false};
+    std::thread thread;  // declared last: it uses the fields above
+  };
+
+  /// Sleeps until node `id`'s earliest entry is due, pops it and runs
+  /// the handler on it with mutex_ released; returns once stopping.
+  void node_loop(common::NodeId id, Node& node);
+  /// Pushes `item` onto `dst`'s heap; true if it became the earliest.
+  bool push(common::NodeId dst, Pending item) ADETS_REQUIRES(mutex_);
   void apply_node_event(const NodeEvent& event) ADETS_REQUIRES(mutex_);
   LinkConfig link_for(common::NodeId src, common::NodeId dst) const
       ADETS_REQUIRES(mutex_);
@@ -144,14 +148,15 @@ class SimNetwork {
   // to it under mutex_ anyway).
   const LinkConfig default_link_;
   mutable common::Mutex mutex_{"net::mutex"};
-  common::CondVar heap_cv_;
   std::vector<std::unique_ptr<Node>> nodes_ ADETS_GUARDED_BY(mutex_);
+  /// Per node: messages and FaultPlan node events bound for it, a
+  /// min-heap by (due, seq).
+  std::vector<std::vector<Pending>> heaps_ ADETS_GUARDED_BY(mutex_);
+  std::vector<Handler> handlers_ ADETS_GUARDED_BY(mutex_);
   std::map<std::pair<std::uint32_t, std::uint32_t>, LinkConfig> links_
       ADETS_GUARDED_BY(mutex_);
   std::map<std::pair<std::uint32_t, std::uint32_t>, common::TimePoint> last_scheduled_
       ADETS_GUARDED_BY(mutex_);
-  /// Min-heap by due time.
-  std::vector<Pending> heap_ ADETS_GUARDED_BY(mutex_);
   std::uint64_t next_seq_ ADETS_GUARDED_BY(mutex_) = 0;
   common::Rng rng_ ADETS_GUARDED_BY(mutex_);
   NetworkStats stats_ ADETS_GUARDED_BY(mutex_);
@@ -163,7 +168,6 @@ class SimNetwork {
   FaultTrace fault_trace_ ADETS_GUARDED_BY(mutex_);
   std::size_t pending_node_events_ ADETS_GUARDED_BY(mutex_) = 0;
   bool stopping_ ADETS_GUARDED_BY(mutex_) = false;
-  std::thread dispatcher_;
 };
 
 }  // namespace adets::transport

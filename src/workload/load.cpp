@@ -167,7 +167,7 @@ LoadResult run_load(const LoadConfig& config) {
   const auto net = cluster.network().stats();
   result.messages_sent = net.messages_sent;
   result.bytes_sent = net.bytes_sent;
-  // Quiesce delivery threads before reading the latency slots: after
+  // Quiesce GCS callbacks before reading the latency slots: after
   // stop() no callback can be mid-write.
   cluster.stop();
 

@@ -229,8 +229,11 @@ TEST_F(GcsExtraTest, ViewEventDeliveredToApp) {
   net_->crash(nodes_[1]);
   const auto deadline = common::Clock::now() + std::chrono::seconds(10);
   while (common::Clock::now() < deadline) {
-    const std::lock_guard<std::mutex> guard(s0.mutex);
-    if (!s0.views.empty()) break;
+    {
+      // Not held while sleeping: the view callback needs it.
+      const std::lock_guard<std::mutex> guard(s0.mutex);
+      if (!s0.views.empty()) break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   const std::lock_guard<std::mutex> guard(s0.mutex);

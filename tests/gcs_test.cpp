@@ -286,6 +286,105 @@ TEST_F(GcsTest, InFlightSubmissionsSurviveFailover) {
   EXPECT_EQ(unique.size(), log1.size());
 }
 
+TEST_F(GcsTest, IsolatedMemberDoesNotOrderAlone) {
+  common::Watchdog dog("gcs isolated member", std::chrono::seconds(60));
+  services_[3]->submit(kGroup, text("a"));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(logs_[i]->wait_count(1, std::chrono::seconds(10)));
+  }
+  // Node 2 stays up but hears nothing from its peers, as after a long
+  // stall: it suspects both and, as its own coordinator, proposes a view
+  // of itself alone.  Its peers suspect it and go on without it.
+  transport::LinkConfig dead;
+  dead.drop_probability = 1.0;
+  for (int peer = 0; peer < 2; ++peer) {
+    net_->set_link(nodes_[2], nodes_[peer], dead);
+    net_->set_link(nodes_[peer], nodes_[2], dead);
+  }
+  ASSERT_TRUE(logs_[0]->wait_view(1, std::chrono::seconds(20)));
+  EXPECT_EQ(services_[0]->current_view(kGroup).members,
+            (std::vector<NodeId>{nodes_[0], nodes_[1]}));
+
+  services_[2]->submit(kGroup, text("from-2"));
+  services_[3]->submit(kGroup, text("b"));
+  ASSERT_TRUE(logs_[0]->wait_count(2, std::chrono::seconds(10)));
+  // Let several of node 2's proposals expire (view_ack_timeout 250 ms).
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_EQ(services_[2]->current_view(kGroup).id.value(), 0u)
+      << "node 2 installed a view without its peers";
+  EXPECT_EQ(logs_[2]->snapshot(), std::vector<std::string>{"a"})
+      << "node 2 ordered messages on its own";
+  EXPECT_EQ(logs_[0]->snapshot(), (std::vector<std::string>{"a", "b"}));
+}
+
+TEST_F(GcsTest, StopWaitsForARunningCallbackAndRunsNoLaterOne) {
+  common::Watchdog dog("gcs stop during callback", std::chrono::seconds(60));
+  // Node 3 alone forms a second group, so its own deliveries block in a
+  // callback of this test.
+  const GroupId solo(8);
+  struct Counts {
+    std::atomic<int> started{0};
+    std::atomic<int> finished{0};
+  };
+  const auto counts = std::make_shared<Counts>();
+  GroupCallbacks callbacks;
+  callbacks.deliver = [counts](GroupId, const Sequenced&) {
+    counts->started++;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    counts->finished++;
+  };
+  services_[3]->join(solo, {nodes_[3]}, callbacks);
+  services_[0]->connect(solo, {nodes_[3]});
+  services_[3]->submit(solo, text("x"));
+  services_[3]->submit(solo, text("y"));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counts->started.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(counts->started.load(), 0);
+
+  services_[3]->stop();
+  EXPECT_EQ(counts->finished.load(), counts->started.load())
+      << "stop() returned during a callback";
+  const int ran = counts->started.load();
+  // Traffic still reaches the stopped node, but runs no callback there.
+  services_[0]->submit(solo, text("z"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(counts->started.load(), ran) << "a callback ran after stop() returned";
+}
+
+TEST_F(GcsTest, CallbackMaySubmitTheNextMessage) {
+  common::Watchdog dog("gcs submit from callback", std::chrono::seconds(60));
+  // Member 1 submits each message of a chain from inside its delivery
+  // callback for the previous one.
+  const GroupId chain(9);
+  constexpr std::size_t kLength = 20;
+  std::vector<std::shared_ptr<DeliveryLog>> logs;
+  for (int i = 0; i < 3; ++i) {
+    const auto log = logs.emplace_back(std::make_shared<DeliveryLog>());
+    GroupService* service = services_[i].get();
+    const bool submitter = i == 1;
+    GroupCallbacks callbacks;
+    callbacks.deliver = [log, service, submitter, chain](GroupId, const Sequenced& m) {
+      log->add(m);
+      const std::size_t delivered = log->snapshot().size();
+      if (submitter && delivered < kLength) {
+        service->submit(chain, text("c" + std::to_string(delivered)));
+      }
+    };
+    services_[i]->join(chain, members_, callbacks);
+  }
+  services_[1]->submit(chain, text("c0"));
+
+  std::vector<std::string> expected;
+  for (std::size_t k = 0; k < kLength; ++k) expected.push_back("c" + std::to_string(k));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(logs[i]->wait_count(kLength, std::chrono::seconds(20)))
+        << "member " << i << " delivered " << logs[i]->snapshot().size();
+    EXPECT_EQ(logs[i]->snapshot(), expected) << "member " << i;
+  }
+}
+
 GcsConfig slow_retransmit(std::chrono::milliseconds retransmit,
                           std::chrono::milliseconds suspect) {
   GcsConfig config;

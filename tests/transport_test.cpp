@@ -80,6 +80,38 @@ TEST_F(TransportTest, PerLinkFifoDespiteJitter) {
   for (int i = 0; i < kCount; ++i) EXPECT_EQ(order[i], i);
 }
 
+TEST_F(TransportTest, LaterSendDueEarlierIsHandledFirst) {
+  // A message on a slow link is in flight when a second one, sent later
+  // on a fast link, falls due before it: the destination must not sleep
+  // through the second one until the first is due.
+  SimNetwork net;
+  const NodeId slow_src = net.create_node();
+  const NodeId fast_src = net.create_node();
+  const NodeId dst = net.create_node();
+  LinkConfig slow;
+  slow.base_latency = common::paper_ms(100000);  // 1 s real at scale 0.01
+  slow.jitter = common::Duration::zero();
+  net.set_link(slow_src, dst, slow);
+
+  std::mutex m;
+  std::condition_variable cv;
+  std::vector<std::uint8_t> order;
+  net.set_handler(dst, [&](Message msg) {
+    const std::lock_guard<std::mutex> guard(m);
+    order.push_back(msg.payload[0]);
+    cv.notify_all();
+  });
+
+  ASSERT_TRUE(net.send(slow_src, dst, payload(1)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // dst asleep
+  ASSERT_TRUE(net.send(fast_src, dst, payload(2)));
+  std::unique_lock<std::mutex> lock(m);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::milliseconds(500),
+                          [&] { return !order.empty(); }))
+      << "the fast message waited for the slow one's due time";
+  EXPECT_EQ(order, std::vector<std::uint8_t>{2});
+}
+
 TEST_F(TransportTest, CrashedNodeReceivesNothing) {
   SimNetwork net;
   const NodeId a = net.create_node();
