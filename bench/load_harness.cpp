@@ -127,7 +127,6 @@ LoadConfig make_config(const Options& opt, adets::sched::SchedulerKind kind,
   config.cluster.gcs.timer_tick = std::chrono::milliseconds(1);
   if (batched) {
     config.cluster.gcs.max_batch_msgs = 64;
-    config.cluster.gcs.max_batch_bytes = 64 * 1024;
     config.cluster.gcs.batch_flush_delay = std::chrono::milliseconds(2);
     config.cluster.gcs.submit_flush_delay = std::chrono::milliseconds(2);
   } else {

@@ -65,10 +65,6 @@
 /// Function that releases shared capabilities.
 #define ADETS_RELEASE_SHARED(...) ADETS_TSA(release_shared_capability(__VA_ARGS__))
 
-/// Function that acquires the capability iff it returns `result`.
-#define ADETS_TRY_ACQUIRE(result, ...) \
-  ADETS_TSA(try_acquire_capability(result, __VA_ARGS__))
-
 /// Function that must NOT be called with the listed capabilities held.
 #define ADETS_EXCLUDES(...) ADETS_TSA(locks_excluded(__VA_ARGS__))
 

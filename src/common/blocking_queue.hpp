@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "common/annotations.hpp"
-#include "common/clock.hpp"
 
 namespace adets::common {
 
@@ -44,27 +43,6 @@ class BlockingQueue {
     return item;
   }
 
-  /// Blocks up to `timeout` (real time); nullopt on timeout or closure.
-  std::optional<T> pop_for(Duration timeout) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!cv_.wait_for(lock, timeout, [this] { return !items_.empty() || closed_; })) {
-      return std::nullopt;
-    }
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   /// Marks the queue closed; pending pops drain remaining items then
   /// return nullopt.  Further pushes are rejected.
   void close() {
@@ -75,11 +53,6 @@ class BlockingQueue {
     cv_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    return closed_;
-  }
-
   [[nodiscard]] std::size_t size() const {
     const std::lock_guard<std::mutex> guard(mutex_);
     return items_.size();
@@ -88,10 +61,9 @@ class BlockingQueue {
   [[nodiscard]] bool empty() const { return size() == 0; }
 
  private:
-  // Raw std::mutex: this queue sits below common::Mutex (scheduler
-  // internals use it on shutdown paths where lock-order recording is
-  // already torn down), so the guard facts are declared for adets-sa
-  // only.
+  // Raw std::mutex: the only user is the scheduler test harness, which
+  // is not middleware the lock-order validator or adets-mc observe, so
+  // the guard facts are declared for adets-sa only.
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<T> items_ ADETS_GUARDED_BY_STATIC(mutex_);

@@ -129,10 +129,6 @@ void on_acquire(const void* lock, const char* name) {
   stack.push_back({lock, name});
 }
 
-void on_try_acquire(const void* lock, const char* name) {
-  held().push_back({lock, name});
-}
-
 void on_release(const void* lock) {
   auto& stack = held();
   // Unlock is almost always LIFO; search from the back for the rare

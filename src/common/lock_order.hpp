@@ -34,12 +34,6 @@ struct CycleReport {
 /// and invokes the failure handler if any edge closes a cycle.
 void on_acquire(const void* lock, const char* name);
 
-/// Called after a successful try_lock.  Adds `lock` to the thread's
-/// held set without recording ordering edges: a try-lock cannot block,
-/// so it cannot complete a deadlock by itself, but locks acquired while
-/// it is held still order after it.
-void on_try_acquire(const void* lock, const char* name);
-
 /// Called after `lock` is released by the calling thread.
 void on_release(const void* lock);
 

@@ -36,7 +36,6 @@ class Interceptor {
   // control back to uninstrumented code during teardown).
   virtual bool mutex_lock(void* mutex, const char* name) = 0;
   virtual bool mutex_unlock(void* mutex) = 0;
-  virtual bool mutex_try_lock(void* mutex, const char* name, bool* acquired) = 0;
 
   // --- common::CondVar ----------------------------------------------------
   /// `mutex` is the common::Mutex guarding the wait.  For timed waits the
@@ -52,8 +51,7 @@ class Interceptor {
   /// managed thread at a point of the checker's choosing.  `*fn` is moved
   /// from only when the call returns true (handled); on false the caller
   /// still owns it and arms a real timer.
-  virtual bool timer_schedule(std::function<void()>* fn, std::uint64_t* id) = 0;
-  virtual bool timer_cancel(std::uint64_t id, bool* cancelled) = 0;
+  virtual bool timer_schedule(std::function<void()>* fn) = 0;
 
   // --- scheduler thread lifecycle (sched/base.cpp) ------------------------
   /// Called by the spawning thread when it creates a scheduler thread,

@@ -73,25 +73,6 @@ class ADETS_CAPABILITY("mutex") Mutex {
     if (auto* mc = mchook::active()) mc->mutex_unlock(this);
   }
 
-  bool try_lock() ADETS_TRY_ACQUIRE(true) {
-    if (auto* mc = mchook::active()) {
-      bool acquired = false;
-      if (mc->mutex_try_lock(this, name_, &acquired)) {
-        if (!acquired) return false;
-        m_.lock();  // model grant implies the real mutex is free
-#ifdef ADETS_LOCK_ORDER_CHECK
-        lock_order::on_try_acquire(this, name_);
-#endif
-        return true;
-      }
-    }
-    const bool ok = m_.try_lock();
-#ifdef ADETS_LOCK_ORDER_CHECK
-    if (ok) lock_order::on_try_acquire(this, name_);
-#endif
-    return ok;
-  }
-
   /// The wrapped mutex, for CondVar and std interop.  Locking through
   /// the native handle bypasses the analysis and the order checker;
   /// only MutexLock/CondVar may do so.

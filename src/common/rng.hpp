@@ -39,8 +39,6 @@ class Rng {
     return dist(engine_);
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   static std::uint64_t mix(std::uint64_t seed) {
     std::uint64_t s = seed;

@@ -32,8 +32,6 @@ class Writer {
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void i64(std::int64_t v) { raw(&v, sizeof v); }
-  void f64(double v) { raw(&v, sizeof v); }
   void boolean(bool v) { u8(v ? 1 : 0); }
 
   void str(const std::string& s) {
@@ -97,8 +95,6 @@ class Reader {
   }
   std::uint32_t u32() { return read_pod<std::uint32_t>(); }
   std::uint64_t u64() { return read_pod<std::uint64_t>(); }
-  std::int64_t i64() { return read_pod<std::int64_t>(); }
-  double f64() { return read_pod<double>(); }
   bool boolean() { return u8() != 0; }
 
   std::string str() {

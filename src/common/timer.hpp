@@ -23,48 +23,27 @@ namespace adets::common {
 
 class TimerService {
  public:
-  using TimerId = std::uint64_t;
-
   TimerService() : worker_([this] { run(); }) {}
   ~TimerService() { stop(); }
 
   TimerService(const TimerService&) = delete;
   TimerService& operator=(const TimerService&) = delete;
 
-  /// Schedules `fn` to run after `delay` (real time); returns a handle
-  /// usable with cancel().  Under a model-checking run the expiry is
-  /// virtualised: the checker owns when (and whether) `fn` fires, so the
-  /// clock never gates exploration (see docs/model-checking.md).
-  TimerId schedule(Duration delay, std::function<void()> fn) {
+  /// Schedules `fn` to run once after `delay` (real time).  Under a
+  /// model-checking run the expiry is virtualised: the checker owns when
+  /// (and whether) `fn` fires, so the clock never gates exploration (see
+  /// docs/model-checking.md).
+  void schedule(Duration delay, std::function<void()> fn) {
     if (auto* mc = mchook::active()) {
-      std::uint64_t virtual_id = 0;
-      if (mc->timer_schedule(&fn, &virtual_id)) return virtual_id;
+      if (mc->timer_schedule(&fn)) return;
     }
     const std::lock_guard<std::mutex> guard(mutex_);
-    const TimerId id = next_id_++;
     // Timer deadlines are wall-clock by design; expiry re-enters
     // scheduling through the total order, so this clock read cannot
     // steer a grant decision.
     // adets-sa:allow(grant-path-taint) deadline arithmetic, not a decision input
-    timers_.emplace(Key{Clock::now() + delay, id}, std::move(fn));
+    timers_.emplace(Key{Clock::now() + delay, next_id_++}, std::move(fn));
     cv_.notify_all();
-    return id;
-  }
-
-  /// Cancels a pending timer; returns false if it already fired/ran.
-  bool cancel(TimerId id) {
-    if (auto* mc = mchook::active()) {
-      bool cancelled = false;
-      if (mc->timer_cancel(id, &cancelled)) return cancelled;
-    }
-    const std::lock_guard<std::mutex> guard(mutex_);
-    for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-      if (it->first.id == id) {
-        timers_.erase(it);
-        return true;
-      }
-    }
-    return false;
   }
 
   void stop() {
@@ -80,7 +59,7 @@ class TimerService {
  private:
   struct Key {
     TimePoint due;
-    TimerId id;
+    std::uint64_t id;  // creation order: ties fire first-scheduled first
     friend bool operator<(const Key& a, const Key& b) {
       return a.due != b.due ? a.due < b.due : a.id < b.id;
     }
@@ -112,7 +91,7 @@ class TimerService {
   std::mutex mutex_;
   std::condition_variable cv_;
   std::map<Key, std::function<void()>> timers_ ADETS_GUARDED_BY_STATIC(mutex_);
-  TimerId next_id_ ADETS_GUARDED_BY_STATIC(mutex_) = 1;
+  std::uint64_t next_id_ ADETS_GUARDED_BY_STATIC(mutex_) = 1;
   bool stopping_ ADETS_GUARDED_BY_STATIC(mutex_) = false;
   std::thread worker_;
 };

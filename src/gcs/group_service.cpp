@@ -18,6 +18,28 @@ using common::SharedBytes;
 using common::TimePoint;
 using common::Writer;
 
+namespace {
+
+// Fixed protocol constants; durations are real time, like GcsConfig's.
+/// Period of the heartbeats a member sends the rest of its view.
+constexpr Duration kHeartbeatInterval = std::chrono::milliseconds(20);
+/// A coordinator whose proposal is not acked by every member it names
+/// within this long proposes again.
+constexpr Duration kViewAckTimeout = std::chrono::milliseconds(250);
+/// How many delivered messages each member retains for NACK repair and
+/// view-change reconciliation (a sliding window; older ones cannot be
+/// re-requested, matching a real GC layer's stability horizon).
+constexpr std::size_t kRetainedLimit = 8192;
+/// The sequencer's dedup map is pruned once it holds more entries than
+/// this (entries below the retained window reference messages nobody can
+/// re-request anyway).
+constexpr std::size_t kDedupLimit = 2 * kRetainedLimit;
+/// Max payload bytes of one SeqBatch or SubmitBatch datagram; a batch
+/// that reaches it is flushed at once.
+constexpr std::size_t kMaxBatchBytes = 64 * 1024;
+
+}  // namespace
+
 GroupService::GroupService(transport::SimNetwork& net, NodeId self, GcsConfig config)
     : net_(net), self_(self), config_(config) {
   net_.set_handler(self_, [this](transport::Message m) { on_message(std::move(m)); });
@@ -28,11 +50,13 @@ GroupService::~GroupService() { stop(); }
 
 void GroupService::stop() {
   {
-    common::MutexLock lock(mutex_);
+    const common::MutexLock guard(mutex_);
     if (stopping_) return;
     stopping_ = true;
-    while (running_callbacks_) callbacks_done_.wait(lock);
   }
+  // Callbacks run inside the handler, so once the node's thread has left
+  // it none is running, and none can start.
+  net_.set_handler(self_, {});
   if (timer_.joinable()) timer_.join();
 }
 
@@ -169,7 +193,6 @@ void GroupService::run_callbacks(common::MutexLock& lock) {
   if (events_.empty()) return;
   std::vector<Event> batch;
   batch.swap(events_);
-  running_callbacks_ = true;
   lock.unlock();
   for (Event& event : batch) {
     if (auto* deliver = std::get_if<DeliverEvent>(&event)) {
@@ -186,8 +209,6 @@ void GroupService::run_callbacks(common::MutexLock& lock) {
   }
   batch.clear();
   lock.lock();
-  running_callbacks_ = false;
-  callbacks_done_.notify_all();
 }
 
 void GroupService::handle_submit_batch(GroupId group, const transport::Message& m,
@@ -198,7 +219,7 @@ void GroupService::handle_submit_batch(GroupId group, const transport::Message& 
   if (st.view.sequencer() != self_) {
     // Forward the original envelope to the current sequencer verbatim
     // (it names its sender); the sender will also retry.
-    send_wire(st.view.sequencer(), m.payload);
+    net_.send(self_, st.view.sequencer(), m.payload);
     return;
   }
   const NodeId sender(r.u32());
@@ -227,7 +248,7 @@ void GroupService::sequence_submission(GroupId group, MemberState& st,
     // flush anyway, and acking earlier would widen the loss window on a
     // sequencer crash.
     if (!st.view.contains(submission.sender) && dup->second <= st.flushed_seq) {
-      send_wire(submission.sender,
+      net_.send(self_, submission.sender,
                 encode_submit_ack_batch(group, std::span(&submission.sender_msg_id, 1)));
     }
     return;
@@ -249,7 +270,7 @@ void GroupService::maybe_flush(GroupId group, MemberState& st, bool force) {
   if (st.batch.empty()) return;
   if (!force) {
     const bool caps_hit = st.batch.size() >= config_.max_batch_msgs ||
-                          st.batch_bytes >= config_.max_batch_bytes;
+                          st.batch_bytes >= kMaxBatchBytes;
     const bool delay_elapsed =
         config_.batch_flush_delay == Duration::zero() ||
         common::Clock::now() - st.batch_since >= config_.batch_flush_delay;
@@ -278,13 +299,13 @@ void GroupService::flush_batch(GroupId group, MemberState& st) {
     std::size_t count = 1;
     std::size_t bytes = st.batch[i].submission.payload.size();
     while (i + count < st.batch.size() && count < config_.max_batch_msgs &&
-           bytes < config_.max_batch_bytes) {
+           bytes < kMaxBatchBytes) {
       bytes += st.batch[i + count].submission.payload.size();
       ++count;
     }
     const SharedBytes datagram{
         encode_seq_batch(group, std::span(st.batch).subspan(i, count))};
-    for (auto m : st.view.members) send_wire(m, datagram);
+    for (auto m : st.view.members) net_.send(self_, m, datagram);
     st.flushed_seq = st.batch[i + count - 1].seq.value();
     i += count;
   }
@@ -292,7 +313,7 @@ void GroupService::flush_batch(GroupId group, MemberState& st) {
   st.batch_bytes = 0;
   // The deferred external acks: the messages are on the wire now.
   for (const auto& [node, ids] : st.batch_acks) {
-    send_wire(NodeId(node), encode_submit_ack_batch(group, ids));
+    net_.send(self_, NodeId(node), encode_submit_ack_batch(group, ids));
   }
   st.batch_acks.clear();
 }
@@ -360,14 +381,12 @@ void GroupService::try_deliver(GroupId group, MemberState& st) {
   }
   // Slide the repair window; also bound the sequencer's dedup map (its
   // entries reference sequence numbers below the window anyway).
-  while (st.retained.size() > config_.retained_limit) {
+  while (st.retained.size() > kRetainedLimit) {
     st.retained.erase(st.retained.begin());
   }
-  if (st.dedup.size() > config_.dedup_horizon_factor * config_.retained_limit) {
+  if (st.dedup.size() > kDedupLimit) {
     const std::uint64_t horizon =
-        st.delivered_up_to > config_.retained_limit
-            ? st.delivered_up_to - config_.retained_limit
-            : 0;
+        st.delivered_up_to > kRetainedLimit ? st.delivered_up_to - kRetainedLimit : 0;
     for (auto it = st.dedup.begin(); it != st.dedup.end();) {
       if (it->second < horizon) {
         it = st.dedup.erase(it);
@@ -392,7 +411,7 @@ void GroupService::send_nack_if_gap(GroupId group, MemberState& st, bool force) 
   w.u32(group.value());
   w.u64(expected);
   w.u64(first_held - 1);
-  send_wire(st.view.sequencer(), w.take());
+  net_.send(self_, st.view.sequencer(), w.take());
 }
 
 void GroupService::handle_nack(GroupId group, NodeId from, Reader& r) {
@@ -412,7 +431,7 @@ void GroupService::send_repair(GroupId group, MemberState& st, NodeId dst,
   std::size_t run_bytes = 0;
   const auto emit = [&]() ADETS_REQUIRES(mutex_) {
     if (run.empty()) return;
-    send_wire(dst, encode_seq_batch(group, run));
+    net_.send(self_, dst, encode_seq_batch(group, run));
     run.clear();
     run_bytes = 0;
   };
@@ -428,7 +447,7 @@ void GroupService::send_repair(GroupId group, MemberState& st, NodeId dst,
       continue;
     }
     if (run.size() >= config_.max_batch_msgs ||
-        run_bytes + found->submission.payload.size() > config_.max_batch_bytes) {
+        run_bytes + found->submission.payload.size() > kMaxBatchBytes) {
       emit();
     }
     run.push_back(*found);
@@ -458,7 +477,7 @@ void GroupService::handle_heartbeat(GroupId group, NodeId, Reader& r) {
   w.u32(group.value());
   w.u64(st.delivered_up_to + 1);
   w.u64(peer_highest);
-  send_wire(st.view.sequencer(), w.take());
+  net_.send(self_, st.view.sequencer(), w.take());
 }
 
 // --- view changes ------------------------------------------------------------
@@ -474,7 +493,7 @@ void GroupService::start_proposal(GroupId group, MemberState& st) {
   st.proposal_members = survivors;
   st.proposal_acks.clear();
   st.proposal_highest = st.delivered_up_to;
-  st.proposal_deadline = common::Clock::now() + config_.view_ack_timeout;
+  st.proposal_deadline = common::Clock::now() + kViewAckTimeout;
 
   Writer w;
   w.u8(static_cast<std::uint8_t>(WireKind::kViewPropose));
@@ -485,7 +504,7 @@ void GroupService::start_proposal(GroupId group, MemberState& st) {
   w.u64(st.delivered_up_to);
   const SharedBytes datagram{w.take()};
   for (auto m : survivors) {
-    if (m != self_) send_wire(m, datagram);
+    if (m != self_) net_.send(self_, m, datagram);
   }
   // Coordinator's own ack is implicit.
   st.proposal_acks.insert(self_.value());
@@ -522,7 +541,7 @@ void GroupService::handle_view_propose(GroupId group, NodeId from, Reader& r) {
   w.u64(st.delivered_up_to);
   w.u32(static_cast<std::uint32_t>(extra.size()));
   for (const Sequenced* msg : extra) encode_sequenced(w, *msg);
-  send_wire(from, w.take());
+  net_.send(self_, from, w.take());
 }
 
 void GroupService::handle_view_ack(GroupId group, NodeId from,
@@ -570,7 +589,7 @@ void GroupService::finish_proposal(GroupId group, MemberState& st) {
   w.u64(final_highest);
   const SharedBytes datagram{w.take()};
   for (auto m : new_view.members) {
-    if (m != self_) send_wire(m, datagram);
+    if (m != self_) net_.send(self_, m, datagram);
   }
   // Apply locally without a network round-trip.
   st.commit_pending = true;
@@ -604,7 +623,7 @@ void GroupService::handle_view_commit(GroupId group, Reader& r) {
     w.u32(group.value());
     w.u64(st.delivered_up_to + 1);
     w.u64(final_highest);
-    send_wire(st.committed_view.sequencer(), w.take());
+    net_.send(self_, st.committed_view.sequencer(), w.take());
   }
 }
 
@@ -696,7 +715,7 @@ void GroupService::send_submissions(GroupId group, SenderState& sender,
     std::size_t count = 1;
     std::size_t bytes = sender.pending[msg_ids[i]].payload.size();
     while (i + count < msg_ids.size() && count < config_.max_batch_msgs &&
-           bytes < config_.max_batch_bytes) {
+           bytes < kMaxBatchBytes) {
       bytes += sender.pending[msg_ids[i + count]].payload.size();
       ++count;
     }
@@ -711,7 +730,7 @@ void GroupService::send_submissions(GroupId group, SenderState& sender,
       w.u64(id);
       w.blob(sender.pending[id].payload);
     }
-    send_wire(dst, w.take());
+    net_.send(self_, dst, w.take());
     i += count;
   }
 }
@@ -731,7 +750,7 @@ void GroupService::timer_loop() {
           maybe_flush(group, st, /*force=*/true);
         }
         // Heartbeats.
-        if (now - st.last_heartbeat >= config_.heartbeat_interval) {
+        if (now - st.last_heartbeat >= kHeartbeatInterval) {
           st.last_heartbeat = now;
           Writer w;
           w.u8(static_cast<std::uint8_t>(WireKind::kHeartbeat));
@@ -750,7 +769,7 @@ void GroupService::timer_loop() {
           w.u64(known_highest);
           const SharedBytes datagram{w.take()};
           for (auto m : st.view.members) {
-            if (m != self_) send_wire(m, datagram);
+            if (m != self_) net_.send(self_, m, datagram);
           }
         }
         // Failure detection.
@@ -782,14 +801,6 @@ void GroupService::timer_loop() {
     }
     common::Clock::sleep_real(config_.timer_tick);
   }
-}
-
-void GroupService::send_wire(NodeId dst, Bytes bytes) {
-  net_.send(self_, dst, std::move(bytes));
-}
-
-void GroupService::send_wire(NodeId dst, const SharedBytes& bytes) {
-  net_.send(self_, dst, bytes);
 }
 
 }  // namespace adets::gcs

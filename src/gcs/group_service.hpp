@@ -15,7 +15,8 @@
 //    sequencer coalesces the submissions of one sequencing round into a
 //    single SeqBatch multicast (a contiguous run of sequence numbers)
 //    instead of one datagram per message; flushing is governed by
-//    GcsConfig::max_batch_msgs / max_batch_bytes / batch_flush_delay.
+//    GcsConfig::max_batch_msgs and batch_flush_delay and a fixed 64 KiB
+//    payload cap.
 //    Acks to external senders are deferred to the flush, so an ack
 //    implies the message was actually multicast.  NACK repair responds
 //    at the same granularity (contiguous runs of the retained window).
@@ -58,8 +59,13 @@
 // (submit, send_direct), but its node receives nothing while it runs, so
 // it must take monitors only briefly and never wait for a message: the
 // scheduler entry points only enqueue work, and a client's reply
-// callback records the reply or issues the next request.  No callback
-// runs after stop() returns.
+// callback records the reply or issues the next request.
+//
+// Lifetime: a service registers itself as its node's network handler, so
+// the SimNetwork must outlive it.  stop() unregisters it and waits until
+// the node's thread has left it; from then on no callback runs and no
+// message reaches the service, so it may be destroyed while the network
+// keeps running.
 #pragma once
 
 #include <cstdint>
@@ -88,27 +94,15 @@ namespace adets::gcs {
 /// Tunables; all durations are real time (failure detection is a
 /// real-time concern, not a workload concern).
 struct GcsConfig {
-  common::Duration heartbeat_interval = std::chrono::milliseconds(20);
   common::Duration suspect_timeout = std::chrono::milliseconds(150);
   common::Duration retransmit_interval = std::chrono::milliseconds(60);
-  common::Duration view_ack_timeout = std::chrono::milliseconds(250);
   common::Duration timer_tick = std::chrono::milliseconds(5);
-  /// How many delivered messages each member retains for NACK repair and
-  /// view-change reconciliation (a sliding window; older ones cannot be
-  /// re-requested, matching a real GC layer's stability horizon).
-  std::size_t retained_limit = 8192;
-  /// The sequencer's dedup map is pruned once it exceeds
-  /// dedup_horizon_factor * retained_limit entries (entries below the
-  /// retained window reference messages nobody can re-request anyway).
-  std::size_t dedup_horizon_factor = 2;
 
   // --- sequencer batching ---------------------------------------------
   /// Max messages per SeqBatch or SubmitBatch datagram.  1 disables
   /// batching: every message travels in a datagram of its own, as a batch
-  /// of one.
+  /// of one.  A fixed 64 KiB payload cap also bounds every datagram.
   std::size_t max_batch_msgs = 64;
-  /// Max payload bytes accumulated before a flush is forced.
-  std::size_t max_batch_bytes = 64 * 1024;
   /// How long the sequencer may hold a non-full batch open to coalesce
   /// submissions across sequencing rounds.  Zero flushes at the end of
   /// every round (no added latency); non-zero trades up to that much
@@ -171,6 +165,9 @@ class GroupService {
   /// Highest contiguously delivered sequence number (tests).
   [[nodiscard]] std::uint64_t delivered_up_to(common::GroupId group) const;
 
+  /// Stops the timer and unregisters the node's handler; returns once the
+  /// node's thread has left it (at once on that thread).  No callback runs
+  /// after it returns.  Idempotent; the destructor calls it.
   void stop();
 
  private:
@@ -306,8 +303,6 @@ class GroupService {
   /// released; returns with `lock` held.  Network thread only.
   void run_callbacks(common::MutexLock& lock) ADETS_REQUIRES(mutex_);
 
-  void send_wire(common::NodeId dst, common::Bytes bytes);
-  void send_wire(common::NodeId dst, const common::SharedBytes& bytes);
   void timer_loop();
 
   transport::SimNetwork& net_;
@@ -322,9 +317,6 @@ class GroupService {
 
   /// Callbacks queued by the handler of the current message, not yet run.
   std::vector<Event> events_ ADETS_GUARDED_BY(mutex_);
-  /// The network thread is running callbacks; stop() waits until it is not.
-  bool running_callbacks_ ADETS_GUARDED_BY(mutex_) = false;
-  common::CondVar callbacks_done_;
   bool stopping_ ADETS_GUARDED_BY(mutex_) = false;
   std::thread timer_;
 };

@@ -753,7 +753,6 @@ bool strategy_supports(const std::string& strategy, const Scenario& scenario) {
   const auto kind = kind_of(strategy);
   if (!kind) return false;
   const auto caps = sched::make_scheduler(*kind)->capabilities();
-  if (!caps.mc_explorable) return false;
   if (scenario.needs_condvars && !caps.condition_variables) return false;
   if (scenario.needs_timed_wait && !caps.timed_wait) return false;
   return true;

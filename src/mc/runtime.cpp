@@ -124,27 +124,6 @@ bool McRuntime::mutex_unlock(void* mutex) {
   return true;
 }
 
-bool McRuntime::mutex_try_lock(void* mutex, const char* name, bool* acquired) {
-  Task* t = self();
-  if (t == nullptr) return false;
-  std::unique_lock<std::mutex> ml(model_m_);
-  if (draining_) return false;
-  const std::uint64_t res =
-      token_locked(kMutexRes, mutex, name != nullptr ? name : "mutex");
-  t->res = res;
-  announce_and_park(ml, *t, Task::Park::kStep);
-  if (draining_) return false;
-  if (owners_[res] == 0) {
-    owners_[res] = t->id;
-    touch_locked(res);
-    *acquired = true;
-  } else {
-    touch_locked(res);
-    *acquired = false;
-  }
-  return true;
-}
-
 // --- Interceptor: condition variables ---------------------------------------
 
 bool McRuntime::cv_wait(void* condvar, void* mutex, bool timed,
@@ -223,7 +202,7 @@ void McRuntime::post_notify(void* condvar, bool all) {
 
 // --- Interceptor: timers ----------------------------------------------------
 
-bool McRuntime::timer_schedule(std::function<void()>* fn, std::uint64_t* id) {
+bool McRuntime::timer_schedule(std::function<void()>* fn) {
   Task* t = self();
   if (t == nullptr) return false;  // unmanaged callers keep real timers
   std::unique_lock<std::mutex> ml(model_m_);
@@ -232,22 +211,7 @@ bool McRuntime::timer_schedule(std::function<void()>* fn, std::uint64_t* id) {
   pending_timers_[timer_id] = std::move(*fn);
   touch_locked(token_locked(
       kTimerRes, reinterpret_cast<const void*>(timer_id), "timer"));
-  *id = timer_id;
   // Arming a timer only creates a future choice; no yield.
-  return true;
-}
-
-bool McRuntime::timer_cancel(std::uint64_t id, bool* cancelled) {
-  if (id < (1ULL << 62)) return false;  // not a virtual timer id
-  Task* t = self();
-  std::unique_lock<std::mutex> ml(model_m_);
-  const auto it = pending_timers_.find(id);
-  *cancelled = it != pending_timers_.end();
-  if (it != pending_timers_.end()) pending_timers_.erase(it);
-  if (t != nullptr && !draining_) {
-    touch_locked(token_locked(
-        kTimerRes, reinterpret_cast<const void*>(id), "timer"));
-  }
   return true;
 }
 
@@ -340,7 +304,6 @@ std::vector<ChoiceKey> McRuntime::enabled_choices() {
   for (const auto& [id, task] : tasks_) {  // map order: sorted by task id
     switch (task->park) {
       case Task::Park::kStart:
-      case Task::Park::kStep:
         out.push_back({ChoiceKey::Kind::kStep, id, 0});
         break;
       case Task::Park::kLock:
@@ -435,7 +398,6 @@ void McRuntime::grant(const ChoiceKey& choice, std::vector<ChoiceKey> enabled,
     case ChoiceKey::Kind::kStep:
       switch (t.park) {
         case Task::Park::kStart:
-        case Task::Park::kStep:
           run(t);
           return;
         case Task::Park::kLock:
@@ -502,9 +464,8 @@ Footprint McRuntime::last_footprint() {
 
 std::string McRuntime::dump_tasks() {
   std::lock_guard<std::mutex> ml(model_m_);
-  static const char* park_names[] = {"running",   "start",  "step",
-                                     "lock",      "cvwait", "reacquire",
-                                     "runner-idle", "finished"};
+  static const char* park_names[] = {"running",   "start",       "lock",    "cvwait",
+                                     "reacquire", "runner-idle", "finished"};
   std::string out;
   for (const auto& [id, task] : tasks_) {
     out += "  task " + std::to_string(id) + " (" + task->name + "): " +

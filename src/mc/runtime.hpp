@@ -63,11 +63,9 @@ class McRuntime final : public mchook::Interceptor {
   // --- mchook::Interceptor (called from managed/unmanaged threads) --------
   bool mutex_lock(void* mutex, const char* name) override;
   bool mutex_unlock(void* mutex) override;
-  bool mutex_try_lock(void* mutex, const char* name, bool* acquired) override;
   bool cv_wait(void* condvar, void* mutex, bool timed, bool* timed_out) override;
   bool cv_notify(void* condvar, bool all) override;
-  bool timer_schedule(std::function<void()>* fn, std::uint64_t* id) override;
-  bool timer_cancel(std::uint64_t id, bool* cancelled) override;
+  bool timer_schedule(std::function<void()>* fn) override;
   std::uint64_t thread_spawning() override;
   void thread_begin(std::uint64_t ticket) override;
   void thread_end() override;
@@ -118,7 +116,8 @@ class McRuntime final : public mchook::Interceptor {
   /// with a caller-chosen stable id, and parks until first scheduled.
   void adopt_current_thread(std::uint64_t stable_id, const std::string& name);
   void retire_current_thread();
-  /// Models an application-level lock for non-mc_explorable schedulers:
+  /// Models an application-level lock for schedulers whose threads do not
+  /// block through common::Mutex/CondVar (the racy double):
   /// parks until the model grants `resource` to the calling task.  The
   /// caller performs the real acquisition afterwards (uncontended by
   /// construction, since every acquirer routes through this).
@@ -136,7 +135,6 @@ class McRuntime final : public mchook::Interceptor {
     enum class Park {
       kNone,        // granted: executing real code
       kStart,       // at thread_begin/adoption, waiting for first grant
-      kStep,        // at a generic continue point (post-unlock/notify/…)
       kLock,        // wants mutex `res`
       kCvWait,      // waiting on condvar `res`, guarding mutex `mu`
       kReacquire,   // woken from kCvWait, waiting to reacquire `mu`

@@ -14,7 +14,7 @@ namespace adets::runtime {
 
 struct ClusterConfig {
   transport::LinkConfig link;        // latency model of every link
-  gcs::GcsConfig gcs;                // heartbeat / retransmit tunables
+  gcs::GcsConfig gcs;                // failure-detection / retransmit / batching tunables
   std::uint64_t seed = 1;
 };
 

@@ -93,7 +93,6 @@ class Replica : private sched::SchedulerEnv, public InvocationHost {
   void stop();
 
   [[nodiscard]] sched::Scheduler& scheduler() { return *scheduler_; }
-  [[nodiscard]] ReplicatedObject& object() { return *object_; }
   [[nodiscard]] common::GroupId group() const { return group_; }
   [[nodiscard]] std::uint64_t state_hash() const { return object_->state_hash(); }
   [[nodiscard]] std::uint64_t completed_requests() const {

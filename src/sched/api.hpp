@@ -44,7 +44,9 @@ enum class SchedulerKind {
 
 [[nodiscard]] std::string to_string(SchedulerKind kind);
 
-/// Property matrix row (paper Table 1).
+/// Property matrix row (paper Table 1).  adets-mc can explore every
+/// strategy make_scheduler builds: each blocks only through
+/// common::Mutex/CondVar/TimerService (docs/model-checking.md).
 struct SchedulerCapabilities {
   std::string coordination;   // "implicit", "Locks", "Java", ...
   std::string deadlock_free;  // "-", "CB", "NI+CB", "NO"
@@ -55,12 +57,6 @@ struct SchedulerCapabilities {
   bool timed_wait = false;
   bool true_multithreading = false;
   bool needs_communication = false;  // extra messages to grant locks
-  /// True when every internal blocking path of the strategy goes through
-  /// common::Mutex/CondVar/TimerService, so the adets-mc model checker
-  /// (src/mc/) can serialise and exhaustively explore its interleavings.
-  /// RacyScheduler-style test doubles that spin raw threads leave this
-  /// false and are explored through the coarser harness-level hooks only.
-  bool mc_explorable = false;
 };
 
 /// What kind of work a delivered request represents.
@@ -247,9 +243,6 @@ struct SchedulerConfig {
   int pds_variant = 1;              // 1 = PDS-1, 2 = PDS-2
   std::size_t pds_thread_pool = 4;  // initial/fixed pool size
   bool pds_round_robin_assignment = false;  // false = synchronized (paper default)
-  /// How long a fetch-idle worker waits before broadcasting an
-  /// artificial request to un-wedge the round (real time).
-  common::Duration pds_idle_fill_interval = std::chrono::milliseconds(10);
   // LSA ----------------------------------------------------------------
   std::size_t lsa_batch_grants = 1;         // grants per mutex-table broadcast
   common::Duration lsa_batch_delay = common::Duration::zero();  // max batching delay (real)

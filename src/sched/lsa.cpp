@@ -30,7 +30,6 @@ SchedulerCapabilities LsaScheduler::capabilities() const {
   caps.timed_wait = true;
   caps.true_multithreading = true;
   caps.needs_communication = true;     // mutex-table broadcasts
-  caps.mc_explorable = true;
   return caps;
 }
 

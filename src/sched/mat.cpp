@@ -18,7 +18,6 @@ SchedulerCapabilities MatScheduler::capabilities() const {
   caps.timed_wait = true;
   caps.true_multithreading = true;
   caps.needs_communication = false;
-  caps.mc_explorable = true;
   return caps;
 }
 

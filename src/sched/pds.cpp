@@ -9,6 +9,14 @@ namespace adets::sched {
 using common::MutexId;
 using common::ThreadId;
 
+namespace {
+
+/// How long a fetch-idle worker waits before broadcasting an artificial
+/// request to un-wedge the round (real time).
+constexpr common::Duration kIdleFillInterval = std::chrono::milliseconds(10);
+
+}  // namespace
+
 SchedulerCapabilities PdsScheduler::capabilities() const {
   SchedulerCapabilities caps;
   caps.coordination = "Java";        // extended from Basile's plain locks
@@ -21,7 +29,6 @@ SchedulerCapabilities PdsScheduler::capabilities() const {
   caps.timed_wait = true;
   caps.true_multithreading = true;
   caps.needs_communication = false;
-  caps.mc_explorable = true;
   return caps;
 }
 
@@ -139,7 +146,7 @@ std::optional<Request> PdsScheduler::fetch(Lk& lk, PdsThread& t) {
   // and an event log attached before any traffic holds the whole run.
   while (request_queue_.empty() && !stopping() && !t.terminate) {
     t.state = ThreadState::kRunning;
-    block_for(lk, t, config_.pds_idle_fill_interval);
+    block_for(lk, t, kIdleFillInterval);
     if (request_queue_.empty() && !stopping() && !t.terminate &&
         round_awaited(lk)) {
       stats_.broadcasts++;

@@ -17,7 +17,6 @@ SchedulerCapabilities SatScheduler::capabilities() const {
   caps.timed_wait = true;
   caps.true_multithreading = false;
   caps.needs_communication = false;
-  caps.mc_explorable = true;
   return caps;
 }
 

@@ -16,7 +16,6 @@ SchedulerCapabilities SeqScheduler::capabilities() const {
   caps.timed_wait = false;
   caps.true_multithreading = false;
   caps.needs_communication = false;
-  caps.mc_explorable = true;
   return caps;
 }
 
@@ -70,7 +69,6 @@ SchedulerCapabilities SlScheduler::capabilities() const {
   caps.timed_wait = false;
   caps.true_multithreading = false;
   caps.needs_communication = false;
-  caps.mc_explorable = true;
   return caps;
 }
 

@@ -15,7 +15,7 @@ FaultDecision decide_fault(const FaultPlan& plan, common::NodeId src,
                            common::NodeId dst, std::uint64_t counter) {
   FaultDecision decision;
   decision.link_counter = counter;
-  const LinkFaults& faults = plan.faults_for(src, dst);
+  const LinkFaults& faults = plan.default_faults;
   if (!faults.active()) return decision;
 
   // One private SplitMix64 stream per (plan, link, message): verdicts

@@ -59,18 +59,10 @@ struct NodeEvent {
 /// A complete, seeded fault-injection schedule.
 struct FaultPlan {
   std::uint64_t seed = 0;
-  /// Faults applied to every link unless overridden below.
+  /// Faults applied to every link (each link draws its own verdicts).
   LinkFaults default_faults;
-  /// Per directed link (src, dst) overrides.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, LinkFaults> link_faults;
   /// Crash/restart timeline.
   std::vector<NodeEvent> node_events;
-
-  [[nodiscard]] const LinkFaults& faults_for(common::NodeId src,
-                                             common::NodeId dst) const {
-    const auto it = link_faults.find({src.value(), dst.value()});
-    return it == link_faults.end() ? default_faults : it->second;
-  }
 
   // --- fluent builders (tests read as one expression) ----------------------
   FaultPlan& with_seed(std::uint64_t s) {
@@ -93,10 +85,6 @@ struct FaultPlan {
   FaultPlan& reorder(double p, std::uint32_t span = 4) {
     default_faults.reorder_probability = p;
     default_faults.reorder_span = span;
-    return *this;
-  }
-  FaultPlan& on_link(common::NodeId src, common::NodeId dst, LinkFaults faults) {
-    link_faults[{src.value(), dst.value()}] = faults;
     return *this;
   }
   FaultPlan& crash_at(common::Duration at, common::NodeId node) {

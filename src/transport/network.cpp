@@ -20,6 +20,7 @@ NodeId SimNetwork::create_node() {
   const auto id = NodeId(static_cast<NodeId::rep_type>(nodes_.size()));
   heaps_.emplace_back();
   handlers_.emplace_back();
+  in_handler_.push_back(false);
   auto node = std::make_unique<Node>();
   Node* raw = node.get();
   node->thread = std::thread([this, id, raw] { node_loop(id, *raw); });
@@ -28,8 +29,10 @@ NodeId SimNetwork::create_node() {
 }
 
 void SimNetwork::set_handler(NodeId node, Handler handler) {
-  const common::MutexLock guard(mutex_);
+  common::MutexLock lock(mutex_);
   handlers_.at(node.value()) = std::move(handler);
+  if (nodes_[node.value()]->thread.get_id() == std::this_thread::get_id()) return;
+  while (in_handler_[node.value()]) handler_left_.wait(lock);
 }
 
 bool SimNetwork::send(NodeId src, NodeId dst, common::SharedBytes payload) {
@@ -78,7 +81,7 @@ bool SimNetwork::send(NodeId src, NodeId dst, common::SharedBytes payload) {
     // reorder_span in-window successors to overtake, exempt it from the
     // FIFO clamp, and leave the FIFO horizon untouched so successors are
     // not dragged behind it.
-    const auto span = fault_plan_.faults_for(src, dst).reorder_span;
+    const auto span = fault_plan_.default_faults.reorder_span;
     due += common::Clock::scaled((link.base_latency + link.jitter) * span);
     stats_.messages_reordered++;
   } else {
@@ -124,11 +127,6 @@ void SimNetwork::set_link(NodeId src, NodeId dst, LinkConfig config) {
 void SimNetwork::crash(NodeId node) {
   const common::MutexLock guard(mutex_);
   apply_node_event(NodeEvent{common::Duration::zero(), node, NodeEvent::Kind::kCrash});
-}
-
-void SimNetwork::restart(NodeId node) {
-  const common::MutexLock guard(mutex_);
-  apply_node_event(NodeEvent{common::Duration::zero(), node, NodeEvent::Kind::kRestart});
 }
 
 void SimNetwork::apply_node_event(const NodeEvent& event) {
@@ -235,11 +233,16 @@ void SimNetwork::node_loop(NodeId id, Node& node) {
     }
     stats_.messages_delivered++;
     if (!handlers_[id.value()]) continue;
-    // A copy, so set_handler may replace the handler while it runs.
-    const Handler handler = handlers_[id.value()];
+    // A copy: the handler may replace itself, and create_node may grow
+    // handlers_, while it runs.
+    Handler handler = handlers_[id.value()];
+    in_handler_[id.value()] = true;
     lock.unlock();
     handler(std::move(item.message));
+    handler = nullptr;
     lock.lock();
+    in_handler_[id.value()] = false;
+    handler_left_.notify_all();
   }
 }
 

@@ -74,7 +74,10 @@ class SimNetwork {
 
   /// Registers (or replaces) the message handler of a node.  The handler
   /// runs on the node's thread, one message at a time, and holds up the
-  /// node's later messages while it runs.
+  /// node's later messages while it runs.  Returns once the node's thread
+  /// is not inside the handler it replaced, so an empty `handler`
+  /// unregisters a receiver for good; called on the node's own thread
+  /// (from inside its handler), it returns at once.
   void set_handler(common::NodeId node, Handler handler);
 
   /// Sends `payload` from `src` to `dst`; returns false if either end is
@@ -91,10 +94,6 @@ class SimNetwork {
 
   /// Crashes a node: all traffic to and from it is dropped from now on.
   void crash(common::NodeId node);
-
-  /// Revives a crashed node: traffic flows again (messages lost while
-  /// down stay lost; upper layers must repair via retransmission).
-  void restart(common::NodeId node);
 
   [[nodiscard]] bool crashed(common::NodeId node) const;
 
@@ -153,6 +152,10 @@ class SimNetwork {
   /// min-heap by (due, seq).
   std::vector<std::vector<Pending>> heaps_ ADETS_GUARDED_BY(mutex_);
   std::vector<Handler> handlers_ ADETS_GUARDED_BY(mutex_);
+  /// Per node: its thread is running the handler (with mutex_ released).
+  std::vector<bool> in_handler_ ADETS_GUARDED_BY(mutex_);
+  /// Notified whenever a node's thread leaves its handler.
+  common::CondVar handler_left_;
   std::map<std::pair<std::uint32_t, std::uint32_t>, LinkConfig> links_
       ADETS_GUARDED_BY(mutex_);
   std::map<std::pair<std::uint32_t, std::uint32_t>, common::TimePoint> last_scheduled_

@@ -172,17 +172,11 @@ ScenarioResult run_scenario(const runtime::SchedulerFactory& scheduler_factory,
   result.fault_digest = transport::fault_trace_digest(cluster.network().fault_trace());
   result.net = cluster.network().stats();
 
-  if (config.check_linearizability) {
-    lin::CheckOptions options;
-    options.max_states = config.lin_max_states;
-    result.lin = lin::check_history(result.history, lin::KvSpec{}, options);
-    result.lin_checked = true;
-  }
+  result.lin = lin::check_history(result.history, lin::KvSpec{});
 
   // Any failed consistency gate dumps the run's history for offline
   // replay (satisfying a storm run must be reproducible, not a log line).
-  if (result.lin_checked && !result.lin.linearizable &&
-      !result.lin.exhausted_budget) {
+  if (!result.lin.linearizable && !result.lin.exhausted_budget) {
     result.artifact_path = dump_failure_artifact(
         config, result, "non-linearizable history", result.lin.explanation);
   } else if (result.audit.diverged || result.background_divergence) {

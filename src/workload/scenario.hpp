@@ -40,13 +40,6 @@ struct ScenarioConfig {
   /// Per-invocation client timeout (real time).  Lower it for plans
   /// that are expected to starve clients (e.g. total loss).
   std::chrono::milliseconds invoke_timeout = std::chrono::seconds(60);
-  /// Run the recorded client history through the linearizability checker
-  /// after the workload drains.  A timed-out invocation stays in the
-  /// history as a pending operation, so the audit is sound even under
-  /// storms that starve clients.
-  bool check_linearizability = true;
-  /// Search budget forwarded to lin::CheckOptions.
-  std::uint64_t lin_max_states = 4'000'000;
 };
 
 struct ScenarioResult {
@@ -65,10 +58,11 @@ struct ScenarioResult {
   std::uint64_t clients_failed = 0;
   /// The merged client-observable history (always recorded).
   lin::History history;
-  /// True when the checker ran (config.check_linearizability).
-  bool lin_checked = false;
-  /// Checker verdict; see lin.explanation / lin.counterexample on
-  /// failure.  Meaningful only when lin_checked.
+  /// Linearizability verdict on `history`, checked after the drain with
+  /// lin::CheckOptions' default budget.  A timed-out invocation stays in
+  /// the history as a pending operation, so the audit is sound even under
+  /// storms that starve clients.  See lin.explanation /
+  /// lin.counterexample on failure.
   lin::CheckResult lin;
   /// Path of the machine-readable artifact dumped when the run diverged
   /// or was non-linearizable ("" when the run was clean or the dump

@@ -5,7 +5,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <memory>
 #include <mutex>
+#include <thread>
 
 #include "common/clock.hpp"
 #include "gcs/group_service.hpp"
@@ -104,6 +106,28 @@ TEST_F(GcsExtraTest, TailGapRepairedByHeartbeat) {
 
   ASSERT_TRUE(s1.wait_count(2, std::chrono::seconds(10)));
   EXPECT_EQ(s0.messages, s1.messages);
+}
+
+TEST_F(GcsExtraTest, StoppedServiceIsNotCalledByItsNode) {
+  // A destroyed service's node keeps receiving its peer's heartbeats
+  // (the peer never installs a view without it).  They must reach no
+  // handler: running one would use the freed service.
+  const NodeId b = net_->create_node();
+  const GroupId g(1);
+  const std::vector<NodeId> members{nodes_[0], b};
+  Sink& s0 = sink();
+  Sink& s1 = sink();
+  services_[0]->join(g, members, s0.callbacks());
+  auto peer = std::make_unique<GroupService>(*net_, b);
+  peer->join(g, members, s1.callbacks());
+  services_[0]->submit(g, Bytes{1});
+  ASSERT_TRUE(s1.wait_count(1));
+
+  peer.reset();
+  const auto delivered = net_->stats().messages_delivered;
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_GT(net_->stats().messages_delivered, delivered)
+      << "no message reached the destroyed service's node";
 }
 
 TEST_F(GcsExtraTest, MultipleGroupsAreIsolated) {

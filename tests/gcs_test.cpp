@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -92,6 +93,14 @@ class GcsTest : public ::testing::Test {
     for (auto& s : services_) s->stop();
     net_->stop();
     common::Clock::set_scale(saved_scale_);
+    watchdog_.reset();
+  }
+
+  /// Aborts the test binary with `label` unless the test body and its
+  /// TearDown (which waits for the services' node threads) finish
+  /// within `limit`.
+  void arm_watchdog(const std::string& label, std::chrono::milliseconds limit) {
+    watchdog_.emplace(label, limit);
   }
 
   static constexpr GroupId kGroup{7};
@@ -102,6 +111,7 @@ class GcsTest : public ::testing::Test {
   std::vector<std::unique_ptr<GroupService>> services_;
   std::vector<NodeId> members_;
   std::vector<std::unique_ptr<DeliveryLog>> logs_;
+  std::optional<common::Watchdog> watchdog_;
 };
 
 constexpr GroupId GcsTest::kGroup;
@@ -143,7 +153,7 @@ TEST_F(GcsTest, ConnectOnAMemberKeepsItsSession) {
 }
 
 TEST_F(GcsTest, TotalOrderAgreesAcrossMembersUnderConcurrency) {
-  common::Watchdog dog("gcs total order", std::chrono::seconds(60));
+  arm_watchdog("gcs total order", std::chrono::seconds(60));
   constexpr int kPerSender = 40;
   std::vector<std::thread> senders;
   for (int s = 0; s < 4; ++s) {
@@ -177,7 +187,7 @@ TEST_F(GcsTest, TotalOrderAgreesAcrossMembersUnderConcurrency) {
 }
 
 TEST_F(GcsTest, SubmissionsAreDeduplicatedAcrossRetries) {
-  common::Watchdog dog("gcs dedup across retries", std::chrono::seconds(60));
+  arm_watchdog("gcs dedup across retries", std::chrono::seconds(60));
   // Cut sequencer -> client, so no ack reaches the client: it retransmits
   // every message, rotating through the members, and the sequencer sees
   // each retry as a duplicate.  Delivery must stay exactly-once.
@@ -231,7 +241,7 @@ TEST_F(GcsTest, SubmissionsAreDeduplicatedAcrossRetries) {
 }
 
 TEST_F(GcsTest, SequencerFailoverContinuesTotalOrder) {
-  common::Watchdog dog("gcs failover", std::chrono::seconds(120));
+  arm_watchdog("gcs failover", std::chrono::seconds(120));
   for (int i = 0; i < 10; ++i) {
     services_[3]->submit(kGroup, text("pre-" + std::to_string(i)));
   }
@@ -260,7 +270,7 @@ TEST_F(GcsTest, SequencerFailoverContinuesTotalOrder) {
 }
 
 TEST_F(GcsTest, InFlightSubmissionsSurviveFailover) {
-  common::Watchdog dog("gcs inflight failover", std::chrono::seconds(120));
+  arm_watchdog("gcs inflight failover", std::chrono::seconds(120));
   // Submit continuously while the sequencer dies.
   std::atomic<bool> stop{false};
   std::atomic<int> sent{0};
@@ -287,7 +297,7 @@ TEST_F(GcsTest, InFlightSubmissionsSurviveFailover) {
 }
 
 TEST_F(GcsTest, IsolatedMemberDoesNotOrderAlone) {
-  common::Watchdog dog("gcs isolated member", std::chrono::seconds(60));
+  arm_watchdog("gcs isolated member", std::chrono::seconds(60));
   services_[3]->submit(kGroup, text("a"));
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(logs_[i]->wait_count(1, std::chrono::seconds(10)));
@@ -308,7 +318,8 @@ TEST_F(GcsTest, IsolatedMemberDoesNotOrderAlone) {
   services_[2]->submit(kGroup, text("from-2"));
   services_[3]->submit(kGroup, text("b"));
   ASSERT_TRUE(logs_[0]->wait_count(2, std::chrono::seconds(10)));
-  // Let several of node 2's proposals expire (view_ack_timeout 250 ms).
+  // Let several of node 2's proposals expire (each after 250 ms
+  // without acks).
   std::this_thread::sleep_for(std::chrono::seconds(1));
   EXPECT_EQ(services_[2]->current_view(kGroup).id.value(), 0u)
       << "node 2 installed a view without its peers";
@@ -318,7 +329,7 @@ TEST_F(GcsTest, IsolatedMemberDoesNotOrderAlone) {
 }
 
 TEST_F(GcsTest, StopWaitsForARunningCallbackAndRunsNoLaterOne) {
-  common::Watchdog dog("gcs stop during callback", std::chrono::seconds(60));
+  arm_watchdog("gcs stop during callback", std::chrono::seconds(60));
   // Node 3 alone forms a second group, so its own deliveries block in a
   // callback of this test.
   const GroupId solo(8);
@@ -354,7 +365,7 @@ TEST_F(GcsTest, StopWaitsForARunningCallbackAndRunsNoLaterOne) {
 }
 
 TEST_F(GcsTest, CallbackMaySubmitTheNextMessage) {
-  common::Watchdog dog("gcs submit from callback", std::chrono::seconds(60));
+  arm_watchdog("gcs submit from callback", std::chrono::seconds(60));
   // Member 1 submits each message of a chain from inside its delivery
   // callback for the previous one.
   const GroupId chain(9);
@@ -402,7 +413,7 @@ class GcsExternalRoutingTest : public GcsTest {
 };
 
 TEST_F(GcsExternalRoutingTest, ExternalSessionFollowsNewSequencerAfterFailover) {
-  common::Watchdog dog("gcs external routing", std::chrono::seconds(60));
+  arm_watchdog("gcs external routing", std::chrono::seconds(60));
   services_[3]->submit(kGroup, text("pre"));
   ASSERT_TRUE(logs_[1]->wait_count(1, std::chrono::seconds(10)));
 
@@ -442,7 +453,7 @@ class GcsMemberRoutingTest : public GcsTest {
 };
 
 TEST_F(GcsMemberRoutingTest, MemberSessionKeepsRoutingByItsView) {
-  common::Watchdog dog("gcs member routing", std::chrono::seconds(60));
+  arm_watchdog("gcs member routing", std::chrono::seconds(60));
   const auto self_link = std::make_pair(nodes_[1].value(), nodes_[1].value());
   transport::LinkConfig slow;
   slow.base_latency = std::chrono::duration_cast<common::Duration>(

@@ -118,21 +118,6 @@ TEST_F(LockOrderTest, RelockAfterCondvarWaitIsNotAnEdge) {
   lo::on_release(&A);
 }
 
-TEST_F(LockOrderTest, TryAcquireOrdersSubsequentLocks) {
-  // try_lock itself cannot block, so it records no incoming edge -- but
-  // locks taken while it is held still order after it.
-  lo::on_try_acquire(&A, "A");
-  lo::on_acquire(&B, "B");
-  EXPECT_EQ(lo::edge_count(), 1u);  // A -> B
-  lo::on_release(&B);
-  lo::on_release(&A);
-
-  lo::on_acquire(&B, "B");
-  lo::on_acquire(&A, "A");
-  ASSERT_TRUE(captured_.has_value());
-  lo::on_release(&B);
-}
-
 TEST_F(LockOrderTest, DestroyPurgesNodeAndEdges) {
   lo::on_acquire(&A, "A");
   lo::on_acquire(&B, "B");

@@ -733,7 +733,6 @@ TEST_F(SchedTestBase, PdsIdlePoolBroadcastsNoNoops) {
   // no-op precedes the first request in the total order.
   sched::SchedulerConfig config;
   config.pds_thread_pool = 3;
-  config.pds_idle_fill_interval = ms(2);
   SchedulerCluster cluster(SchedulerKind::kPds, 1, config);
   common::Clock::sleep_real(ms(30));
   EXPECT_EQ(cluster.replica(0).stats().broadcasts, 0u);

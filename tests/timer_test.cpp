@@ -26,23 +26,6 @@ TEST(TimerServiceTest, FiresAfterDelay) {
   EXPECT_GE(Clock::now() - start, milliseconds(9));
 }
 
-TEST(TimerServiceTest, CancelPreventsFiring) {
-  TimerService timers;
-  std::atomic<bool> fired{false};
-  const auto id = timers.schedule(milliseconds(30), [&] { fired.store(true); });
-  EXPECT_TRUE(timers.cancel(id));
-  std::this_thread::sleep_for(milliseconds(60));
-  EXPECT_FALSE(fired.load());
-}
-
-TEST(TimerServiceTest, CancelAfterFireReturnsFalse) {
-  TimerService timers;
-  std::atomic<bool> fired{false};
-  const auto id = timers.schedule(milliseconds(5), [&] { fired.store(true); });
-  while (!fired.load()) std::this_thread::sleep_for(milliseconds(1));
-  EXPECT_FALSE(timers.cancel(id));
-}
-
 TEST(TimerServiceTest, FiresInDeadlineOrder) {
   TimerService timers;
   std::mutex mutex;

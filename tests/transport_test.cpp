@@ -223,6 +223,28 @@ TEST_F(TransportTest, ManyNodesAllToAll) {
   EXPECT_EQ(net.stats().messages_delivered, static_cast<std::uint64_t>(kNodes * (kNodes - 1)));
 }
 
+TEST_F(TransportTest, ReplacingAHandlerWaitsForItsRunningCall) {
+  // Declared before the network, so they outlive its node threads.
+  std::atomic<bool> started{false};
+  std::atomic<bool> finished{false};
+  SimNetwork net;
+  const NodeId a = net.create_node();
+  const NodeId b = net.create_node();
+  net.set_handler(b, [&](Message) {
+    started.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    finished.store(true);
+  });
+  ASSERT_TRUE(net.send(a, b, payload(1)));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!started.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(started.load());
+  net.set_handler(b, {});
+  EXPECT_TRUE(finished.load()) << "set_handler returned while the replaced handler ran";
+}
+
 TEST_F(TransportTest, StopIsIdempotentAndSafe) {
   SimNetwork net;
   const NodeId a = net.create_node();
