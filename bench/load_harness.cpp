@@ -122,9 +122,6 @@ LoadConfig make_config(const Options& opt, adets::sched::SchedulerKind kind,
   config.requests_per_client = opt.requests;
   config.warmup_per_client = opt.warmup;
   config.seed = opt.seed;
-  // A fine timer tick in both modes so the flush-delay quantisation is
-  // the only latency the batched run adds.
-  config.cluster.gcs.timer_tick = std::chrono::milliseconds(1);
   if (batched) {
     config.cluster.gcs.max_batch_msgs = 64;
     config.cluster.gcs.batch_flush_delay = std::chrono::milliseconds(2);

@@ -42,8 +42,9 @@ constexpr std::size_t kMaxBatchBytes = 64 * 1024;
 
 GroupService::GroupService(transport::SimNetwork& net, NodeId self, GcsConfig config)
     : net_(net), self_(self), config_(config) {
-  net_.set_handler(self_, [this](transport::Message m) { on_message(std::move(m)); });
-  timer_ = std::thread([this] { timer_loop(); });
+  net_.set_handler(
+      self_, [this](transport::Message m) { on_message(std::move(m)); },
+      [this] { return on_deadline(); });
 }
 
 GroupService::~GroupService() { stop(); }
@@ -54,10 +55,9 @@ void GroupService::stop() {
     if (stopping_) return;
     stopping_ = true;
   }
-  // Callbacks run inside the handler, so once the node's thread has left
-  // it none is running, and none can start.
-  net_.set_handler(self_, {});
-  if (timer_.joinable()) timer_.join();
+  // Duties and callbacks run inside the node's handlers, so once its
+  // thread has left them none is running, and none can start.
+  net_.set_handler(self_, {}, {});
 }
 
 void GroupService::join(GroupId group, std::vector<NodeId> initial_members,
@@ -76,6 +76,7 @@ void GroupService::join(GroupId group, std::vector<NodeId> initial_members,
   SenderState sender;
   sender.members = memberships_[group.value()].view.members;
   senders_.emplace(group.value(), std::move(sender));
+  net_.wake_at(self_, now);  // the first heartbeat is due
 }
 
 void GroupService::connect(GroupId group, std::vector<NodeId> members) {
@@ -96,17 +97,24 @@ std::uint64_t GroupService::submit(GroupId group, Bytes payload) {
   if (it == senders_.end()) return 0;
   SenderState& sender = it->second;
   const std::uint64_t msg_id = sender.next_msg_id++;
-  SenderState::Pending pending;
+  const bool first = sender.pending.empty();
+  SenderState::Pending& pending = sender.pending[msg_id];
   pending.payload = SharedBytes(std::move(payload));
   pending.target = sender.target;
-  sender.pending[msg_id] = std::move(pending);
+  if (sender.members.empty()) return msg_id;
+  const auto now = common::Clock::now();
   // Send just the new submission (never the whole pending map: that
   // would be O(pending) work per submit under load); with a configured
-  // submit_flush_delay the timer packs it into a SubmitBatch instead.
-  if (config_.submit_flush_delay == Duration::zero() && !sender.members.empty()) {
-    SenderState::Pending& p = sender.pending[msg_id];
-    p.last_send = common::Clock::now();
-    send_submissions(group, sender, {msg_id}, p.target);
+  // submit_flush_delay, on_deadline packs it into a SubmitBatch instead.
+  // Later submissions are due no earlier than the first one, so only
+  // the first lowers the node's deadline.
+  if (config_.submit_flush_delay == Duration::zero()) {
+    pending.last_send = now;
+    send_submissions(group, sender, {msg_id}, pending.target);
+    if (first) net_.wake_at(self_, now + config_.retransmit_interval);
+  } else if (sender.flush_at == TimePoint::max()) {
+    sender.flush_at = now + config_.submit_flush_delay;
+    net_.wake_at(self_, sender.flush_at);
   }
   return msg_id;
 }
@@ -261,7 +269,12 @@ void GroupService::sequence_submission(GroupId group, MemberState& st,
     st.batch_acks[message.submission.sender.value()].push_back(
         message.submission.sender_msg_id);
   }
-  if (st.batch.empty()) st.batch_since = common::Clock::now();
+  if (st.batch.empty()) {
+    st.batch_since = common::Clock::now();
+    if (config_.batch_flush_delay != Duration::zero()) {
+      net_.wake_at(self_, st.batch_since + config_.batch_flush_delay);
+    }
+  }
   st.batch_bytes += message.submission.payload.size();
   st.batch.push_back(std::move(message));
 }
@@ -398,20 +411,22 @@ void GroupService::try_deliver(GroupId group, MemberState& st) {
   maybe_install_view(group, st);
 }
 
+bool GroupService::has_gap(const MemberState& st) {
+  return !st.holdback.empty() && st.holdback.begin()->first > st.delivered_up_to + 1;
+}
+
 void GroupService::send_nack_if_gap(GroupId group, MemberState& st, bool force) {
-  if (st.holdback.empty()) return;
-  const std::uint64_t expected = st.delivered_up_to + 1;
-  const std::uint64_t first_held = st.holdback.begin()->first;
-  if (first_held <= expected) return;
+  if (!has_gap(st)) return;
   const auto now = common::Clock::now();
   if (!force && now - st.last_nack < config_.retransmit_interval) return;
   st.last_nack = now;
   Writer w;
   w.u8(static_cast<std::uint8_t>(WireKind::kNack));
   w.u32(group.value());
-  w.u64(expected);
-  w.u64(first_held - 1);
+  w.u64(st.delivered_up_to + 1);
+  w.u64(st.holdback.begin()->first - 1);
   net_.send(self_, st.view.sequencer(), w.take());
+  net_.wake_at(self_, now + config_.retransmit_interval);  // the retry
 }
 
 void GroupService::handle_nack(GroupId group, NodeId from, Reader& r) {
@@ -665,17 +680,18 @@ void GroupService::maybe_install_view(GroupId group, MemberState& st) {
                         << st.commit_final_highest << ")";
 }
 
-// --- timers -------------------------------------------------------------------
+// --- timed duties -------------------------------------------------------------
 
 void GroupService::resend_pending(GroupId group, SenderState& sender, bool force) {
   if (sender.members.empty()) return;
   const auto now = common::Clock::now();
+  const bool flush = force || now >= sender.flush_at;
   // Collect everything due per target so each target gets one batch.
   std::map<std::size_t, std::vector<std::uint64_t>> by_target;
   for (auto& [msg_id, pending] : sender.pending) {
     const bool unsent = pending.last_send == TimePoint{};
-    if (!unsent && !force &&
-        now - pending.last_send < config_.retransmit_interval) {
+    if (unsent ? !flush
+               : !force && now - pending.last_send < config_.retransmit_interval) {
       continue;
     }
     if (!unsent) {
@@ -689,6 +705,7 @@ void GroupService::resend_pending(GroupId group, SenderState& sender, bool force
     pending.last_send = now;
     by_target[pending.target].push_back(msg_id);
   }
+  if (flush) sender.flush_at = TimePoint::max();
   for (const auto& [target, msg_ids] : by_target) {
     send_submissions(group, sender, msg_ids, target);
   }
@@ -735,72 +752,85 @@ void GroupService::send_submissions(GroupId group, SenderState& sender,
   }
 }
 
-void GroupService::timer_loop() {
-  while (true) {
-    {
-      const common::MutexLock guard(mutex_);
-      if (stopping_) return;
-      const auto now = common::Clock::now();
-      for (auto& [group_raw, st] : memberships_) {
-        const GroupId group(group_raw);
-        // Flush a batch the sequencing rounds left open (flush-delay
-        // policy); do it before heartbeats so known_highest is current.
-        if (st.view.sequencer() == self_ && !st.batch.empty() &&
-            now - st.batch_since >= config_.batch_flush_delay) {
-          maybe_flush(group, st, /*force=*/true);
-        }
-        // Heartbeats.
-        if (now - st.last_heartbeat >= kHeartbeatInterval) {
-          st.last_heartbeat = now;
-          Writer w;
-          w.u8(static_cast<std::uint8_t>(WireKind::kHeartbeat));
-          w.u32(group_raw);
-          // Highest sequence this node knows of, so receivers can detect
-          // (and NACK) a gap at the tail of the stream.  The sequencer
-          // advertises only what it has multicast (flushed_seq): an
-          // unflushed batch is not repairable, NACKing it would spin.
-          std::uint64_t known_highest = st.delivered_up_to;
-          if (!st.holdback.empty()) {
-            known_highest = std::max(known_highest, st.holdback.rbegin()->first);
-          }
-          if (st.view.sequencer() == self_) {
-            known_highest = std::max(known_highest, st.flushed_seq);
-          }
-          w.u64(known_highest);
-          const SharedBytes datagram{w.take()};
-          for (auto m : st.view.members) {
-            if (m != self_) net_.send(self_, m, datagram);
-          }
-        }
-        // Failure detection.
-        bool new_suspicion = false;
-        for (auto m : st.view.members) {
-          if (m == self_ || st.suspected.count(m.value()) > 0) continue;
-          const auto heard = st.last_heard.find(m.value());
-          if (heard != st.last_heard.end() &&
-              now - heard->second > config_.suspect_timeout) {
-            st.suspected.insert(m.value());
-            new_suspicion = true;
-            ADETS_LOG_INFO("gcs") << "node " << self_ << " suspects node " << m
-                                  << " in group " << group;
-          }
-        }
-        // Coordinator drives the view change.
-        if (!st.suspected.empty() && !st.commit_pending) {
-          const bool proposal_expired =
-              st.proposing && now > st.proposal_deadline;
-          if ((new_suspicion && !st.proposing) || proposal_expired) {
-            start_proposal(group, st);
-          }
-        }
-        send_nack_if_gap(group, st, /*force=*/false);
-      }
-      for (auto& [group_raw, sender] : senders_) {
-        resend_pending(GroupId(group_raw), sender, /*force=*/false);
+TimePoint GroupService::on_deadline() {
+  const common::MutexLock guard(mutex_);
+  if (stopping_) return TimePoint::max();
+  const auto now = common::Clock::now();
+  // Every duty below runs once its time has come and is then due again
+  // strictly later, so the deadline returned lies in the future.
+  TimePoint next = TimePoint::max();
+  for (auto& [group_raw, st] : memberships_) {
+    const GroupId group(group_raw);
+    // Flush a batch the sequencing rounds left open (flush-delay
+    // policy); do it before heartbeats so known_highest is current.
+    if (st.view.sequencer() == self_ && !st.batch.empty()) {
+      if (now - st.batch_since >= config_.batch_flush_delay) {
+        maybe_flush(group, st, /*force=*/true);
+      } else {
+        next = std::min(next, st.batch_since + config_.batch_flush_delay);
       }
     }
-    common::Clock::sleep_real(config_.timer_tick);
+    // Heartbeats.
+    if (now - st.last_heartbeat >= kHeartbeatInterval) {
+      st.last_heartbeat = now;
+      Writer w;
+      w.u8(static_cast<std::uint8_t>(WireKind::kHeartbeat));
+      w.u32(group_raw);
+      // Highest sequence this node knows of, so receivers can detect
+      // (and NACK) a gap at the tail of the stream.  The sequencer
+      // advertises only what it has multicast (flushed_seq): an
+      // unflushed batch is not repairable, NACKing it would spin.
+      std::uint64_t known_highest = st.delivered_up_to;
+      if (!st.holdback.empty()) {
+        known_highest = std::max(known_highest, st.holdback.rbegin()->first);
+      }
+      if (st.view.sequencer() == self_) {
+        known_highest = std::max(known_highest, st.flushed_seq);
+      }
+      w.u64(known_highest);
+      const SharedBytes datagram{w.take()};
+      for (auto m : st.view.members) {
+        if (m != self_) net_.send(self_, m, datagram);
+      }
+    }
+    next = std::min(next, st.last_heartbeat + kHeartbeatInterval);
+    // Failure detection.
+    bool new_suspicion = false;
+    for (auto m : st.view.members) {
+      if (m == self_ || st.suspected.count(m.value()) > 0) continue;
+      const auto heard = st.last_heard.find(m.value());
+      if (heard == st.last_heard.end()) continue;
+      if (now - heard->second >= config_.suspect_timeout) {
+        st.suspected.insert(m.value());
+        new_suspicion = true;
+        ADETS_LOG_INFO("gcs") << "node " << self_ << " suspects node " << m
+                              << " in group " << group;
+      } else {
+        next = std::min(next, heard->second + config_.suspect_timeout);
+      }
+    }
+    // Coordinator drives the view change.
+    if (!st.suspected.empty() && !st.commit_pending) {
+      const bool proposal_expired = st.proposing && now >= st.proposal_deadline;
+      if ((new_suspicion && !st.proposing) || proposal_expired) {
+        start_proposal(group, st);
+      }
+      if (st.proposing) next = std::min(next, st.proposal_deadline);
+    }
+    send_nack_if_gap(group, st, /*force=*/false);
+    if (has_gap(st)) next = std::min(next, st.last_nack + config_.retransmit_interval);
   }
+  for (auto& [group_raw, sender] : senders_) {
+    resend_pending(GroupId(group_raw), sender, /*force=*/false);
+    if (sender.members.empty()) continue;
+    next = std::min(next, sender.flush_at);
+    for (const auto& [msg_id, pending] : sender.pending) {
+      if (pending.last_send != TimePoint{}) {
+        next = std::min(next, pending.last_send + config_.retransmit_interval);
+      }
+    }
+  }
+  return next;
 }
 
 }  // namespace adets::gcs

@@ -52,20 +52,32 @@
 //    (crashed, or merely stalled past suspect_timeout) never installs a
 //    view of itself alone: it stops ordering rather than split the group.
 //
-// Callbacks (deliver, view, direct) are produced only while a received
-// message is handled (the timer thread sends, but never delivers), and
-// run on the node's network thread right after mutex_ is released, in
-// the order they were produced.  A callback may re-enter the service
-// (submit, send_direct), but its node receives nothing while it runs, so
-// it must take monitors only briefly and never wait for a message: the
-// scheduler entry points only enqueue work, and a client's reply
-// callback records the reply or issues the next request.
+// Threads: the service has no thread of its own.  Everything it does
+// runs on its node's SimNetwork thread: the handling of each received
+// message, the timed duties (batch flush, heartbeats, suspicion,
+// proposal expiry, NACK retry, retransmission), which run when the
+// node's one deadline falls due, and the callbacks.  A handler lowers
+// that deadline only for an obligation it creates (a first pending
+// submission, a batch opened with a flush delay, a NACK to retry); the
+// deadline handler recomputes the earliest duty.  What the service sends
+// to its own node (the sequencer's SeqBatch to itself, a member's
+// submissions while it is the sequencer) crosses no simulated link.
 //
-// Lifetime: a service registers itself as its node's network handler, so
-// the SimNetwork must outlive it.  stop() unregisters it and waits until
-// the node's thread has left it; from then on no callback runs and no
-// message reaches the service, so it may be destroyed while the network
-// keeps running.
+// Callbacks (deliver, view, direct) are produced only while a received
+// message is handled (timed duties send, but never deliver), and run on
+// the node's thread right after mutex_ is released, in the order they
+// were produced.  A callback may re-enter the service (submit,
+// send_direct), but its node receives nothing and sends no heartbeat
+// while it runs, so it must take monitors only briefly, never wait for
+// a message, and return far sooner than suspect_timeout, or its peers
+// suspect the node: the scheduler entry points only enqueue work, and a
+// client's reply callback records the reply or issues the next request.
+//
+// Lifetime: a service registers itself as its node's network handlers,
+// so the SimNetwork must outlive it.  stop() unregisters them and waits
+// until the node's thread has left them; from then on no duty or
+// callback runs and no message reaches the service, so it may be
+// destroyed while the network keeps running.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +87,6 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -96,7 +107,6 @@ namespace adets::gcs {
 struct GcsConfig {
   common::Duration suspect_timeout = std::chrono::milliseconds(150);
   common::Duration retransmit_interval = std::chrono::milliseconds(60);
-  common::Duration timer_tick = std::chrono::milliseconds(5);
 
   // --- sequencer batching ---------------------------------------------
   /// Max messages per SeqBatch or SubmitBatch datagram.  1 disables
@@ -106,11 +116,11 @@ struct GcsConfig {
   /// How long the sequencer may hold a non-full batch open to coalesce
   /// submissions across sequencing rounds.  Zero flushes at the end of
   /// every round (no added latency); non-zero trades up to that much
-  /// latency (quantised by timer_tick) for larger batches.
+  /// latency for larger batches.
   common::Duration batch_flush_delay = common::Duration::zero();
-  /// When non-zero, submit() defers the initial send to the timer so
-  /// several local submissions pack into one SubmitBatch datagram
-  /// (effective delay is one timer_tick).  Zero sends immediately.
+  /// When non-zero, submit() holds a submission back for up to this long
+  /// (counted from the first one held) so several local submissions pack
+  /// into one SubmitBatch datagram.  Zero sends immediately.
   common::Duration submit_flush_delay = common::Duration::zero();
 };
 
@@ -165,9 +175,9 @@ class GroupService {
   /// Highest contiguously delivered sequence number (tests).
   [[nodiscard]] std::uint64_t delivered_up_to(common::GroupId group) const;
 
-  /// Stops the timer and unregisters the node's handler; returns once the
-  /// node's thread has left it (at once on that thread).  No callback runs
-  /// after it returns.  Idempotent; the destructor calls it.
+  /// Unregisters the node's handlers; returns once the node's thread has
+  /// left them (at once on that thread).  No duty or callback runs after
+  /// it returns.  Idempotent; the destructor calls it.
   void stop();
 
  private:
@@ -222,6 +232,9 @@ class GroupService {
       std::size_t target = 0;
     };
     std::map<std::uint64_t, Pending> pending;
+    /// When the submissions submit_flush_delay holds back are sent
+    /// (TimePoint::max() while none is held).
+    common::TimePoint flush_at = common::TimePoint::max();
   };
 
   // A callback to run once mutex_ is released, with the function it
@@ -247,7 +260,7 @@ class GroupService {
 
   // All handlers below run with mutex_ held (enforced by clang's
   // thread-safety analysis via ADETS_REQUIRES) unless stated otherwise.
-  void on_message(transport::Message message);  // network thread
+  void on_message(transport::Message message);  // node thread
   void handle_submit_batch(common::GroupId group, const transport::Message& m,
                            common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_submit_ack_batch(common::GroupId group, common::NodeId from,
@@ -274,6 +287,8 @@ class GroupService {
       ADETS_REQUIRES(mutex_);
   void flush_batch(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void try_deliver(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
+  /// The holdback queue starts above the next sequence number to deliver.
+  static bool has_gap(const MemberState& st);
   void maybe_install_view(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void start_proposal(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void finish_proposal(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
@@ -300,10 +315,13 @@ class GroupService {
       ADETS_REQUIRES(mutex_);
 
   /// Runs the callbacks the handler just queued with `lock` (on mutex_)
-  /// released; returns with `lock` held.  Network thread only.
+  /// released; returns with `lock` held.  Node thread only.
   void run_callbacks(common::MutexLock& lock) ADETS_REQUIRES(mutex_);
 
-  void timer_loop();
+  /// The node's deadline handler (node thread): batch flush, heartbeats,
+  /// suspicion, proposal expiry, NACK retry and retransmission, each
+  /// once it is due.  Returns when the next of them is due.
+  common::TimePoint on_deadline();
 
   transport::SimNetwork& net_;
   const common::NodeId self_;
@@ -318,7 +336,6 @@ class GroupService {
   /// Callbacks queued by the handler of the current message, not yet run.
   std::vector<Event> events_ ADETS_GUARDED_BY(mutex_);
   bool stopping_ ADETS_GUARDED_BY(mutex_) = false;
-  std::thread timer_;
 };
 
 }  // namespace adets::gcs

@@ -1,5 +1,6 @@
 #include "replication/replay.hpp"
 
+#include <atomic>
 #include <map>
 
 #include "common/annotations.hpp"
@@ -59,6 +60,13 @@ class ReplayHost : public sched::SchedulerEnv, public runtime::InvocationHost {
 
   // --- InvocationHost --------------------------------------------------
   [[nodiscard]] sched::Scheduler& context_scheduler() override { return scheduler_; }
+  [[nodiscard]] bool stopping() override { return stopping_.load(); }
+
+  /// Stops the scheduler; lock calls it ends report the stop.
+  void stop() {
+    stopping_.store(true);
+    scheduler_.stop();
+  }
 
   Bytes nested_invoke(runtime::SyncContext& ctx, common::GroupId,
                       const std::string&, const Bytes&) override {
@@ -84,6 +92,7 @@ class ReplayHost : public sched::SchedulerEnv, public runtime::InvocationHost {
   runtime::ReplicatedObject& object_;
   common::Mutex mutex_{"repl::replayhost"};
   std::map<std::uint64_t, Bytes> replies_ ADETS_GUARDED_BY(mutex_);
+  std::atomic<bool> stopping_{false};
 };
 
 }  // namespace
@@ -134,7 +143,7 @@ ReplayResult replay_log(const runtime::EventLog& log, sched::SchedulerKind kind,
   }
   result.requests_executed = scheduler->completed_requests();
   result.complete = result.requests_executed >= app_requests;
-  scheduler->stop();
+  host.stop();
   result.state_hash = object->state_hash();
   return result;
 }

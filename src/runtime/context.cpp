@@ -4,7 +4,17 @@
 
 namespace adets::runtime {
 
-void SyncContext::lock(common::MutexId mutex) { host_.context_scheduler().lock(mutex); }
+void SyncContext::lock(common::MutexId mutex) {
+  sched::Scheduler& scheduler = host_.context_scheduler();
+  scheduler.lock(mutex);
+  if (host_.stopping()) {
+    // A stopping scheduler may end the wait without a grant.  Give back
+    // whatever the call took, so no later locker waits on it, and leave
+    // before touching the state the mutex guards.
+    scheduler.unlock(mutex);
+    throw ReplicaStopping();
+  }
+}
 
 void SyncContext::unlock(common::MutexId mutex) {
   host_.context_scheduler().unlock(mutex);

@@ -34,6 +34,9 @@ class InvocationHost {
  public:
   virtual ~InvocationHost() = default;
   [[nodiscard]] virtual sched::Scheduler& context_scheduler() = 0;
+  /// True once the host has begun to stop its scheduler, which ends every
+  /// lock wait without granting the mutex.
+  [[nodiscard]] virtual bool stopping() = 0;
   virtual common::Bytes nested_invoke(SyncContext& ctx, common::GroupId target,
                                       const std::string& method,
                                       const common::Bytes& args) = 0;

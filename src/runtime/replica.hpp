@@ -123,6 +123,10 @@ class Replica : private sched::SchedulerEnv, public InvocationHost {
 
   // --- InvocationHost (used by SyncContext) --------------------------------
   [[nodiscard]] sched::Scheduler& context_scheduler() override { return *scheduler_; }
+  [[nodiscard]] bool stopping() override {
+    const common::MutexLock guard(mutex_);
+    return stopped_;
+  }
   common::Bytes nested_invoke(SyncContext& ctx, common::GroupId target,
                               const std::string& method,
                               const common::Bytes& args) override;

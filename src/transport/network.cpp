@@ -19,6 +19,7 @@ NodeId SimNetwork::create_node() {
   const common::MutexLock guard(mutex_);
   const auto id = NodeId(static_cast<NodeId::rep_type>(nodes_.size()));
   heaps_.emplace_back();
+  deadlines_.push_back(TimePoint::max());
   handlers_.emplace_back();
   in_handler_.push_back(false);
   auto node = std::make_unique<Node>();
@@ -28,11 +29,23 @@ NodeId SimNetwork::create_node() {
   return id;
 }
 
-void SimNetwork::set_handler(NodeId node, Handler handler) {
+void SimNetwork::set_handler(NodeId node, Handler on_message, DeadlineHandler on_deadline) {
   common::MutexLock lock(mutex_);
-  handlers_.at(node.value()) = std::move(handler);
+  handlers_.at(node.value()) = Handlers{std::move(on_message), std::move(on_deadline)};
+  deadlines_[node.value()] = TimePoint::max();
   if (nodes_[node.value()]->thread.get_id() == std::this_thread::get_id()) return;
   while (in_handler_[node.value()]) handler_left_.wait(lock);
+}
+
+void SimNetwork::wake_at(NodeId node, TimePoint at) {
+  common::MutexLock lock(mutex_);
+  if (node.value() >= nodes_.size() || at >= deadlines_[node.value()]) return;
+  deadlines_[node.value()] = at;
+  const std::vector<Pending>& heap = heaps_[node.value()];
+  if (!heap.empty() && heap.front().due <= at) return;
+  Node& to = *nodes_[node.value()];
+  lock.unlock();
+  to.cv.notify_one();
 }
 
 bool SimNetwork::send(NodeId src, NodeId dst, common::SharedBytes payload) {
@@ -46,7 +59,12 @@ bool SimNetwork::send(NodeId src, NodeId dst, common::SharedBytes payload) {
     stats_.messages_dropped++;
     return false;
   }
-  const LinkConfig link = link_for(src, dst);
+  LinkConfig link = link_for(src, dst);
+  if (src == dst) {
+    // Loopback crosses no link; faults below still apply.
+    link.base_latency = Duration::zero();
+    link.jitter = Duration::zero();
+  }
   if (link.drop_probability > 0.0 &&
       rng_.uniform_real(0.0, 1.0) < link.drop_probability) {
     stats_.messages_dropped++;
@@ -201,6 +219,18 @@ LinkConfig SimNetwork::link_for(NodeId src, NodeId dst) const {
   return it == links_.end() ? default_link_ : it->second;
 }
 
+template <typename Call>
+void SimNetwork::run_handler(NodeId id, common::MutexLock& lock, Call&& call) {
+  in_handler_[id.value()] = true;
+  lock.unlock();
+  // `call` drops its handler copy before returning, so whatever the
+  // handler captured is released outside mutex_.
+  call();
+  lock.lock();
+  in_handler_[id.value()] = false;
+  handler_left_.notify_all();
+}
+
 void SimNetwork::node_loop(NodeId id, Node& node) {
   common::MutexLock lock(mutex_);
   // Plain (predicate-free) waits: the enclosing loop re-evaluates the
@@ -210,13 +240,29 @@ void SimNetwork::node_loop(NodeId id, Node& node) {
   while (!stopping_) {
     // Looked up on every pass: create_node may grow heaps_ meanwhile.
     std::vector<Pending>& heap = heaps_[id.value()];
-    if (heap.empty()) {
+    const TimePoint deadline = deadlines_[id.value()];
+    const TimePoint due = heap.empty() ? deadline : std::min(deadline, heap.front().due);
+    if (due == TimePoint::max()) {
       node.cv.wait(lock);
       continue;
     }
-    const TimePoint due = heap.front().due;
     if (due > common::Clock::now()) {
       node.cv.wait_until(lock, due);
+      continue;
+    }
+    if (due == deadline) {
+      // Timed duties run on a crashed node too, as they would on a
+      // machine cut off from the network; its sends are dropped.
+      deadlines_[id.value()] = TimePoint::max();
+      DeadlineHandler on_deadline = handlers_[id.value()].on_deadline;
+      if (!on_deadline) continue;
+      TimePoint next = TimePoint::max();
+      run_handler(id, lock, [&] {
+        next = on_deadline();
+        on_deadline = nullptr;
+      });
+      // wake_at may have lowered the deadline while the handler ran.
+      deadlines_[id.value()] = std::min(deadlines_[id.value()], next);
       continue;
     }
     std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
@@ -232,17 +278,14 @@ void SimNetwork::node_loop(NodeId id, Node& node) {
       continue;
     }
     stats_.messages_delivered++;
-    if (!handlers_[id.value()]) continue;
     // A copy: the handler may replace itself, and create_node may grow
     // handlers_, while it runs.
-    Handler handler = handlers_[id.value()];
-    in_handler_[id.value()] = true;
-    lock.unlock();
-    handler(std::move(item.message));
-    handler = nullptr;
-    lock.lock();
-    in_handler_[id.value()] = false;
-    handler_left_.notify_all();
+    Handler on_message = handlers_[id.value()].on_message;
+    if (!on_message) continue;
+    run_handler(id, lock, [&] {
+      on_message(std::move(item.message));
+      on_message = nullptr;
+    });
   }
 }
 

@@ -3,8 +3,10 @@
 // Replaces the paper's 100 Mbit/s switched LAN.  Every simulated machine
 // is a "node" with an id and one thread of its own.  A sent message goes
 // onto its destination's queue of in-flight messages, ordered by due
-// time (send time plus link latency); the node's thread sleeps until the
-// earliest one is due and runs the node's handler on it.
+// time (send time plus link latency).  Each node also has one deadline,
+// set by its owner for timed duties (the GCS heartbeats, flushes and
+// retransmissions).  The node's thread sleeps until the earlier of its
+// deadline and its earliest message and runs the matching handler.
 //
 // Properties (mirroring a TCP LAN, which the paper's middleware assumes):
 //  - per-(src,dst) FIFO ordering, even with latency jitter;
@@ -12,7 +14,14 @@
 //    link (used only by failure-detector tests) or a node is crashed;
 //  - latencies are expressed in *paper time* and scaled through
 //    common::Clock, so the compute/communication ratio of the paper's
-//    testbed is preserved under any time scale.
+//    testbed is preserved under any time scale;
+//  - loopback: a message a node sends to itself crosses no link (in the
+//    paper's testbed the group communication module runs inside each
+//    replica's process).  It gets no latency or jitter and is due at
+//    once, unless a FaultPlan verdict delays it; its node's thread
+//    handles it after the handler that sent it returns, never inside
+//    it.  It is counted, dropped on a crash and given fault verdicts
+//    like any other message.
 #pragma once
 
 #include <atomic>
@@ -61,6 +70,9 @@ struct NetworkStats {
 class SimNetwork {
  public:
   using Handler = std::function<void(Message)>;
+  /// Runs a node's timed duties once its deadline is due and returns the
+  /// next deadline (TimePoint::max() for none).
+  using DeadlineHandler = std::function<common::TimePoint()>;
 
   explicit SimNetwork(LinkConfig default_link = {}, std::uint64_t seed = 1);
   ~SimNetwork();
@@ -72,13 +84,19 @@ class SimNetwork {
   /// once a handler is registered.
   common::NodeId create_node();
 
-  /// Registers (or replaces) the message handler of a node.  The handler
-  /// runs on the node's thread, one message at a time, and holds up the
-  /// node's later messages while it runs.  Returns once the node's thread
-  /// is not inside the handler it replaced, so an empty `handler`
-  /// unregisters a receiver for good; called on the node's own thread
-  /// (from inside its handler), it returns at once.
-  void set_handler(common::NodeId node, Handler handler);
+  /// Registers (or replaces) the handlers of a node and clears its
+  /// deadline.  Both run on the node's thread, one call at a time, and a
+  /// running call holds up everything else due on the node.  Returns once
+  /// the node's thread is not inside a handler it replaced, so empty
+  /// handlers unregister a receiver for good; called on the node's own
+  /// thread (from inside a handler), it returns at once.
+  void set_handler(common::NodeId node, Handler on_message,
+                   DeadlineHandler on_deadline = {});
+
+  /// Lowers `node`'s deadline to `at` (a later `at` changes nothing).
+  /// Callable from any thread; like send(), it wakes the node only when
+  /// `at` became its earliest entry.
+  void wake_at(common::NodeId node, common::TimePoint at);
 
   /// Sends `payload` from `src` to `dst`; returns false if either end is
   /// crashed (the message is silently lost, as on a real network).
@@ -124,19 +142,31 @@ class SimNetwork {
     }
   };
 
-  /// One simulated machine; its queue and handler live in heaps_ and
-  /// handlers_ under the same index.
+  /// One simulated machine; its queue, deadline and handlers live in
+  /// heaps_, deadlines_ and handlers_ under the same index.
   struct Node {
-    /// Waits on mutex_; woken when a send makes its entry the earliest,
-    /// and on stop.
+    /// Waits on mutex_; woken when a send or wake_at makes its entry the
+    /// earliest, and on stop.
     common::CondVar cv;
     std::atomic<bool> crashed{false};
     std::thread thread;  // declared last: it uses the fields above
   };
 
-  /// Sleeps until node `id`'s earliest entry is due, pops it and runs
-  /// the handler on it with mutex_ released; returns once stopping.
+  struct Handlers {
+    Handler on_message;
+    DeadlineHandler on_deadline;
+  };
+
+  /// Sleeps until node `id`'s deadline or earliest entry is due, then
+  /// runs the matching handler with mutex_ released; returns once
+  /// stopping.
   void node_loop(common::NodeId id, Node& node);
+  /// Runs `call` (a copy of one of node `id`'s handlers) with `lock`
+  /// released and the node marked as inside its handler; returns with
+  /// `lock` held.
+  template <typename Call>
+  void run_handler(common::NodeId id, common::MutexLock& lock, Call&& call)
+      ADETS_REQUIRES(mutex_);
   /// Pushes `item` onto `dst`'s heap; true if it became the earliest.
   bool push(common::NodeId dst, Pending item) ADETS_REQUIRES(mutex_);
   void apply_node_event(const NodeEvent& event) ADETS_REQUIRES(mutex_);
@@ -151,8 +181,10 @@ class SimNetwork {
   /// Per node: messages and FaultPlan node events bound for it, a
   /// min-heap by (due, seq).
   std::vector<std::vector<Pending>> heaps_ ADETS_GUARDED_BY(mutex_);
-  std::vector<Handler> handlers_ ADETS_GUARDED_BY(mutex_);
-  /// Per node: its thread is running the handler (with mutex_ released).
+  /// Per node: when its on_deadline is due (TimePoint::max() for never).
+  std::vector<common::TimePoint> deadlines_ ADETS_GUARDED_BY(mutex_);
+  std::vector<Handlers> handlers_ ADETS_GUARDED_BY(mutex_);
+  /// Per node: its thread is running a handler (with mutex_ released).
   std::vector<bool> in_handler_ ADETS_GUARDED_BY(mutex_);
   /// Notified whenever a node's thread leaves its handler.
   common::CondVar handler_left_;

@@ -125,9 +125,9 @@ Bytes EchoService::do_echo(const Bytes& args) {
 }
 
 Bytes EchoService::do_delay(std::uint64_t delay_ms, SyncContext& ctx) {
-  calls_++;
+  const std::uint64_t calls = ++calls_;
   ctx.compute(paper_ms(static_cast<long long>(delay_ms)));
-  return pack_u64(calls_);
+  return pack_u64(calls);
 }
 
 Bytes EchoService::do_callback(std::uint64_t group, SyncContext& ctx) {

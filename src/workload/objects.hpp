@@ -7,6 +7,7 @@
 // replica behaves identically.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -73,14 +74,16 @@ class EchoService : public runtime::ReplicatedObject {
  public:
   common::Bytes dispatch(const std::string& method, const common::Bytes& args,
                          runtime::SyncContext& ctx) override;
-  [[nodiscard]] std::uint64_t state_hash() const override { return calls_; }
+  [[nodiscard]] std::uint64_t state_hash() const override { return calls_.load(); }
 
  private:
   common::Bytes do_echo(const common::Bytes& args);
   common::Bytes do_delay(std::uint64_t delay_ms, runtime::SyncContext& ctx);
   common::Bytes do_callback(std::uint64_t group, runtime::SyncContext& ctx);
 
-  std::uint64_t calls_ = 0;  // monotone; not lock-protected state
+  // Monotone and not lock-protected; atomic because strategies that run
+  // lock-free code side by side (MAT, LSA, PDS) may run two calls at once.
+  std::atomic<std::uint64_t> calls_{0};
 };
 
 /// Front object of the nested benchmarks: executes a permutation of

@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,19 +108,26 @@ class GcsBatchTest : public ::testing::Test {
   void TearDown() override {
     net_->stop();
     common::Clock::set_scale(saved_scale_);
+    watchdog_.reset();
+  }
+
+  /// Aborts the test binary with `label` unless the test body and its
+  /// TearDown (which waits for the node threads) finish within `limit`.
+  void arm_watchdog(const std::string& label, std::chrono::milliseconds limit) {
+    watchdog_.emplace(label, limit);
   }
 
   static GcsConfig batched_config() {
     GcsConfig config;
     config.max_batch_msgs = 4;
     config.batch_flush_delay = std::chrono::milliseconds(40);
-    config.timer_tick = std::chrono::milliseconds(5);
     config.suspect_timeout = std::chrono::seconds(30);  // no spurious views
     return config;
   }
 
   double saved_scale_ = 1.0;
   std::unique_ptr<transport::SimNetwork> net_;
+  std::optional<common::Watchdog> watchdog_;
 };
 
 TEST_F(GcsBatchTest, PartialBatchIsFlushedByTimer) {
@@ -197,7 +205,7 @@ TEST_F(GcsBatchTest, DuplicatesAcrossBatchBoundariesAreFiltered) {
 }
 
 TEST_F(GcsBatchTest, FailoverResequencesUnflushedBatch) {
-  common::Watchdog dog("gcs batch failover", std::chrono::seconds(120));
+  arm_watchdog("gcs batch failover", std::chrono::seconds(120));
   // A huge flush delay parks submissions in the sequencer's open batch;
   // crashing the sequencer before the flush must not lose them — the
   // senders still hold them as unacked pendings and re-submit into the

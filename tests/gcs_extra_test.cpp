@@ -130,6 +130,36 @@ TEST_F(GcsExtraTest, StoppedServiceIsNotCalledByItsNode) {
       << "no message reached the destroyed service's node";
 }
 
+TEST_F(GcsExtraTest, StoppedServiceSendsNoMoreHeartbeats) {
+  const GroupId g(1);
+  const std::vector<NodeId> members{nodes_[0], nodes_[1]};
+  Sink& s0 = sink();
+  Sink& s1 = sink();
+  services_[0]->join(g, members, s0.callbacks());
+  services_[1]->join(g, members, s1.callbacks());
+  services_[0]->submit(g, Bytes{1});
+  ASSERT_TRUE(s1.wait_count(1));
+  const auto sends_from = [&](NodeId node) {
+    std::size_t sends = 0;
+    for (const auto& [link, decisions] : net_->fault_trace()) {
+      if (link.first == node.value()) sends += decisions.size();
+    }
+    return sends;
+  };
+  // Three heartbeat intervals (20 ms each), with the fault layer
+  // recording every send.
+  const auto watch = [&] {
+    net_->set_fault_plan(transport::FaultPlan{});
+    std::this_thread::sleep_for(std::chrono::milliseconds(3 * 20));
+  };
+  watch();
+  ASSERT_GT(sends_from(nodes_[1]), 0u) << "a running member sent no heartbeat";
+
+  services_[1]->stop();
+  watch();
+  EXPECT_EQ(sends_from(nodes_[1]), 0u) << "a stopped service still sends";
+}
+
 TEST_F(GcsExtraTest, MultipleGroupsAreIsolated) {
   Sink& a0 = sink();
   Sink& a1 = sink();

@@ -240,6 +240,33 @@ TEST_F(GcsTest, SubmissionsAreDeduplicatedAcrossRetries) {
   }
 }
 
+TEST_F(GcsTest, UnackedExternalSubmissionIsRetransmittedOnTime) {
+  arm_watchdog("gcs unacked retransmission", std::chrono::seconds(60));
+  // Cut sequencer -> client: the ack is lost, and the client's node
+  // receives nothing at all, so only its own deadline can make it
+  // retransmit.  The retransmission rotates to member 1.
+  const NodeId client = nodes_[3];
+  const auto retry_link = std::make_pair(client.value(), nodes_[1].value());
+  transport::LinkConfig dead;
+  dead.drop_probability = 1.0;
+  net_->set_link(nodes_[0], client, dead);
+  net_->set_fault_plan(transport::FaultPlan{});  // records every send
+
+  const auto submitted = std::chrono::steady_clock::now();
+  services_[3]->submit(kGroup, text("m"));
+  const auto deadline = submitted + std::chrono::seconds(10);
+  while (net_->fault_trace().count(retry_link) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto retried = std::chrono::steady_clock::now();
+  ASSERT_GT(net_->fault_trace().count(retry_link), 0u) << "the client never retransmitted";
+  EXPECT_GE(retried - submitted, config_.retransmit_interval) << "retransmitted too early";
+  for (const auto& [link, decisions] : net_->fault_trace()) {
+    EXPECT_NE(link.second, client.value()) << "a message reached the client's node";
+  }
+}
+
 TEST_F(GcsTest, SequencerFailoverContinuesTotalOrder) {
   arm_watchdog("gcs failover", std::chrono::seconds(120));
   for (int i = 0; i < 10; ++i) {

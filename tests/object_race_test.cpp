@@ -9,6 +9,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -34,7 +35,16 @@ class ParallelCalls : public ::testing::TestWithParam<SchedulerKind> {
     saved_scale_ = common::Clock::scale();
     common::Clock::set_scale(0.01);
   }
-  void TearDown() override { common::Clock::set_scale(saved_scale_); }
+  void TearDown() override {
+    common::Clock::set_scale(saved_scale_);
+    watchdog_.reset();
+  }
+
+  /// Aborts the test binary with `label` unless the test body and its
+  /// TearDown finish within `limit`.
+  void arm_watchdog(const std::string& label, std::chrono::milliseconds limit) {
+    watchdog_.emplace(label, limit);
+  }
 
   /// Batched sequencing, so a burst of calls reaches each replica in a
   /// few deliveries and their threads run side by side.
@@ -67,6 +77,7 @@ class ParallelCalls : public ::testing::TestWithParam<SchedulerKind> {
   }
 
   double saved_scale_ = 1.0;
+  std::optional<common::Watchdog> watchdog_;
 };
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ParallelCalls,
@@ -75,8 +86,8 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ParallelCalls,
                          [](const auto& info) { return sched::to_string(info.param); });
 
 TEST_P(ParallelCalls, ComputePatternsOnDistinctMutexesConverge) {
-  common::Watchdog dog("parallel compute patterns, " + sched::to_string(GetParam()),
-                       std::chrono::seconds(120));
+  arm_watchdog("parallel compute patterns, " + sched::to_string(GetParam()),
+               std::chrono::seconds(120));
   runtime::Cluster cluster(batched());
   const GroupId group = cluster.create_group(
       3, GetParam(), [] { return std::make_unique<ComputePatterns>(kMutexes); });
@@ -90,8 +101,8 @@ TEST_P(ParallelCalls, ComputePatternsOnDistinctMutexesConverge) {
 }
 
 TEST_P(ParallelCalls, KvStoreOnDistinctBucketsConverges) {
-  common::Watchdog dog("parallel kv store, " + sched::to_string(GetParam()),
-                       std::chrono::seconds(120));
+  arm_watchdog("parallel kv store, " + sched::to_string(GetParam()),
+               std::chrono::seconds(120));
   runtime::Cluster cluster(batched());
   const GroupId group = cluster.create_group(
       3, GetParam(), [] { return std::make_unique<KvStore>(); });

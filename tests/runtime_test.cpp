@@ -4,6 +4,9 @@
 // LSA leader fail-over.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -29,8 +32,19 @@ class RuntimeTest : public ::testing::Test {
     saved_scale_ = common::Clock::scale();
     common::Clock::set_scale(0.01);
   }
-  void TearDown() override { common::Clock::set_scale(saved_scale_); }
+  void TearDown() override {
+    common::Clock::set_scale(saved_scale_);
+    watchdog_.reset();
+  }
+
+  /// Aborts the test binary with `label` unless the test body and its
+  /// TearDown finish within `limit`.
+  void arm_watchdog(const std::string& label, std::chrono::milliseconds limit) {
+    watchdog_.emplace(label, limit);
+  }
+
   double saved_scale_ = 1.0;
+  std::optional<common::Watchdog> watchdog_;
 };
 
 sched::SchedulerConfig pds_pool(std::size_t n) {
@@ -277,8 +291,8 @@ TEST_P(CvRuntimeSchedulers, BlockedWithdrawSucceedsAfterDeposit) {
 TEST_P(CvRuntimeSchedulers, TeardownEndsConsumerWaitingOnEmptyBuffer) {
   // The consumer's `while (empty) wait()` loop must end when the replicas
   // stop; otherwise it spins and stopping the scheduler joins it forever.
-  common::Watchdog dog("teardown with a waiting consumer, " + sched::to_string(GetParam()),
-                       std::chrono::seconds(60));
+  arm_watchdog("teardown with a waiting consumer, " + sched::to_string(GetParam()),
+               std::chrono::seconds(60));
   Cluster cluster;
   const GroupId buffer = cluster.create_group(
       3, GetParam(), [] { return std::make_unique<workload::BoundedBuffer>(2); },
@@ -297,6 +311,74 @@ TEST_P(CvRuntimeSchedulers, TeardownEndsConsumerWaitingOnEmptyBuffer) {
   }
   ASSERT_TRUE(waiting()) << "the consume never reached its wait on every replica";
   // Leaving the scope destroys the cluster under the waiting consumer.
+}
+
+/// "hold" keeps mutex 0 through a long computation; "enter" takes it
+/// and counts it as shared if a "hold" of the same replica is still
+/// inside.
+class HeldMutex : public ReplicatedObject {
+ public:
+  struct Probe {
+    std::atomic<int> holding{0};
+    std::atomic<int> entering{0};
+    std::atomic<int> shared{0};
+  };
+  explicit HeldMutex(std::shared_ptr<Probe> probe) : probe_(std::move(probe)) {}
+
+  Bytes dispatch(const std::string& method, const Bytes&, SyncContext& ctx) override {
+    if (method == "enter") probe_->entering++;
+    const DetLock lock(ctx, common::MutexId(0));
+    if (method == "hold") {
+      inside_.store(true);
+      probe_->holding++;
+      ctx.compute(common::paper_ms(50000));  // 500 ms real at scale 0.01
+      inside_.store(false);
+    } else if (inside_.load()) {
+      probe_->shared++;
+    }
+    return {};
+  }
+  [[nodiscard]] std::uint64_t state_hash() const override { return 0; }
+
+ private:
+  const std::shared_ptr<Probe> probe_;
+  std::atomic<bool> inside_{false};
+};
+
+class LockingSchedulers : public RuntimeTest,
+                          public ::testing::WithParamInterface<SchedulerKind> {};
+
+INSTANTIATE_TEST_SUITE_P(Kinds, LockingSchedulers,
+                         ::testing::Values(SchedulerKind::kMat, SchedulerKind::kLsa,
+                                           SchedulerKind::kPds),
+                         [](const auto& info) { return sched::to_string(info.param); });
+
+TEST_P(LockingSchedulers, StopEndsALockWaitWithoutTheMutex) {
+  // A replica that stops ends the wait of a thread blocked in lock.  That
+  // thread must not go on as if it held the mutex while its holder is
+  // still inside.
+  arm_watchdog("lock wait at stop, " + sched::to_string(GetParam()), std::chrono::seconds(60));
+  const auto probe = std::make_shared<HeldMutex::Probe>();
+  {
+    Cluster cluster;
+    const GroupId group = cluster.create_group(
+        3, GetParam(), [probe] { return std::make_unique<HeldMutex>(probe); }, pds_pool(3));
+    Client& client = cluster.create_client();
+    client.invoke_async(group, "hold", {}, [](const Bytes&) {});
+    const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (probe->holding.load() < 3 && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(probe->holding.load(), 3);
+    client.invoke_async(group, "enter", {}, [](const Bytes&) {});
+    while (probe->entering.load() < 3 && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(probe->entering.load(), 3);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // blocked in lock
+    // Leaving the scope stops the replicas while every "hold" computes.
+  }
+  EXPECT_EQ(probe->shared.load(), 0) << "a stopped lock wait entered the critical section";
 }
 
 TEST_F(RuntimeTest, SeqPollingBufferVariantWorks) {

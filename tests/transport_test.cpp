@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -175,29 +176,95 @@ TEST_F(TransportTest, DropProbabilityDropsEverythingAtOne) {
 }
 
 TEST_F(TransportTest, LatencyIsApplied) {
+  // a -> b pays the link latency; a -> a crosses no link at all.
   LinkConfig link;
   link.base_latency = common::paper_ms(500);  // 5ms real at scale 0.01
   link.jitter = common::Duration::zero();
+  // Declared before the network, so they outlive its node threads.
+  std::mutex m;
+  std::condition_variable cv;
+  std::map<NodeId, common::TimePoint> arrival;
   SimNetwork net(link);
   const NodeId a = net.create_node();
   const NodeId b = net.create_node();
+  for (const NodeId node : {a, b}) {
+    net.set_handler(node, [&, node](Message) {
+      const std::lock_guard<std::mutex> guard(m);
+      arrival[node] = common::Clock::now();
+      cv.notify_all();
+    });
+  }
 
+  for (const NodeId dst : {b, a}) {
+    const auto start = common::Clock::now();
+    ASSERT_TRUE(net.send(a, dst, payload(1)));
+    std::unique_lock<std::mutex> lock(m);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(2),
+                            [&] { return arrival.count(dst) > 0; }));
+    if (dst == b) {
+      EXPECT_GE(arrival[dst] - start, std::chrono::milliseconds(4)) << "a -> b";
+    } else {
+      EXPECT_LT(arrival[dst] - start, std::chrono::microseconds(2500))
+          << "a -> a paid the link latency";
+    }
+  }
+}
+
+TEST_F(TransportTest, MessageToSelfIsHandledAfterTheHandlerThatSentIt) {
+  std::atomic<bool> sender_returned{false};
+  std::atomic<bool> handled{false};
+  std::atomic<bool> handled_after_return{false};
+  SimNetwork net;
+  const NodeId a = net.create_node();
+  net.set_handler(a, [&](Message msg) {
+    if (msg.payload[0] == 1) {
+      net.send(a, a, payload(2));
+      // The message to self is due at once, long before this returns.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      sender_returned.store(true);
+    } else {
+      handled_after_return.store(sender_returned.load());
+      handled.store(true);
+    }
+  });
+  ASSERT_TRUE(net.send(a, a, payload(1)));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!handled.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(handled.load()) << "the message to self was never handled";
+  EXPECT_TRUE(handled_after_return.load())
+      << "the message to self was handled inside the handler that sent it";
+}
+
+TEST_F(TransportTest, LoweredDeadlineWakesAnIdleNode) {
   std::mutex m;
   std::condition_variable cv;
-  bool got = false;
-  common::TimePoint arrival;
-  net.set_handler(b, [&](Message) {
-    const std::lock_guard<std::mutex> guard(m);
-    arrival = common::Clock::now();
-    got = true;
-    cv.notify_all();
-  });
-
-  const auto start = common::Clock::now();
-  net.send(a, b, payload(1));
+  std::vector<common::TimePoint> runs;
+  SimNetwork net;
+  const NodeId a = net.create_node();
+  net.set_handler(
+      a, [](Message) {},
+      [&] {
+        const std::lock_guard<std::mutex> guard(m);
+        runs.push_back(common::Clock::now());
+        cv.notify_all();
+        // Once more 10 ms later, then never again.
+        return runs.size() < 2 ? runs.back() + std::chrono::milliseconds(10)
+                               : common::TimePoint::max();
+      });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // a sleeps, nothing due
+  const auto at = common::Clock::now() + std::chrono::milliseconds(20);
+  net.wake_at(a, at);  // from a thread other than a's
   std::unique_lock<std::mutex> lock(m);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(2), [&] { return got; }));
-  EXPECT_GE(arrival - start, std::chrono::milliseconds(4));
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(2), [&] { return runs.size() >= 2; }))
+      << "the deadline handler ran " << runs.size() << " times";
+  EXPECT_GE(runs[0], at);
+  EXPECT_GE(runs[1] - runs[0], std::chrono::milliseconds(10));
+  lock.unlock();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  lock.lock();
+  EXPECT_EQ(runs.size(), 2u);
 }
 
 TEST_F(TransportTest, ManyNodesAllToAll) {
@@ -230,19 +297,35 @@ TEST_F(TransportTest, ReplacingAHandlerWaitsForItsRunningCall) {
   SimNetwork net;
   const NodeId a = net.create_node();
   const NodeId b = net.create_node();
-  net.set_handler(b, [&](Message) {
+  const auto slow_call = [&] {
     started.store(true);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     finished.store(true);
-  });
-  ASSERT_TRUE(net.send(a, b, payload(1)));
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!started.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  // First a running message handler, then a running deadline handler.
+  for (const bool deadline : {false, true}) {
+    started.store(false);
+    finished.store(false);
+    net.set_handler(
+        b, [&](Message) { slow_call(); },
+        [&] {
+          slow_call();
+          return common::TimePoint::max();
+        });
+    if (deadline) {
+      net.wake_at(b, common::Clock::now());
+    } else {
+      ASSERT_TRUE(net.send(a, b, payload(1)));
+    }
+    const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!started.load() && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(started.load()) << "deadline=" << deadline;
+    net.set_handler(b, {});
+    EXPECT_TRUE(finished.load()) << "set_handler returned while the replaced "
+                                 << (deadline ? "deadline" : "message") << " handler ran";
   }
-  ASSERT_TRUE(started.load());
-  net.set_handler(b, {});
-  EXPECT_TRUE(finished.load()) << "set_handler returned while the replaced handler ran";
 }
 
 TEST_F(TransportTest, StopIsIdempotentAndSafe) {
