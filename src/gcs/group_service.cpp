@@ -420,13 +420,19 @@ void GroupService::send_nack_if_gap(GroupId group, MemberState& st, bool force) 
   const auto now = common::Clock::now();
   if (!force && now - st.last_nack < config_.retransmit_interval) return;
   st.last_nack = now;
+  send_nack(group, st.view.sequencer(), st.delivered_up_to + 1,
+            st.holdback.begin()->first - 1);
+  net_.wake_at(self_, now + config_.retransmit_interval);  // the retry
+}
+
+void GroupService::send_nack(GroupId group, NodeId sequencer, std::uint64_t from_seq,
+                             std::uint64_t to_seq) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(WireKind::kNack));
   w.u32(group.value());
-  w.u64(st.delivered_up_to + 1);
-  w.u64(st.holdback.begin()->first - 1);
-  net_.send(self_, st.view.sequencer(), w.take());
-  net_.wake_at(self_, now + config_.retransmit_interval);  // the retry
+  w.u64(from_seq);
+  w.u64(to_seq);
+  net_.send(self_, sequencer, w.take());
 }
 
 void GroupService::handle_nack(GroupId group, NodeId from, Reader& r) {
@@ -487,12 +493,7 @@ void GroupService::handle_heartbeat(GroupId group, NodeId, Reader& r) {
   const auto now = common::Clock::now();
   if (now - st.last_nack < config_.retransmit_interval) return;
   st.last_nack = now;
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(WireKind::kNack));
-  w.u32(group.value());
-  w.u64(st.delivered_up_to + 1);
-  w.u64(peer_highest);
-  net_.send(self_, st.view.sequencer(), w.take());
+  send_nack(group, st.view.sequencer(), st.delivered_up_to + 1, peer_highest);
 }
 
 // --- view changes ------------------------------------------------------------
@@ -633,12 +634,7 @@ void GroupService::handle_view_commit(GroupId group, Reader& r) {
   try_deliver(group, st);
   // Any gap below final_highest must be repaired by the new sequencer.
   if (st.delivered_up_to < final_highest) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(WireKind::kNack));
-    w.u32(group.value());
-    w.u64(st.delivered_up_to + 1);
-    w.u64(final_highest);
-    net_.send(self_, st.committed_view.sequencer(), w.take());
+    send_nack(group, st.committed_view.sequencer(), st.delivered_up_to + 1, final_highest);
   }
 }
 

@@ -294,6 +294,9 @@ class GroupService {
   void finish_proposal(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void send_nack_if_gap(common::GroupId group, MemberState& st, bool force)
       ADETS_REQUIRES(mutex_);
+  /// Asks `sequencer` to retransmit sequence numbers [from_seq, to_seq].
+  void send_nack(common::GroupId group, common::NodeId sequencer, std::uint64_t from_seq,
+                 std::uint64_t to_seq);
   void resend_pending(common::GroupId group, SenderState& sender, bool force)
       ADETS_REQUIRES(mutex_);
   /// An external session adopts the acking node `from` (the sequencer) as

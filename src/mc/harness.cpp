@@ -15,7 +15,7 @@
 #include "common/types.hpp"
 #include "lin/checker.hpp"
 #include "racy_scheduler.hpp"
-#include "replication/audit.hpp"
+#include "replication/consistency.hpp"
 #include "replication/statehash.hpp"
 #include "sched/api.hpp"
 

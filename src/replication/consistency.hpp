@@ -1,16 +1,25 @@
 // Cross-replica consistency checking.
 //
-// After (or during) a run, compares the replicas of a group on two
-// axes: the object state hash, and the per-mutex projections of the
+// The whole ADETS design exists so that replicas resolve locks,
+// condition-variable wakeups and wait timeouts identically; a replica
+// that disagrees is therefore THE failure mode worth a dedicated check.
+// After a drained run, check_group compares the replicas of a group on
+// two axes: the object state hash, and the per-mutex projections of the
 // schedulers' decision rings (the global interleaving across different
 // mutexes is legitimately nondeterministic for truly multithreaded
 // strategies; the per-mutex grant order is the determinism contract).
+// On a mismatch it explains itself: the hashes, each replica's recent
+// decisions and the first grant where a replica departs from the
+// reference replica.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "runtime/cluster.hpp"
+#include "sched/api.hpp"
 
 namespace adets::repl {
 
@@ -18,6 +27,9 @@ struct ConsistencyReport {
   bool states_match = false;
   bool grant_orders_match = false;
   std::vector<std::uint64_t> state_hashes;
+  /// Empty when consistent.  Otherwise a dump that starts with a
+  /// "DIVERGENCE" line (the state hashes), then each replica's last 16
+  /// decisions and a "decision-trace diff" line per disagreeing replica.
   std::string detail;
 
   [[nodiscard]] bool consistent() const { return states_match && grant_orders_match; }
@@ -27,7 +39,14 @@ struct ConsistencyReport {
 /// every application mutex, each replica's grant sequence is a prefix of
 /// the longest one (a lagging replica has simply granted fewer).  A
 /// replica whose decision ring has wrapped no longer holds its first
-/// grants and is left out of the grant comparison.
+/// grants and is left out of the grant comparison.  Call it after
+/// Cluster::wait_drained: it reads each replica's object, which a
+/// request still executing would be writing.
 ConsistencyReport check_group(runtime::Cluster& cluster, common::GroupId group);
+
+/// Per-mutex grantee projection of a decision trace (only kLockGrant
+/// entries; scheduler-internal mutexes excluded).
+[[nodiscard]] std::map<std::uint64_t, std::vector<std::uint64_t>>
+per_mutex_decisions(const std::vector<sched::Decision>& decisions);
 
 }  // namespace adets::repl

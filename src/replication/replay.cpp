@@ -1,6 +1,5 @@
 #include "replication/replay.hpp"
 
-#include <atomic>
 #include <map>
 
 #include "common/annotations.hpp"
@@ -39,7 +38,7 @@ class ReplayHost : public sched::SchedulerEnv, public runtime::InvocationHost {
       const runtime::RequestMessage message = runtime::decode_request(r);
       runtime::SyncContext ctx(*this, message.id, message.logical, message.callers);
       object_.dispatch(message.method, message.args, ctx);
-    } catch (const runtime::ReplicaStopping&) {
+    } catch (const sched::SchedulerStopping&) {
     } catch (const std::exception& e) {
       ADETS_LOG_ERROR("replay") << "request failed: " << e.what();
     }
@@ -60,13 +59,6 @@ class ReplayHost : public sched::SchedulerEnv, public runtime::InvocationHost {
 
   // --- InvocationHost --------------------------------------------------
   [[nodiscard]] sched::Scheduler& context_scheduler() override { return scheduler_; }
-  [[nodiscard]] bool stopping() override { return stopping_.load(); }
-
-  /// Stops the scheduler; lock calls it ends report the stop.
-  void stop() {
-    stopping_.store(true);
-    scheduler_.stop();
-  }
 
   Bytes nested_invoke(runtime::SyncContext& ctx, common::GroupId,
                       const std::string&, const Bytes&) override {
@@ -76,7 +68,7 @@ class ReplayHost : public sched::SchedulerEnv, public runtime::InvocationHost {
     scheduler_.after_nested_call(nested_id);
     const common::MutexLock guard(mutex_);
     const auto it = replies_.find(nested_id.value());
-    if (it == replies_.end()) throw runtime::ReplicaStopping();
+    if (it == replies_.end()) throw sched::SchedulerStopping();
     return it->second;
   }
 
@@ -92,7 +84,6 @@ class ReplayHost : public sched::SchedulerEnv, public runtime::InvocationHost {
   runtime::ReplicatedObject& object_;
   common::Mutex mutex_{"repl::replayhost"};
   std::map<std::uint64_t, Bytes> replies_ ADETS_GUARDED_BY(mutex_);
-  std::atomic<bool> stopping_{false};
 };
 
 }  // namespace
@@ -143,7 +134,7 @@ ReplayResult replay_log(const runtime::EventLog& log, sched::SchedulerKind kind,
   }
   result.requests_executed = scheduler->completed_requests();
   result.complete = result.requests_executed >= app_requests;
-  host.stop();
+  scheduler->stop();
   result.state_hash = object->state_hash();
   return result;
 }

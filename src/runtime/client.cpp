@@ -1,5 +1,7 @@
 #include "runtime/client.hpp"
 
+#include <future>
+#include <memory>
 #include <stdexcept>
 
 namespace adets::runtime {
@@ -19,68 +21,49 @@ void Client::connect(GroupId group, std::vector<NodeId> members) {
   gcs_.connect(group, std::move(members));
 }
 
-RequestId Client::next_request_id() {
-  // Globally unique: client node id in the top bits, local counter below.
-  return RequestId((static_cast<std::uint64_t>(gcs_.self().value()) << 40) | ++counter_);
-}
-
-Bytes Client::invoke(GroupId group, const std::string& method, const Bytes& args,
-                     std::chrono::milliseconds timeout) {
+RequestId Client::submit(GroupId group, const std::string& method, const Bytes& args,
+                         ReplyMode reply_mode, ReplyCallback on_reply) {
   RequestMessage request;
   {
     const std::lock_guard<std::mutex> guard(mutex_);
-    request.id = next_request_id();
-    pending_[request.id.value()];  // create slot
+    // Globally unique: client node id in the top bits, local counter below.
+    request.id =
+        RequestId((static_cast<std::uint64_t>(gcs_.self().value()) << 40) | ++counter_);
+    if (on_reply) pending_[request.id.value()] = std::move(on_reply);
   }
   request.logical = common::LogicalThreadId(request.id.value());
-  request.reply_mode = ReplyMode::kDirectToNode;
-  request.reply_target = gcs_.self().value();
-  request.method = method;
-  request.args = args;
-  gcs_.submit(group, encode_request(request));
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  const bool ok = cv_.wait_for(lock, timeout, [&] {
-    return pending_[request.id.value()].ready;
-  });
-  if (!ok) {
-    pending_.erase(request.id.value());
-    throw std::runtime_error("client invocation timed out: " + method);
-  }
-  Bytes result = std::move(pending_[request.id.value()].result);
-  pending_.erase(request.id.value());
-  return result;
-}
-
-RequestId Client::invoke_async(GroupId group, const std::string& method,
-                               const Bytes& args, ReplyCallback on_reply) {
-  RequestMessage request;
-  {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    request.id = next_request_id();
-    pending_[request.id.value()].callback = std::move(on_reply);
-  }
-  request.logical = common::LogicalThreadId(request.id.value());
-  request.reply_mode = ReplyMode::kDirectToNode;
-  request.reply_target = gcs_.self().value();
+  request.reply_mode = reply_mode;
+  request.reply_target = reply_mode == ReplyMode::kDirectToNode ? gcs_.self().value() : 0;
   request.method = method;
   request.args = args;
   gcs_.submit(group, encode_request(request));
   return request.id;
 }
 
-void Client::invoke_oneway(GroupId group, const std::string& method, const Bytes& args) {
-  RequestMessage request;
-  {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    request.id = next_request_id();
+Bytes Client::invoke(GroupId group, const std::string& method, const Bytes& args,
+                     std::chrono::milliseconds timeout) {
+  // Shared with the callback, which may still run after a timeout.
+  auto reply = std::make_shared<std::promise<Bytes>>();
+  std::future<Bytes> result = reply->get_future();
+  const RequestId id = invoke_async(
+      group, method, args, [reply](Bytes bytes) { reply->set_value(std::move(bytes)); });
+  if (result.wait_for(timeout) == std::future_status::timeout) {
+    {
+      const std::lock_guard<std::mutex> guard(mutex_);
+      pending_.erase(id.value());
+    }
+    throw std::runtime_error("client invocation timed out: " + method);
   }
-  request.logical = common::LogicalThreadId(request.id.value());
-  request.reply_mode = ReplyMode::kNone;
-  request.reply_target = 0;
-  request.method = method;
-  request.args = args;
-  gcs_.submit(group, encode_request(request));
+  return result.get();
+}
+
+RequestId Client::invoke_async(GroupId group, const std::string& method,
+                               const Bytes& args, ReplyCallback on_reply) {
+  return submit(group, method, args, ReplyMode::kDirectToNode, std::move(on_reply));
+}
+
+void Client::invoke_oneway(GroupId group, const std::string& method, const Bytes& args) {
+  submit(group, method, args, ReplyMode::kNone, nullptr);
 }
 
 void Client::on_direct(NodeId /*src*/, const SharedBytes& payload) {
@@ -90,20 +73,12 @@ void Client::on_direct(NodeId /*src*/, const SharedBytes& payload) {
   {
     const std::lock_guard<std::mutex> guard(mutex_);
     const auto it = pending_.find(reply->request.value());
-    if (it == pending_.end() || it->second.ready) return;  // duplicate replica reply
-    if (it->second.callback) {
-      // Async invocation: complete outside the lock, on this node's
-      // network thread; the callback may immediately issue the next
-      // invocation.
-      callback = std::move(it->second.callback);
-      pending_.erase(it);
-    } else {
-      it->second.ready = true;
-      it->second.result = std::move(reply->result);
-      cv_.notify_all();
-      return;
-    }
+    if (it == pending_.end()) return;  // duplicate replica reply
+    callback = std::move(it->second);
+    pending_.erase(it);
   }
+  // Complete outside the lock, on this node's network thread; the
+  // callback may immediately issue the next invocation.
   callback(std::move(reply->result));
 }
 

@@ -6,21 +6,20 @@
 // by construction).
 //
 // Two invocation styles share one reply path:
-//  - invoke(): synchronous, blocks the calling thread;
 //  - invoke_async(): registers a completion callback, so one client
 //    node can multiplex many logical closed-loop sessions (the load
 //    harness drives thousands of simulated clients over a handful of
 //    client nodes this way).  Callbacks run on the client node's
 //    network thread (GroupService's callback contract) and must not
-//    block.
+//    block;
+//  - invoke(): synchronous, blocks the calling thread on the callback
+//    of an invoke_async().
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "common/annotations.hpp"
@@ -63,13 +62,11 @@ class Client {
   [[nodiscard]] common::NodeId node() const { return gcs_.self(); }
 
  private:
-  struct PendingReply {
-    bool ready = false;
-    common::Bytes result;
-    ReplyCallback callback;  // set for async invocations
-  };
-
-  common::RequestId next_request_id();
+  /// Numbers a request (registering `on_reply` for its first reply, if
+  /// given) and submits it to `group`.
+  common::RequestId submit(common::GroupId group, const std::string& method,
+                           const common::Bytes& args, ReplyMode reply_mode,
+                           ReplyCallback on_reply);
   void on_direct(common::NodeId src, const common::SharedBytes& payload);
 
   gcs::GroupService& gcs_;
@@ -77,9 +74,9 @@ class Client {
   // replica (no lock-order story to record); guards declared for
   // adets-sa only.
   std::mutex mutex_;
-  std::condition_variable cv_;
   std::uint64_t counter_ ADETS_GUARDED_BY_STATIC(mutex_) = 0;
-  std::map<std::uint64_t, PendingReply> pending_ ADETS_GUARDED_BY_STATIC(mutex_);
+  /// Callbacks of the invocations still waiting for their first reply.
+  std::map<std::uint64_t, ReplyCallback> pending_ ADETS_GUARDED_BY_STATIC(mutex_);
 };
 
 }  // namespace adets::runtime

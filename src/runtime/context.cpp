@@ -5,15 +5,7 @@
 namespace adets::runtime {
 
 void SyncContext::lock(common::MutexId mutex) {
-  sched::Scheduler& scheduler = host_.context_scheduler();
-  scheduler.lock(mutex);
-  if (host_.stopping()) {
-    // A stopping scheduler may end the wait without a grant.  Give back
-    // whatever the call took, so no later locker waits on it, and leave
-    // before touching the state the mutex guards.
-    scheduler.unlock(mutex);
-    throw ReplicaStopping();
-  }
+  host_.context_scheduler().lock(mutex);
 }
 
 void SyncContext::unlock(common::MutexId mutex) {
@@ -22,10 +14,7 @@ void SyncContext::unlock(common::MutexId mutex) {
 
 bool SyncContext::wait(common::MutexId mutex, common::CondVarId condvar,
                        common::Duration paper_timeout) {
-  const sched::WaitResult result =
-      host_.context_scheduler().wait(mutex, condvar, paper_timeout);
-  if (result.stopping) throw ReplicaStopping();
-  return result.notified;
+  return host_.context_scheduler().wait(mutex, condvar, paper_timeout).notified;
 }
 
 void SyncContext::notify_one(common::MutexId mutex, common::CondVarId condvar) {

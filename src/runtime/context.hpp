@@ -2,7 +2,6 @@
 // replicated-object methods, plus RAII helpers.
 #pragma once
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,12 +19,6 @@ namespace adets::runtime {
 
 class SyncContext;
 
-/// Thrown out of blocked operations when the replica shuts down mid-run.
-class ReplicaStopping : public std::runtime_error {
- public:
-  ReplicaStopping() : std::runtime_error("replica stopping") {}
-};
-
 /// What a SyncContext needs from its surroundings.  Implemented by the
 /// live Replica (nested invocations go over the wire) and by the
 /// passive-replication replay harness (nested replies come from the
@@ -34,9 +27,8 @@ class InvocationHost {
  public:
   virtual ~InvocationHost() = default;
   [[nodiscard]] virtual sched::Scheduler& context_scheduler() = 0;
-  /// True once the host has begun to stop its scheduler, which ends every
-  /// lock wait without granting the mutex.
-  [[nodiscard]] virtual bool stopping() = 0;
+  /// Throws sched::SchedulerStopping when the scheduler stops before the
+  /// reply arrived.
   virtual common::Bytes nested_invoke(SyncContext& ctx, common::GroupId target,
                                       const std::string& method,
                                       const common::Bytes& args) = 0;
@@ -66,12 +58,14 @@ class SyncContext {
   SyncContext(const SyncContext&) = delete;
   SyncContext& operator=(const SyncContext&) = delete;
 
+  /// Throws sched::SchedulerStopping when the replica shuts down during
+  /// the call, before the caller touches the state the mutex guards.
   void lock(common::MutexId mutex);
   void unlock(common::MutexId mutex);
   /// wait() with Java semantics; returns false when the bounded wait
   /// timed out.  `paper_timeout` zero waits indefinitely.  Throws
-  /// ReplicaStopping when the replica shuts down during the wait, so a
-  /// `while (!cond) wait()` loop ends instead of spinning.
+  /// sched::SchedulerStopping when the replica shuts down during the
+  /// wait, so a `while (!cond) wait()` loop ends instead of spinning.
   bool wait(common::MutexId mutex, common::CondVarId condvar,
             common::Duration paper_timeout = common::Duration::zero());
   void notify_one(common::MutexId mutex, common::CondVarId condvar);

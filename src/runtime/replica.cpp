@@ -127,15 +127,7 @@ void Replica::on_view(const gcs::View& view) {
 
 // --- SchedulerEnv ------------------------------------------------------------------
 
-std::optional<Replica::AuditSnapshot> Replica::try_audit_snapshot() {
-  std::unique_lock<std::shared_mutex> guard(audit_mutex_, std::try_to_lock);
-  if (!guard.owns_lock()) return std::nullopt;
-  return AuditSnapshot{object_->state_hash(),
-                       applied_.load(std::memory_order_acquire)};
-}
-
 void Replica::execute(const sched::Request& request) {
-  const std::shared_lock<std::shared_mutex> audit_guard(audit_mutex_);
   Reader r(request.payload);
   RequestMessage message;
   try {
@@ -148,14 +140,13 @@ void Replica::execute(const sched::Request& request) {
   Bytes result;
   try {
     result = object_->dispatch(message.method, message.args, ctx);
-  } catch (const ReplicaStopping&) {
+  } catch (const sched::SchedulerStopping&) {
     return;  // shutting down; no reply
   } catch (const std::exception& e) {
     ADETS_LOG_ERROR("replica") << "method " << message.method
                                << " threw: " << e.what();
     result.clear();
   }
-  applied_.fetch_add(1, std::memory_order_release);
   send_reply(message, result);
 }
 
@@ -183,11 +174,7 @@ void Replica::broadcast(const Bytes& payload) {
 // --- nested invocations ----------------------------------------------------------------
 
 void Replica::ensure_connected(GroupId target) {
-  {
-    const common::MutexLock guard(mutex_);
-    if (!connected_groups_.insert(target.value()).second) return;
-  }
-  gcs_.connect(target, directory_->members(target));
+  gcs_.connect(target, directory_->members(target));  // a no-op once connected
 }
 
 Bytes Replica::nested_invoke(SyncContext& ctx, GroupId target,
@@ -210,7 +197,7 @@ Bytes Replica::nested_invoke(SyncContext& ctx, GroupId target,
 
   const common::MutexLock guard(mutex_);
   const auto it = nested_results_.find(nested_id.value());
-  if (it == nested_results_.end()) throw ReplicaStopping();
+  if (it == nested_results_.end()) throw sched::SchedulerStopping();
   Bytes result = it->second;
   nested_results_.erase(it);
   return result;

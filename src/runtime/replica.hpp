@@ -7,12 +7,9 @@
 // invocation, enforce at-most-once semantics and send the reply.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -99,21 +96,6 @@ class Replica : private sched::SchedulerEnv, public InvocationHost {
     return scheduler_->completed_requests();
   }
 
-  /// One quiescent observation of this replica, for divergence auditing.
-  struct AuditSnapshot {
-    std::uint64_t state_hash = 0;
-    /// Application requests fully applied to the object — identifies the
-    /// prefix of the total order this hash corresponds to.
-    std::uint64_t applied = 0;
-  };
-
-  /// Captures state hash + applied count, but only if no request is
-  /// mid-execution (auditing a live object while a method mutates it
-  /// would race).  Executions hold a shared lock for their whole
-  /// dispatch; this try-locks exclusively and never blocks, so a busy
-  /// (or parked-in-wait) replica simply yields nullopt.
-  [[nodiscard]] std::optional<AuditSnapshot> try_audit_snapshot();
-
   /// Starts recording this replica's delivered event stream (post
   /// at-most-once filtering) for later re-execution.
   void set_event_log(std::shared_ptr<EventLog> log) {
@@ -123,10 +105,6 @@ class Replica : private sched::SchedulerEnv, public InvocationHost {
 
   // --- InvocationHost (used by SyncContext) --------------------------------
   [[nodiscard]] sched::Scheduler& context_scheduler() override { return *scheduler_; }
-  [[nodiscard]] bool stopping() override {
-    const common::MutexLock guard(mutex_);
-    return stopped_;
-  }
   common::Bytes nested_invoke(SyncContext& ctx, common::GroupId target,
                               const std::string& method,
                               const common::Bytes& args) override;
@@ -167,15 +145,8 @@ class Replica : private sched::SchedulerEnv, public InvocationHost {
   std::set<std::uint64_t> seen_replies_ ADETS_GUARDED_BY(mutex_);
   std::unordered_map<std::uint64_t, common::Bytes> nested_results_
       ADETS_GUARDED_BY(mutex_);
-  std::set<std::uint32_t> connected_groups_ ADETS_GUARDED_BY(mutex_);
   std::shared_ptr<EventLog> event_log_ ADETS_GUARDED_BY(mutex_);
   bool stopped_ ADETS_GUARDED_BY(mutex_) = false;
-
-  /// Shared: held by execute() around every dispatch.  Exclusive:
-  /// try-taken by try_audit_snapshot().  Never blocking-locked
-  /// exclusively, so readers are never throttled by a waiting writer.
-  std::shared_mutex audit_mutex_;
-  std::atomic<std::uint64_t> applied_{0};
 };
 
 }  // namespace adets::runtime

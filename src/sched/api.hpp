@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -88,14 +89,20 @@ struct Request {
   common::RequestId callback_of = common::RequestId::invalid();
 };
 
-/// Result of a wait(): notified or timed out (Java semantics), or cut
-/// short because the scheduler is stopping.
+/// Result of a wait(): notified or timed out (Java semantics).
 struct WaitResult {
   bool notified = true;
-  /// The scheduler is shutting down: the wait ended without a notify or
-  /// a timeout, and every further wait would return at once, so the
-  /// caller must not loop back into wait().
-  bool stopping = false;
+};
+
+/// Thrown out of lock() and wait() when the scheduler stops during the
+/// call.  The work item ends there: lock() took no mutex, and wait()
+/// leaves the mutex held as the caller's guards expect, so they unwind
+/// as usual, but neither may touch the state the mutex guards.  A host
+/// that runs object code catches it around the call; the scheduler
+/// catches whatever escapes a request body.
+class SchedulerStopping : public std::runtime_error {
+ public:
+  SchedulerStopping() : std::runtime_error("scheduler stopping") {}
 };
 
 /// Aggregate counters of one scheduler instance (monotone; thread-safe
@@ -194,12 +201,14 @@ class Scheduler {
 
   // --- downcalls from scheduler-managed application threads --------------
 
+  /// Throws SchedulerStopping when stop() ends the call.
   virtual void lock(common::MutexId mutex) = 0;
   virtual void unlock(common::MutexId mutex) = 0;
 
   /// Releases `mutex`, waits on `condvar`, reacquires `mutex`.
   /// `timeout` is paper time; Duration::zero() waits indefinitely.
-  /// Requires condition_variables capability.
+  /// Requires condition_variables capability.  Throws SchedulerStopping
+  /// when stop() ends the call.
   virtual WaitResult wait(common::MutexId mutex, common::CondVarId condvar,
                           common::Duration timeout) = 0;
 

@@ -124,6 +124,14 @@ void SchedulerBase::lock(MutexId mutex) {
     return;
   }
   base_lock(lk, t, mutex);
+  if (stopping()) {
+    // A stopping strategy ends the wait whether or not it granted the
+    // mutex.  Give back whatever base_lock took, so no later locker
+    // waits on it, and leave before the caller touches the state the
+    // mutex guards.
+    base_unlock(lk, t, mutex);
+    throw SchedulerStopping();
+  }
   ReentrantState& r2 = reentrant_[mutex.value()];  // map may have rehashed
   r2.owner = t.logical;
   r2.count = 1;
@@ -149,11 +157,10 @@ WaitResult SchedulerBase::wait(MutexId mutex, CondVarId condvar, Duration timeou
   ThreadRecord& t = current();
   Lk lk(mon_);
   ReentrantState& r = reentrant_[mutex.value()];
+  if (stopping()) throw SchedulerStopping();
   if (r.owner != t.logical || r.count <= 0) {
-    if (stopping()) return WaitResult{false, true};
     throw std::logic_error("wait() requires holding the mutex");
   }
-  if (stopping()) return WaitResult{false, true};
   // Java semantics: wait releases the monitor completely, whatever the
   // recursion depth, and restores the depth on return.
   const int saved_count = r.count;
@@ -172,13 +179,16 @@ WaitResult SchedulerBase::wait(MutexId mutex, CondVarId condvar, Duration timeou
   t.state = ThreadState::kBlockedWait;
   base_wait(lk, t, mutex);
   t.state = ThreadState::kRunning;
-  const WaitResult result{!t.timed_out, stopping()};
-  record_decision(result.notified ? Decision::Kind::kCvWakeup
-                                  : Decision::Kind::kCvTimeout,
-                  mutex, condvar, t.id, generation);
   ReentrantState& r2 = reentrant_[mutex.value()];
   r2.owner = t.logical;
   r2.count = saved_count;
+  // A stop ends the wait without a notify or a timeout; the caller's
+  // guards release the mutex on the way out.
+  if (stopping()) throw SchedulerStopping();
+  const WaitResult result{!t.timed_out};
+  record_decision(result.notified ? Decision::Kind::kCvWakeup
+                                  : Decision::Kind::kCvTimeout,
+                  mutex, condvar, t.id, generation);
   return result;
 }
 
@@ -484,34 +494,40 @@ SchedulerBase::ThreadRecord* SchedulerBase::find_thread(Lk&, ThreadId id) {
 }
 
 void SchedulerBase::run_request_body(const Request& request) {
-  switch (request.kind) {
-    case RequestKind::kApplication:
-      env_->execute(request);
-      completed_.fetch_add(1, std::memory_order_release);
-      break;
-    case RequestKind::kTimeout: {
-      // Paper Sec. 4.2: "This message is handled by a normal
-      // request-handler thread, which notifies the waiting thread.  As
-      // all notifications are synchronized by mutexes, a deterministic
-      // order is guaranteed."
-      this->lock(request.timeout.mutex);
-      {
-        Lk lk(mon_);
-        if (resume_timed_out(lk, request.timeout)) {
-          stats_.timeouts_fired++;
-        } else {
-          // The waiter was already notified (or resumed by an earlier
-          // copy): a stale generation must no-op identically everywhere.
-          record_decision(Decision::Kind::kStaleTimeout, request.timeout.mutex,
-                          request.timeout.condvar, request.timeout.thread,
-                          request.timeout.generation);
+  try {
+    switch (request.kind) {
+      case RequestKind::kApplication:
+        env_->execute(request);
+        break;
+      case RequestKind::kTimeout: {
+        // Paper Sec. 4.2: "This message is handled by a normal
+        // request-handler thread, which notifies the waiting thread.  As
+        // all notifications are synchronized by mutexes, a deterministic
+        // order is guaranteed."
+        this->lock(request.timeout.mutex);
+        {
+          Lk lk(mon_);
+          if (resume_timed_out(lk, request.timeout)) {
+            stats_.timeouts_fired++;
+          } else {
+            // The waiter was already notified (or resumed by an earlier
+            // copy): a stale generation must no-op identically everywhere.
+            record_decision(Decision::Kind::kStaleTimeout, request.timeout.mutex,
+                            request.timeout.condvar, request.timeout.thread,
+                            request.timeout.generation);
+          }
         }
+        this->unlock(request.timeout.mutex);
+        break;
       }
-      this->unlock(request.timeout.mutex);
-      break;
+      case RequestKind::kNoop:
+        break;
     }
-    case RequestKind::kNoop:
-      break;
+  } catch (const SchedulerStopping&) {
+    // stop() ended a lock or wait of this work item, which ends here.
+  }
+  if (request.kind == RequestKind::kApplication) {
+    completed_.fetch_add(1, std::memory_order_release);
   }
 }
 

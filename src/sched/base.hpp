@@ -230,7 +230,9 @@ class SchedulerBase : public Scheduler {
                        std::uint64_t generation = 0) ADETS_REQUIRES(mon_);
 
   /// Executes one work item (application request or timeout handler) on
-  /// the calling scheduler thread.  mon_ must NOT be held.
+  /// the calling scheduler thread.  mon_ must NOT be held.  A work item
+  /// that stop() cuts short ends here; an application request counts as
+  /// completed either way.
   void run_request_body(const Request& request);
 
   /// Arms the local timer for a timed wait.

@@ -98,7 +98,7 @@ void LsaScheduler::apply_ready_tables(Lk& lk, std::uint64_t sender) {
   }
 }
 
-void LsaScheduler::apply_table(Lk&, const std::vector<TableEntry>& entries) {
+void LsaScheduler::apply_table(Lk& lk, const std::vector<TableEntry>& entries) {
   for (const TableEntry& entry : entries) {
     if (leader_) continue;  // the leader already granted these
     if (entry.is_new && lsa_to_app_.count(entry.lsa_id) == 0) {
@@ -107,7 +107,7 @@ void LsaScheduler::apply_table(Lk&, const std::vector<TableEntry>& entries) {
       const auto key = std::make_pair(entry.thread, entry.op);
       const auto unknown = unknown_requests_.find(key);
       if (unknown != unknown_requests_.end()) {
-        bind(MutexId(unknown->second), entry.lsa_id);
+        bind(lk, MutexId(unknown->second), entry.lsa_id);
         unknown_requests_.erase(unknown);
       } else {
         early_new_entries_[key] = entry.lsa_id;
@@ -117,16 +117,11 @@ void LsaScheduler::apply_table(Lk&, const std::vector<TableEntry>& entries) {
   }
 }
 
-void LsaScheduler::bind(MutexId mutex, std::uint64_t lsa_id) {
+void LsaScheduler::bind(Lk& lk, MutexId mutex, std::uint64_t lsa_id) {
   app_to_lsa_[mutex.value()] = lsa_id;
   lsa_to_app_[lsa_id] = mutex.value();
   // Other threads may be blocked-unknown on the same mutex.
-  for (auto& [id, record] : threads_) {
-    if (record->state == ThreadState::kBlockedLock ||
-        record->state == ThreadState::kBlockedReacquire) {
-      wake(*record);
-    }
-  }
+  wake_lock_waiters(lk);
 }
 
 void LsaScheduler::wake_lock_waiters(Lk&) {
@@ -196,7 +191,7 @@ void LsaScheduler::lock_impl(Lk& lk, ThreadRecord& t, MutexId mutex) {
       if (early != early_new_entries_.end()) {
         const std::uint64_t lsa_id = early->second;
         early_new_entries_.erase(early);
-        bind(mutex, lsa_id);
+        bind(lk, mutex, lsa_id);
         continue;
       }
       unknown_requests_[key] = mutex.value();
@@ -225,7 +220,7 @@ void LsaScheduler::append_entry(Lk& lk, MutexId mutex, ThreadId thread,
   std::uint64_t lsa_id;
   if (binding == app_to_lsa_.end()) {
     lsa_id = next_lsa_id_++;
-    bind(mutex, lsa_id);
+    bind(lk, mutex, lsa_id);
     is_new = true;
   } else {
     lsa_id = binding->second;

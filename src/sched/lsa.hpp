@@ -116,7 +116,7 @@ class LsaScheduler : public SchedulerBase {
   /// Timer callback target: acquires mon_ and flushes (kept out of the
   /// lambda so the lambda body contains no lock operations).
   void flush_batched();
-  void bind(common::MutexId mutex, std::uint64_t lsa_id) ADETS_REQUIRES(mon_);
+  void bind(Lk& lk, common::MutexId mutex, std::uint64_t lsa_id) ADETS_REQUIRES(mon_);
   void wake_lock_waiters(Lk& lk) ADETS_REQUIRES(mon_);
 
   struct Table {

@@ -1,7 +1,6 @@
 #include "workload/scenario.hpp"
 
 #include <atomic>
-#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -113,12 +112,6 @@ ScenarioResult run_scenario(const runtime::SchedulerFactory& scheduler_factory,
 
   cluster.network().set_fault_plan(config.faults);
 
-  std::optional<repl::DivergenceAuditor> auditor;
-  if (config.audit_period > common::Duration::zero()) {
-    auditor.emplace(cluster, group);
-    auditor->start(config.audit_period);
-  }
-
   // A client whose invocation times out (e.g. under a total-loss plan)
   // aborts its remaining requests; the scenario still returns a result
   // with drained=false instead of letting the exception kill the thread.
@@ -157,17 +150,11 @@ ScenarioResult run_scenario(const runtime::SchedulerFactory& scheduler_factory,
   const auto total = static_cast<std::uint64_t>(config.clients) *
                      static_cast<std::uint64_t>(config.requests_per_client);
   result.drained = cluster.wait_drained(group, total, config.drain_timeout);
-
-  if (auditor) {
-    auditor->stop();
-    result.background_audits = auditor->audits_run();
-    result.background_divergence = auditor->divergence_detected();
-  }
-
-  result.audit = repl::audit_group(cluster, group);
-  result.converged = !result.audit.replicas.empty() && !result.audit.diverged;
-  for (const auto& snapshot : result.audit.replicas) {
-    result.state_hashes.push_back(snapshot.state_hash);
+  // Only a drained group has one state to compare, and only there is no
+  // request left writing an object the check reads.
+  if (result.drained) {
+    result.consistency = repl::check_group(cluster, group);
+    result.converged = result.consistency.consistent();
   }
   result.fault_digest = transport::fault_trace_digest(cluster.network().fault_trace());
   result.net = cluster.network().stats();
@@ -179,9 +166,9 @@ ScenarioResult run_scenario(const runtime::SchedulerFactory& scheduler_factory,
   if (!result.lin.linearizable && !result.lin.exhausted_budget) {
     result.artifact_path = dump_failure_artifact(
         config, result, "non-linearizable history", result.lin.explanation);
-  } else if (result.audit.diverged || result.background_divergence) {
+  } else if (result.drained && !result.converged) {
     result.artifact_path = dump_failure_artifact(
-        config, result, "replica divergence", result.audit.diagnostic);
+        config, result, "replica divergence", result.consistency.detail);
   }
   return result;
 }

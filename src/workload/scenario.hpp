@@ -2,11 +2,12 @@
 //
 // Executes one canonical seeded KvStore workload against a replica
 // group running an arbitrary scheduler — by SchedulerKind or through a
-// custom SchedulerFactory — under a transport::FaultPlan, then audits
-// the group for divergence.  This is the harness the fault-injection
-// and divergence-audit tests are built on, and the convergence gate
-// later performance PRs are validated against: every strategy must
-// reach one state hash on every replica under every fault seed.
+// custom SchedulerFactory — under a transport::FaultPlan, then drains
+// the group and checks it with repl::check_group.  This is the harness
+// the fault-injection and divergence-audit tests are built on, and the
+// convergence gate later performance PRs are validated against: every
+// strategy must reach one state hash and one per-mutex grant order on
+// every replica under every fault seed.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,7 @@
 
 #include "lin/checker.hpp"
 #include "lin/history.hpp"
-#include "replication/audit.hpp"
+#include "replication/consistency.hpp"
 #include "runtime/cluster.hpp"
 #include "transport/fault.hpp"
 
@@ -33,9 +34,6 @@ struct ScenarioConfig {
   /// events all fire before the run drains, even if the workload is done.
   transport::FaultPlan faults;
   sched::SchedulerConfig sched;
-  /// >0: run a DivergenceAuditor polling at this real-time period
-  /// concurrently with the workload.
-  common::Duration audit_period = common::Duration::zero();
   std::chrono::milliseconds drain_timeout = std::chrono::seconds(120);
   /// Per-invocation client timeout (real time).  Lower it for plans
   /// that are expected to starve clients (e.g. total loss).
@@ -44,15 +42,15 @@ struct ScenarioConfig {
 
 struct ScenarioResult {
   bool drained = false;
-  /// All live replicas reached the same state hash.
+  /// The run drained and check_group found every live replica on one
+  /// state hash and one per-mutex grant order.
   bool converged = false;
-  std::vector<std::uint64_t> state_hashes;
-  repl::AuditReport audit;  // final one-shot audit (post drain)
+  /// check_group's report, taken after the drain.  Left empty when the
+  /// run did not drain: a replica that lags is not a divergence.
+  repl::ConsistencyReport consistency;
   /// Digest of the per-link fault decision streams of this run.
   std::uint64_t fault_digest = 0;
   transport::NetworkStats net;
-  std::uint64_t background_audits = 0;
-  bool background_divergence = false;
   /// Clients whose invocation timed out (the scenario still returns a
   /// result with drained=false rather than propagating the failure).
   std::uint64_t clients_failed = 0;
@@ -74,7 +72,7 @@ struct ScenarioResult {
 ScenarioResult run_scenario(sched::SchedulerKind kind, const ScenarioConfig& config);
 
 /// Runs it under a caller-supplied scheduler factory (e.g. a broken
-/// scheduler used as the auditor's negative control).
+/// scheduler used as the consistency check's negative control).
 ScenarioResult run_scenario(const runtime::SchedulerFactory& scheduler_factory,
                             const ScenarioConfig& config);
 

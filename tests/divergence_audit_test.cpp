@@ -1,6 +1,6 @@
-// Divergence-audit tests.
+// Divergence tests of the cross-replica consistency check.
 //
-// The auditor's contract has two sides: every stock strategy must sail
+// check_group's contract has two sides: every stock strategy must sail
 // through fault-heavy runs without a divergence report, and a scheduler
 // that actually breaks the determinism contract must be caught — with a
 // decision-trace diff naming the first disagreeing lock grant, not just
@@ -17,7 +17,7 @@
 #include "common/clock.hpp"
 #include "common/serialization.hpp"
 #include "racy_scheduler.hpp"
-#include "replication/audit.hpp"
+#include "replication/consistency.hpp"
 #include "replication/statehash.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/context.hpp"
@@ -88,7 +88,7 @@ void race_appends(runtime::Cluster& cluster, common::GroupId group,
   for (auto& t : threads) t.join();
 }
 
-// --- positive side: stock strategies never trip the auditor ---------------
+// --- positive side: stock strategies never trip the check -----------------
 
 TEST_F(DivergenceAuditTest, StockSchedulersConvergeUnderFaultPlans) {
   for (const auto kind : workload::all_scheduler_kinds()) {
@@ -104,9 +104,9 @@ TEST_F(DivergenceAuditTest, StockSchedulersConvergeUnderFaultPlans) {
                           .reorder(0.1, 3);
       const auto result = run_scenario(kind, config);
       ASSERT_TRUE(result.drained);
-      EXPECT_TRUE(result.converged) << result.audit.diagnostic;
-      EXPECT_FALSE(result.audit.diverged);
-      EXPECT_TRUE(result.audit.diagnostic.empty());
+      EXPECT_TRUE(result.converged) << result.consistency.detail;
+      EXPECT_TRUE(result.consistency.detail.empty());
+      EXPECT_TRUE(result.artifact_path.empty()) << result.artifact_path;
     }
   }
 }
@@ -117,19 +117,25 @@ TEST_F(DivergenceAuditTest, StockSchedulerPassesTheRacyWorkload) {
                                           [] { return std::make_unique<AppendLog>(); });
   race_appends(cluster, group, 20);
   ASSERT_TRUE(cluster.wait_drained(group, 40, std::chrono::seconds(60)));
-  const auto report = repl::audit_group(cluster, group);
-  EXPECT_FALSE(report.diverged) << report.diagnostic;
+  const auto report = repl::check_group(cluster, group);
+  EXPECT_TRUE(report.consistent()) << report.detail;
 }
 
-TEST_F(DivergenceAuditTest, BackgroundAuditorStaysQuietOnCleanRun) {
+TEST_F(DivergenceAuditTest, UndrainedRunIsNotCheckedAndWritesNoArtifact) {
+  // Total loss starves every client, so the group never drains.  A
+  // replica that lags is not a divergence: the run reports drained=false
+  // and skips the check instead of comparing replicas mid-run.
   workload::ScenarioConfig config;
-  config.faults = transport::FaultPlan{}.with_seed(4).duplicate(0.1);
-  config.audit_period = std::chrono::milliseconds(2);
-  const auto result = run_scenario(sched::SchedulerKind::kPds, config);
-  ASSERT_TRUE(result.drained);
-  EXPECT_TRUE(result.converged) << result.audit.diagnostic;
-  EXPECT_GT(result.background_audits, 0u);
-  EXPECT_FALSE(result.background_divergence);
+  config.requests_per_client = 2;
+  config.faults = transport::FaultPlan{}.drop(1.0);
+  config.invoke_timeout = std::chrono::milliseconds(100);
+  config.drain_timeout = std::chrono::milliseconds(200);
+  const auto result = run_scenario(sched::SchedulerKind::kSat, config);
+  EXPECT_FALSE(result.drained);
+  EXPECT_GT(result.clients_failed, 0u);
+  EXPECT_FALSE(result.converged);
+  EXPECT_TRUE(result.consistency.state_hashes.empty());
+  EXPECT_TRUE(result.artifact_path.empty()) << result.artifact_path;
 }
 
 // --- negative control: a broken scheduler must be flagged -----------------
@@ -139,27 +145,27 @@ TEST_F(DivergenceAuditTest, RacySchedulerIsCaughtWithDecisionTraceDiff) {
   const auto group = cluster.create_group(
       3, [] { return std::make_unique<testing::RacyScheduler>(); },
       [] { return std::make_unique<AppendLog>(); });
-  repl::DivergenceAuditor auditor(cluster, group);
 
   race_appends(cluster, group, 20);
   ASSERT_TRUE(cluster.wait_drained(group, 40, std::chrono::seconds(60)));
 
-  const auto report = auditor.check();
-  ASSERT_TRUE(report.diverged)
+  const auto report = repl::check_group(cluster, group);
+  ASSERT_FALSE(report.consistent())
       << "racy scheduler produced identical replicas by chance";
-  EXPECT_TRUE(auditor.divergence_detected());
-  EXPECT_TRUE(auditor.first_divergence().diverged);
-  ASSERT_EQ(report.replicas.size(), 3u);
+  EXPECT_FALSE(report.grant_orders_match);
+  ASSERT_EQ(report.state_hashes.size(), 3u);
 
-  // The diagnostic names the divergence and pinpoints where the lock
-  // grant streams parted ways.
-  EXPECT_NE(report.diagnostic.find("DIVERGENCE"), std::string::npos)
-      << report.diagnostic;
-  EXPECT_NE(report.diagnostic.find("decision-trace diff"), std::string::npos)
-      << report.diagnostic;
-  for (const auto& snapshot : report.replicas) {
-    EXPECT_FALSE(snapshot.decisions.empty());
+  // The diagnostic names the divergence, dumps every replica's recent
+  // decisions and pinpoints where the lock grant streams parted ways.
+  EXPECT_NE(report.detail.find("DIVERGENCE"), std::string::npos) << report.detail;
+  EXPECT_NE(report.detail.find("decision-trace diff"), std::string::npos)
+      << report.detail;
+  for (int replica = 0; replica < 3; ++replica) {
+    EXPECT_NE(report.detail.find("replica " + std::to_string(replica) + " (state hash"),
+              std::string::npos)
+        << report.detail;
   }
+  EXPECT_NE(report.detail.find("grant m0 -> t"), std::string::npos) << report.detail;
 }
 
 // --- projection helper ----------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include "common/clock.hpp"
 #include "common/serialization.hpp"
+#include "replication/consistency.hpp"
 #include "runtime/cluster.hpp"
 #include "sched_harness.hpp"
 #include "transport/fault.hpp"
@@ -111,8 +112,8 @@ TEST_F(FaultInjectionTest, SingleClientScenarioReproducibleAcrossRuns) {
   ASSERT_TRUE(second.drained);
   EXPECT_TRUE(first.converged);
   EXPECT_TRUE(second.converged);
-  ASSERT_FALSE(first.state_hashes.empty());
-  EXPECT_EQ(first.state_hashes[0], second.state_hashes[0]);
+  ASSERT_FALSE(first.consistency.state_hashes.empty());
+  EXPECT_EQ(first.consistency.state_hashes[0], second.consistency.state_hashes[0]);
 }
 
 // --- tolerance -------------------------------------------------------------
@@ -122,7 +123,7 @@ TEST_F(FaultInjectionTest, DuplicationAbsorbedByAtMostOnceDelivery) {
   config.faults = transport::FaultPlan{}.with_seed(3).duplicate(0.3);
   const auto result = run_scenario(sched::SchedulerKind::kSat, config);
   ASSERT_TRUE(result.drained);
-  EXPECT_TRUE(result.converged) << result.audit.diagnostic;
+  EXPECT_TRUE(result.converged) << result.consistency.detail;
   EXPECT_GT(result.net.messages_duplicated, 0u);
 }
 
@@ -132,7 +133,7 @@ TEST_F(FaultInjectionTest, ReorderingAndDelayRepairedByHoldback) {
       transport::FaultPlan{}.with_seed(5).delay(paper_us(100), paper_ms(3)).reorder(0.25, 4);
   const auto result = run_scenario(sched::SchedulerKind::kMat, config);
   ASSERT_TRUE(result.drained);
-  EXPECT_TRUE(result.converged) << result.audit.diagnostic;
+  EXPECT_TRUE(result.converged) << result.consistency.detail;
   EXPECT_GT(result.net.messages_reordered, 0u);
   EXPECT_GT(result.net.messages_fault_delayed, 0u);
 }
@@ -168,9 +169,9 @@ TEST_F(FaultInjectionTest, CrashedReplicaCatchesUpAfterRestart) {
   }
 
   ASSERT_TRUE(cluster.wait_drained(group, 25, std::chrono::seconds(60)));
-  const auto report = repl::audit_group(cluster, group);
-  EXPECT_FALSE(report.diverged) << report.diagnostic;
-  EXPECT_EQ(report.replicas.size(), 3u);  // the restarted replica is back
+  const auto report = repl::check_group(cluster, group);
+  EXPECT_TRUE(report.consistent()) << report.detail;
+  EXPECT_EQ(report.state_hashes.size(), 3u);  // the restarted replica is back
   const auto stats = cluster.network().stats();
   EXPECT_EQ(stats.node_crashes, 1u);
   EXPECT_EQ(stats.node_restarts, 1u);
@@ -189,8 +190,8 @@ TEST_F(FaultInjectionTest, ScenarioLetsARestartAfterTheWorkloadFire) {
   EXPECT_EQ(result.net.node_crashes, 1u);
   EXPECT_EQ(result.net.node_restarts, 1u);
   ASSERT_TRUE(result.drained);
-  EXPECT_TRUE(result.converged) << result.audit.diagnostic;
-  EXPECT_EQ(result.state_hashes.size(), 3u);
+  EXPECT_TRUE(result.converged) << result.consistency.detail;
+  EXPECT_EQ(result.consistency.state_hashes.size(), 3u);
 }
 
 // --- timed waits under injected delay -------------------------------------
@@ -216,8 +217,8 @@ TEST_F(FaultInjectionTest, WatchTimeoutResolvesIdenticallyUnderDelay) {
     EXPECT_FALSE(r.boolean());
 
     ASSERT_TRUE(cluster.wait_drained(group, 1, std::chrono::seconds(30)));
-    const auto report = repl::audit_group(cluster, group);
-    EXPECT_FALSE(report.diverged) << report.diagnostic;
+    const auto report = repl::check_group(cluster, group);
+    EXPECT_TRUE(report.consistent()) << report.detail;
     for (int i = 0; i < 3; ++i) {
       EXPECT_EQ(cluster.replica(group, i).scheduler().stats().timeouts_fired, 1u);
     }

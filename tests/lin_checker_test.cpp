@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/serialization.hpp"
+#include "common/watchdog.hpp"
 #include "lin/checker.hpp"
 #include "lin/history.hpp"
 #include "lin/recorder.hpp"
@@ -317,6 +318,9 @@ TEST(LinRacyCluster, RacySchedulerYieldsNonLinearizableHistory) {
   constexpr int kPutters = 4;
   constexpr int kRounds = 60;
 
+  // Declared before the cluster, so it also covers the cluster's teardown.
+  const common::Watchdog watchdog("racy lin cluster run and teardown",
+                                  std::chrono::seconds(120));
   runtime::Cluster cluster;
   const auto group = cluster.create_group(
       3, [] { return std::make_unique<testing::RacyScheduler>(); },

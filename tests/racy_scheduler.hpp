@@ -1,5 +1,5 @@
-// A deliberately NONDETERMINISTIC scheduler: the divergence auditor's
-// negative control.
+// A deliberately NONDETERMINISTIC scheduler: the negative control of
+// the cross-replica consistency check (repl::check_group).
 //
 // RacyScheduler violates the ADETS determinism contract on purpose: it
 // runs every delivered request on its own OS thread immediately, grants
@@ -7,9 +7,9 @@
 // execution by a pseudo-random delay derived from the REPLICA'S OWN node
 // id — exactly the "replica-local information must never influence
 // scheduling" rule every real strategy obeys.  Replicas therefore
-// interleave concurrent requests differently, their states drift apart,
-// and the DivergenceAuditor must catch it with a decision-trace diff.
-// Never ship this; it exists so tests can prove the auditor works.
+// interleave concurrent requests differently, and check_group, run after
+// the drain, must catch the drift with a decision-trace diff.
+// Never ship this; it exists so tests can prove the check works.
 #pragma once
 
 #include <atomic>

@@ -374,6 +374,41 @@ TEST_P(CvSchedulers, StaleTimeoutHasNoEffect) {
   EXPECT_EQ(cluster.trace(1), expected);
 }
 
+TEST_P(CvSchedulers, StopEndsALockWaitBeforeItsCriticalSection) {
+  // These four strategies run a second request while the first is parked
+  // in a nested call.  A holds mutex 1 through a call nobody answers, and
+  // B blocks on lock(1).  stop() ends B's wait without the mutex, so B
+  // must leave before its critical section.
+  SchedulerCluster cluster(GetParam(), 1);
+  std::atomic<bool> b_locking{false};
+  cluster.set_body(1, [](BodyCtx& ctx) {
+    ctx.lock(1);
+    ctx.trace("A holds");
+    ctx.nested_call(100);  // never answered
+    ctx.unlock(1);
+  });
+  cluster.set_body(2, [&b_locking](BodyCtx& ctx) {
+    b_locking.store(true);
+    ctx.lock(1);
+    ctx.trace("B holds");
+    ctx.unlock(1);
+  });
+  const auto deadline = common::Clock::now() + std::chrono::seconds(10);
+  cluster.submit(1);
+  while (cluster.trace(0).empty() && common::Clock::now() < deadline) {
+    common::Clock::sleep_real(ms(1));
+  }
+  ASSERT_EQ(cluster.trace(0), std::vector<std::string>{"A holds"});
+  cluster.submit(2);
+  while (!b_locking.load() && common::Clock::now() < deadline) {
+    common::Clock::sleep_real(ms(1));
+  }
+  ASSERT_TRUE(b_locking.load());
+  common::Clock::sleep_real(ms(20));  // B parks in lock(1)
+  cluster.stop();
+  EXPECT_EQ(cluster.trace(0), std::vector<std::string>{"A holds"});
+}
+
 // --- strategy-specific behaviour ------------------------------------------------
 
 TEST_F(SchedTestBase, SeqRunsRequestsStrictlySequentially) {

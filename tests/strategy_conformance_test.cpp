@@ -36,10 +36,10 @@ TEST_P(ConformanceTest, ReplicasConvergeUnderConcurrentClients) {
   config.requests_per_client = 12;
   const auto result = run_scenario(GetParam(), config);
   ASSERT_TRUE(result.drained);
-  EXPECT_TRUE(result.converged) << result.audit.diagnostic;
-  ASSERT_EQ(result.state_hashes.size(), 3u);
-  EXPECT_EQ(result.state_hashes[0], result.state_hashes[1]);
-  EXPECT_EQ(result.state_hashes[0], result.state_hashes[2]);
+  EXPECT_TRUE(result.converged) << result.consistency.detail;
+  ASSERT_EQ(result.consistency.state_hashes.size(), 3u);
+  EXPECT_EQ(result.consistency.state_hashes[0], result.consistency.state_hashes[1]);
+  EXPECT_EQ(result.consistency.state_hashes[0], result.consistency.state_hashes[2]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ConformanceTest,
@@ -58,9 +58,9 @@ TEST(CrossStrategyConformance, FixedOrderYieldsOneStateAcrossAllStrategies) {
     config.workload_seed = 21;
     const auto result = run_scenario(kind, config);
     ASSERT_TRUE(result.drained) << to_string(kind);
-    ASSERT_TRUE(result.converged) << to_string(kind) << result.audit.diagnostic;
-    ASSERT_FALSE(result.state_hashes.empty());
-    hash_by_kind[to_string(kind)] = result.state_hashes[0];
+    ASSERT_TRUE(result.converged) << to_string(kind) << result.consistency.detail;
+    ASSERT_FALSE(result.consistency.state_hashes.empty());
+    hash_by_kind[to_string(kind)] = result.consistency.state_hashes[0];
   }
 
   const auto reference = hash_by_kind.begin()->second;
