@@ -15,7 +15,6 @@
 #include "common/types.hpp"
 #include "lin/checker.hpp"
 #include "racy_scheduler.hpp"
-#include "replication/consistency.hpp"
 #include "replication/statehash.hpp"
 #include "sched/api.hpp"
 
@@ -128,10 +127,10 @@ class World {
         schedulers_.push_back(std::make_unique<testing::RacyScheduler>());
       } else {
         sched::SchedulerConfig config;
-        config.decision_trace_capacity = 1 << 16;  // never wrap in a run
         config.pds_thread_pool = 2;
         schedulers_.push_back(sched::make_scheduler(*kind_of(strategy), config));
       }
+      schedulers_.back()->set_trace(true);  // the whole run, never wrapped
       envs_.push_back(std::make_unique<WorldEnv>(*this, r));
     }
   }
@@ -570,7 +569,7 @@ class World {
     std::array<std::map<std::uint64_t, std::vector<std::uint64_t>>, kReplicas>
         projections;
     for (int r = 0; r < kReplicas; ++r) {
-      projections[r] = repl::per_mutex_decisions(schedulers_[r]->decision_trace());
+      projections[r] = sched::per_mutex_decisions(schedulers_[r]->decision_trace());
     }
     if (projections[0] != projections[1]) {
       result.violations.push_back(

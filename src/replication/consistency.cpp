@@ -4,18 +4,6 @@
 #include <sstream>
 
 namespace adets::repl {
-
-std::map<std::uint64_t, std::vector<std::uint64_t>> per_mutex_decisions(
-    const std::vector<sched::Decision>& decisions) {
-  std::map<std::uint64_t, std::vector<std::uint64_t>> result;
-  for (const auto& decision : decisions) {
-    if (decision.kind != sched::Decision::Kind::kLockGrant) continue;
-    if (decision.mutex.value() >= (1ULL << 61)) continue;  // scheduler-internal
-    result[decision.mutex.value()].push_back(decision.thread.value());
-  }
-  return result;
-}
-
 namespace {
 
 /// What check_group read from one live replica.
@@ -43,8 +31,8 @@ void dump_decisions(std::ostringstream& out, const Observed& replica, std::size_
 /// and the reference, if any.
 void diff_decisions(std::ostringstream& out, const Observed& reference,
                     const Observed& other) {
-  const auto ref = per_mutex_decisions(reference.decisions);
-  const auto got = per_mutex_decisions(other.decisions);
+  const auto ref = sched::per_mutex_decisions(reference.decisions);
+  const auto got = sched::per_mutex_decisions(other.decisions);
   for (const auto& [mutex, ref_grants] : ref) {
     const auto it = got.find(mutex);
     const auto& other_grants =
@@ -119,7 +107,7 @@ ConsistencyReport check_group(runtime::Cluster& cluster, common::GroupId group) 
     }
     const auto& decisions = replica.decisions;
     if (!decisions.empty() && decisions.front().seq != 0) continue;  // wrapped
-    for (auto& [mutex, grants] : per_mutex_decisions(decisions)) {
+    for (auto& [mutex, grants] : sched::per_mutex_decisions(decisions)) {
       auto& reference = longest[mutex];
       if (grants.size() > reference.size()) std::swap(grants, reference);
       if (!std::equal(grants.begin(), grants.end(), reference.begin())) {

@@ -5,21 +5,17 @@
 // that disagrees is therefore THE failure mode worth a dedicated check.
 // After a drained run, check_group compares the replicas of a group on
 // two axes: the object state hash, and the per-mutex projections of the
-// schedulers' decision rings (the global interleaving across different
-// mutexes is legitimately nondeterministic for truly multithreaded
-// strategies; the per-mutex grant order is the determinism contract).
+// schedulers' decision rings (sched::per_mutex_decisions).
 // On a mismatch it explains itself: the hashes, each replica's recent
 // decisions and the first grant where a replica departs from the
 // reference replica.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "runtime/cluster.hpp"
-#include "sched/api.hpp"
 
 namespace adets::repl {
 
@@ -43,10 +39,5 @@ struct ConsistencyReport {
 /// Cluster::wait_drained: it reads each replica's object, which a
 /// request still executing would be writing.
 ConsistencyReport check_group(runtime::Cluster& cluster, common::GroupId group);
-
-/// Per-mutex grantee projection of a decision trace (only kLockGrant
-/// entries; scheduler-internal mutexes excluded).
-[[nodiscard]] std::map<std::uint64_t, std::vector<std::uint64_t>>
-per_mutex_decisions(const std::vector<sched::Decision>& decisions);
 
 }  // namespace adets::repl

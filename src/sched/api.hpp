@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -131,9 +132,9 @@ struct GrantRecord {
   friend bool operator==(const GrantRecord&, const GrantRecord&) = default;
 };
 
-/// One entry of the bounded decision-trace ring: the scheduling verdicts
+/// One entry of a scheduler's decision ring: the scheduling verdicts
 /// that must resolve identically on every replica (lock grants, condvar
-/// wakeup order, timeout resolutions).  Dumped by the divergence auditor
+/// wakeup order, timeout resolutions).  repl::check_group dumps the ring
 /// when replicas disagree, so an operator can see *where* the strategies
 /// parted ways, not just that the state hashes differ.
 struct Decision {
@@ -154,6 +155,31 @@ struct Decision {
 };
 
 [[nodiscard]] std::string to_string(const Decision& decision);
+
+/// How many of the newest decisions the ring keeps, unless
+/// Scheduler::set_trace(true) makes it keep all of them.
+inline constexpr std::size_t kDecisionRingCapacity = 256;
+
+/// Mutex ids from here up belong to the schedulers themselves (the PDS
+/// request queue), never to an object.  Their grants go on in idle
+/// rounds after a workload drains, so replicas read at different
+/// moments hold different numbers of them.
+inline constexpr std::uint64_t kFirstInternalMutexId = 1ULL << 61;
+
+[[nodiscard]] constexpr bool is_internal_mutex(common::MutexId mutex) {
+  return mutex.value() >= kFirstInternalMutexId;
+}
+
+/// Per-mutex grantee projection of a decision trace: for each
+/// application mutex, the threads its kLockGrant entries name, in
+/// order.  That order is the determinism contract; the interleaving
+/// across mutexes may differ between replicas of a truly multithreaded
+/// strategy.
+[[nodiscard]] std::map<std::uint64_t, std::vector<std::uint64_t>>
+per_mutex_decisions(const std::vector<Decision>& decisions);
+
+/// The kLockGrant entries of a decision trace, in order.
+[[nodiscard]] std::vector<GrantRecord> grant_records(const std::vector<Decision>& decisions);
 
 /// Services the hosting runtime provides to a scheduler.
 class SchedulerEnv {
@@ -230,14 +256,18 @@ class Scheduler {
 
   // --- introspection -------------------------------------------------------
 
-  /// When enabled, every base-level lock grant is recorded; replicas of
-  /// the same group must produce identical traces (determinism tests).
-  virtual void set_trace(bool enabled) = 0;
-  [[nodiscard]] virtual std::vector<GrantRecord> grant_trace() const = 0;
+  /// The decision ring keeps the newest kDecisionRingCapacity decisions.
+  /// set_trace(true) makes it keep every decision from then on, so a
+  /// determinism test or adets-mc can compare whole runs;
+  /// set_trace(false) cuts it back to the newest ones.
+  virtual void set_trace(bool keep_all) = 0;
+  /// The lock grants among decision_trace()'s entries.
+  [[nodiscard]] virtual std::vector<GrantRecord> grant_trace() const {
+    return grant_records(decision_trace());
+  }
 
-  /// Recent scheduling decisions, oldest first (bounded ring; always on).
-  /// Default: no trace, so minimal/experimental schedulers still compile.
-  [[nodiscard]] virtual std::vector<Decision> decision_trace() const { return {}; }
+  /// The decision ring, oldest first.
+  [[nodiscard]] virtual std::vector<Decision> decision_trace() const = 0;
 
   /// Number of requests whose execution completed (drain detection).
   [[nodiscard]] virtual std::uint64_t completed_requests() const = 0;
@@ -253,10 +283,8 @@ struct SchedulerConfig {
   std::size_t pds_thread_pool = 4;  // initial/fixed pool size
   bool pds_round_robin_assignment = false;  // false = synchronized (paper default)
   // LSA ----------------------------------------------------------------
-  std::size_t lsa_batch_grants = 1;         // grants per mutex-table broadcast
-  common::Duration lsa_batch_delay = common::Duration::zero();  // max batching delay (real)
-  // Diagnostics ---------------------------------------------------------
-  std::size_t decision_trace_capacity = 256;  // decision ring size (0 = off)
+  std::size_t lsa_batch_grants = 1;  // grants per mutex-table broadcast; a
+                                     // partial batch waits at most 5 ms (real)
 };
 
 /// Factory used by the runtime and benches.

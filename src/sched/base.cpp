@@ -296,14 +296,20 @@ std::string SchedulerBase::debug_dump() const {
   return out;
 }
 
-void SchedulerBase::set_trace(bool enabled) {
-  Lk lk(mon_);
-  trace_enabled_ = enabled;
-}
-
-std::vector<GrantRecord> SchedulerBase::grant_trace() const {
+void SchedulerBase::set_trace(bool keep_all) {
   const Lk guard(mon_);
-  return trace_;
+  // Oldest entry first, so the ring can grow at its back or lose its
+  // oldest entries at its front.
+  std::rotate(decision_ring_.begin(),
+              decision_ring_.begin() + static_cast<std::ptrdiff_t>(decision_oldest_),
+              decision_ring_.end());
+  decision_oldest_ = 0;
+  if (!keep_all && decision_ring_.size() > kDecisionRingCapacity) {
+    decision_ring_.erase(decision_ring_.begin(),
+                         decision_ring_.end() -
+                             static_cast<std::ptrdiff_t>(kDecisionRingCapacity));
+  }
+  keep_all_decisions_ = keep_all;
 }
 
 std::uint64_t SchedulerBase::completed_requests() const {
@@ -320,36 +326,26 @@ SchedulerStats SchedulerBase::stats() const {
 
 void SchedulerBase::record_grant(MutexId mutex, ThreadId thread) {
   stats_.lock_grants++;
-  if (trace_enabled_) trace_.push_back(GrantRecord{mutex, thread});
   record_decision(Decision::Kind::kLockGrant, mutex, CondVarId::invalid(), thread);
 }
 
 void SchedulerBase::record_decision(Decision::Kind kind, MutexId mutex,
                                     CondVarId condvar, ThreadId thread,
                                     std::uint64_t generation) {
-  const std::size_t capacity = config_.decision_trace_capacity;
-  if (capacity == 0) return;
-  Decision decision{kind, decision_seq_, mutex, condvar, thread, generation};
-  if (decision_ring_.size() < capacity) {
+  const Decision decision{kind, decision_seq_++, mutex, condvar, thread, generation};
+  if (keep_all_decisions_ || decision_ring_.size() < kDecisionRingCapacity) {
     decision_ring_.push_back(decision);
   } else {
-    decision_ring_[decision_seq_ % capacity] = decision;
+    decision_ring_[decision_oldest_] = decision;
+    decision_oldest_ = (decision_oldest_ + 1) % kDecisionRingCapacity;
   }
-  decision_seq_++;
 }
 
 std::vector<Decision> SchedulerBase::decision_trace() const {
   const Lk guard(mon_);
-  std::vector<Decision> out;
-  out.reserve(decision_ring_.size());
-  const std::size_t capacity = config_.decision_trace_capacity;
-  if (decision_ring_.size() < capacity || capacity == 0) {
-    out = decision_ring_;
-  } else {
-    for (std::size_t i = 0; i < capacity; ++i) {
-      out.push_back(decision_ring_[(decision_seq_ + i) % capacity]);
-    }
-  }
+  const auto oldest = decision_ring_.begin() + static_cast<std::ptrdiff_t>(decision_oldest_);
+  std::vector<Decision> out(oldest, decision_ring_.end());
+  out.insert(out.end(), decision_ring_.begin(), oldest);
   return out;
 }
 
@@ -380,6 +376,28 @@ std::string to_string(const Decision& decision) {
       break;
   }
   return out;
+}
+
+std::map<std::uint64_t, std::vector<std::uint64_t>> per_mutex_decisions(
+    const std::vector<Decision>& decisions) {
+  std::map<std::uint64_t, std::vector<std::uint64_t>> result;
+  for (const Decision& decision : decisions) {
+    if (decision.kind != Decision::Kind::kLockGrant || is_internal_mutex(decision.mutex)) {
+      continue;
+    }
+    result[decision.mutex.value()].push_back(decision.thread.value());
+  }
+  return result;
+}
+
+std::vector<GrantRecord> grant_records(const std::vector<Decision>& decisions) {
+  std::vector<GrantRecord> grants;
+  for (const Decision& decision : decisions) {
+    if (decision.kind == Decision::Kind::kLockGrant) {
+      grants.push_back(GrantRecord{decision.mutex, decision.thread});
+    }
+  }
+  return grants;
 }
 
 // --- thread machinery -----------------------------------------------------------

@@ -30,7 +30,7 @@
 //  - the callback gate used by SL and ADETS-LSA: a callback runs only
 //    while its caller is parked in the call that caused it, and the
 //    caller resumes only after the callback finished;
-//  - grant tracing for cross-replica determinism checks.
+//  - the decision ring that cross-replica determinism checks read.
 //
 // Strategies override the hooks below.  handle_request, base_lock and
 // base_unlock are pure.  handle_reply, base_before_nested and
@@ -95,8 +95,7 @@ class SchedulerBase : public Scheduler {
   /// Human-readable snapshot of thread states (diagnostics).
   [[nodiscard]] std::string debug_dump() const;
 
-  void set_trace(bool enabled) override;
-  [[nodiscard]] std::vector<GrantRecord> grant_trace() const override;
+  void set_trace(bool keep_all) override;
   [[nodiscard]] std::vector<Decision> decision_trace() const override;
   [[nodiscard]] std::uint64_t completed_requests() const override;
   [[nodiscard]] SchedulerStats stats() const override;
@@ -224,7 +223,8 @@ class SchedulerBase : public Scheduler {
   void record_grant(common::MutexId mutex, common::ThreadId thread)
       ADETS_REQUIRES(mon_);
 
-  /// Appends to the bounded decision ring (mon_ must be held).
+  /// Appends to the decision ring, overwriting its oldest entry once
+  /// the ring is full unless it keeps every decision.
   void record_decision(Decision::Kind kind, common::MutexId mutex,
                        common::CondVarId condvar, common::ThreadId thread,
                        std::uint64_t generation = 0) ADETS_REQUIRES(mon_);
@@ -302,11 +302,13 @@ class SchedulerBase : public Scheduler {
   /// Thread id -> callbacks still running under its pending call.
   std::map<std::uint64_t, std::size_t> running_callbacks_ ADETS_GUARDED_BY(mon_);
 
-  // Tracing and counters.
-  bool trace_enabled_ ADETS_GUARDED_BY(mon_) = false;
-  std::vector<GrantRecord> trace_ ADETS_GUARDED_BY(mon_);
-  /// Bounded; decision_seq_ indexes it.
+  // Decision ring and counters.
+  /// Oldest entry at decision_oldest_, wrapping.  At most
+  /// kDecisionRingCapacity entries unless keep_all_decisions_, in which
+  /// case it only grows and decision_oldest_ stays 0.
   std::vector<Decision> decision_ring_ ADETS_GUARDED_BY(mon_);
+  std::size_t decision_oldest_ ADETS_GUARDED_BY(mon_) = 0;
+  bool keep_all_decisions_ ADETS_GUARDED_BY(mon_) = false;  // set_trace
   std::uint64_t decision_seq_ ADETS_GUARDED_BY(mon_) = 0;
   SchedulerStats stats_ ADETS_GUARDED_BY(mon_);
 

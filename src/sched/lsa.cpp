@@ -12,6 +12,10 @@ using common::MutexId;
 using common::ThreadId;
 
 namespace {
+/// How long a partial batch of mutex-table entries waits for the rest
+/// of its lsa_batch_grants entries before it is broadcast (real time).
+constexpr common::Duration kBatchDelay = std::chrono::milliseconds(5);
+
 /// Deterministic id for an ADETS-LSA timeout thread: derived from the
 /// waiting thread and its wait generation, identical on every replica.
 ThreadId timeout_thread_id(ThreadId waiter, std::uint64_t generation) {
@@ -226,13 +230,12 @@ void LsaScheduler::append_entry(Lk& lk, MutexId mutex, ThreadId thread,
     lsa_id = binding->second;
   }
   outgoing_.push_back(TableEntry{lsa_id, thread.value(), is_new, op});
-  if (outgoing_.size() >= config_.lsa_batch_grants ||
-      config_.lsa_batch_delay.count() == 0) {
+  if (outgoing_.size() >= config_.lsa_batch_grants) {
     flush_outgoing(lk);
   } else if (outgoing_.size() == 1) {
     // The lambda body stays lock-free (clang analyzes lambdas as
     // separate functions); flush_batched acquires mon_ itself.
-    timer_->schedule(config_.lsa_batch_delay, [this] { flush_batched(); });
+    timer_->schedule(kBatchDelay, [this] { flush_batched(); });
   }
 }
 

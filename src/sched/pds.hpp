@@ -68,7 +68,7 @@ class PdsScheduler : public SchedulerBase {
  private:
   /// Scheduler-internal mutex protecting the incoming request queue
   /// (synchronized assignment strategy).
-  static constexpr std::uint64_t kQueueMutexId = (1ULL << 61) + 1;
+  static constexpr std::uint64_t kQueueMutexId = kFirstInternalMutexId + 1;
 
   /// A pool worker's round state.
   struct PdsThread final : ThreadRecord {

@@ -156,7 +156,6 @@ ScenarioResult run_scenario(const runtime::SchedulerFactory& scheduler_factory,
     result.consistency = repl::check_group(cluster, group);
     result.converged = result.consistency.consistent();
   }
-  result.fault_digest = transport::fault_trace_digest(cluster.network().fault_trace());
   result.net = cluster.network().stats();
 
   result.lin = lin::check_history(result.history, lin::KvSpec{});

@@ -48,8 +48,6 @@ struct ScenarioResult {
   /// check_group's report, taken after the drain.  Left empty when the
   /// run did not drain: a replica that lags is not a divergence.
   repl::ConsistencyReport consistency;
-  /// Digest of the per-link fault decision streams of this run.
-  std::uint64_t fault_digest = 0;
   transport::NetworkStats net;
   /// Clients whose invocation timed out (the scenario still returns a
   /// result with drained=false rather than propagating the failure).

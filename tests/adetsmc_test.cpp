@@ -5,8 +5,9 @@
 // deterministically replayable divergence trace.  The positive
 // controls: exhaustive DPOR exploration must complete with zero
 // violations for SEQ on the contended two-request lock scenario and for
-// LSA on the single-request protocol-pipeline scenario, and every
-// strategy must survive a bounded sweep of its applicable scenarios.
+// LSA on the single-request protocol-pipeline scenario, in exactly the
+// number of schedules those spaces hold, and every strategy must
+// survive a bounded sweep of its applicable scenarios.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -73,6 +74,9 @@ TEST(AdetsMcTest, ExhaustiveSeqContendedLocksHasNoViolations) {
   EXPECT_TRUE(report.exhausted) << report.report;
   EXPECT_FALSE(report.found_violation) << report.report;
   EXPECT_EQ(report.schedules, report.completed) << report.report;
+  // The size of the space: a change to what the harness or a scheduler
+  // records as a scheduling step shows up here, not as a silent shrink.
+  EXPECT_EQ(report.schedules, 121u) << report.report;
 }
 
 TEST(AdetsMcTest, ExhaustiveLsaProtocolPipelineHasNoViolations) {
@@ -87,6 +91,7 @@ TEST(AdetsMcTest, ExhaustiveLsaProtocolPipelineHasNoViolations) {
 
   EXPECT_TRUE(report.exhausted) << report.report;
   EXPECT_FALSE(report.found_violation) << report.report;
+  EXPECT_EQ(report.schedules, 10519u) << report.report;
 }
 
 TEST(AdetsMcTest, BatchedDeliveryPreservesGrantTraceEquality) {

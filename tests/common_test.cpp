@@ -1,12 +1,13 @@
-// Unit tests for the common substrate: ids, clock scaling, queues,
-// serialisation, RNG determinism.
+// Unit tests for the common substrate (ids, clock scaling,
+// serialisation, RNG determinism) and for the blocking queue under the
+// scheduler test harness.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "common/blocking_queue.hpp"
+#include "blocking_queue.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "common/serialization.hpp"
@@ -14,6 +15,8 @@
 
 namespace adets::common {
 namespace {
+
+using adets::testing::BlockingQueue;
 
 TEST(StrongIdTest, DistinctTypesAndComparisons) {
   const NodeId a(1);

@@ -34,32 +34,24 @@ std::map<std::string, std::vector<std::string>> project(
   return result;
 }
 
-/// Internal scheduler mutexes (PDS request queue) are granted in an
-/// endless idle cycle, so replicas are snapshot at different progress
-/// points; they are checked separately as a prefix property.
-bool is_internal_mutex(std::uint64_t id) { return id >= (1ULL << 61); }
-
-std::map<std::uint64_t, std::vector<std::uint64_t>> grant_projection(
-    const std::vector<sched::GrantRecord>& trace) {
-  std::map<std::uint64_t, std::vector<std::uint64_t>> result;
-  for (const auto& record : trace) {
-    if (is_internal_mutex(record.mutex.value())) continue;
-    result[record.mutex.value()].push_back(record.thread.value());
-  }
-  return result;
-}
-
-/// True when one sequence is a prefix of the other, per internal mutex.
-bool internal_grants_prefix_consistent(const std::vector<sched::GrantRecord>& a,
-                                       const std::vector<sched::GrantRecord>& b) {
-  std::map<std::uint64_t, std::vector<std::uint64_t>> pa;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> pb;
-  for (const auto& r : a) {
-    if (is_internal_mutex(r.mutex.value())) pa[r.mutex.value()].push_back(r.thread.value());
-  }
-  for (const auto& r : b) {
-    if (is_internal_mutex(r.mutex.value())) pb[r.mutex.value()].push_back(r.thread.value());
-  }
+/// True when, per scheduler-internal mutex, one replica's grant
+/// sequence is a prefix of the other's.  Internal mutexes (the PDS
+/// request queue) are granted in an endless idle cycle, so replicas are
+/// read at different progress points; per_mutex_decisions leaves them
+/// out for that reason.
+bool internal_grants_prefix_consistent(const std::vector<sched::Decision>& a,
+                                       const std::vector<sched::Decision>& b) {
+  const auto internal_grants = [](const std::vector<sched::Decision>& decisions) {
+    std::map<std::uint64_t, std::vector<std::uint64_t>> result;
+    for (const sched::GrantRecord& grant : sched::grant_records(decisions)) {
+      if (sched::is_internal_mutex(grant.mutex)) {
+        result[grant.mutex.value()].push_back(grant.thread.value());
+      }
+    }
+    return result;
+  };
+  const auto pa = internal_grants(a);
+  const auto pb = internal_grants(b);
   for (const auto& [mutex, seq_a] : pa) {
     const auto it = pb.find(mutex);
     if (it == pb.end()) continue;
@@ -167,14 +159,15 @@ TEST_P(DeterminismProperty, RandomWorkloadStaysConsistent) {
   common::Clock::sleep_real(ms(150));
 
   const auto reference_trace = project(cluster.trace(0));
-  const auto reference_grants = grant_projection(cluster.replica(0).grant_trace());
+  const auto reference_decisions = cluster.replica(0).decision_trace();
+  const auto reference_grants = sched::per_mutex_decisions(reference_decisions);
   for (int r = 1; r < 3; ++r) {
+    const auto decisions = cluster.replica(r).decision_trace();
     EXPECT_EQ(project(cluster.trace(r)), reference_trace)
         << "trace divergence at replica " << r << " seed " << seed;
-    EXPECT_EQ(grant_projection(cluster.replica(r).grant_trace()), reference_grants)
+    EXPECT_EQ(sched::per_mutex_decisions(decisions), reference_grants)
         << "grant divergence at replica " << r << " seed " << seed;
-    EXPECT_TRUE(internal_grants_prefix_consistent(cluster.replica(0).grant_trace(),
-                                                  cluster.replica(r).grant_trace()))
+    EXPECT_TRUE(internal_grants_prefix_consistent(reference_decisions, decisions))
         << "internal grant divergence at replica " << r << " seed " << seed;
   }
 }

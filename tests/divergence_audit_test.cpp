@@ -178,14 +178,14 @@ TEST_F(DivergenceAuditTest, PerMutexProjectionKeepsOnlyApplicationGrants) {
   };
   std::vector<sched::Decision> decisions;
   decisions.push_back(grant(0, 5, 1));
-  decisions.push_back(grant(1, (1ULL << 61) + 3, 9));  // scheduler-internal
+  decisions.push_back(grant(1, sched::kFirstInternalMutexId + 3, 9));
   decisions.push_back(sched::Decision{sched::Decision::Kind::kNotify, 2,
                                       common::MutexId(5), common::CondVarId(1),
                                       common::ThreadId(4), 0});
   decisions.push_back(grant(3, 5, 2));
   decisions.push_back(grant(4, 6, 7));
 
-  const auto projection = repl::per_mutex_decisions(decisions);
+  const auto projection = sched::per_mutex_decisions(decisions);
   ASSERT_EQ(projection.size(), 2u);
   EXPECT_EQ(projection.at(5), (std::vector<std::uint64_t>{1, 2}));
   EXPECT_EQ(projection.at(6), (std::vector<std::uint64_t>{7}));

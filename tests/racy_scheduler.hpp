@@ -90,10 +90,6 @@ class RacyScheduler : public sched::Scheduler {
                                          decision_seq_++, mutex,
                                          common::CondVarId::invalid(),
                                          common::ThreadId(current_request()), 0});
-    if (trace_enabled_) {
-      grants_.push_back(
-          sched::GrantRecord{mutex, common::ThreadId(current_request())});
-    }
   }
   void unlock(common::MutexId mutex) override { app_mutex(mutex).unlock(); }
 
@@ -124,14 +120,7 @@ class RacyScheduler : public sched::Scheduler {
     });
   }
 
-  void set_trace(bool enabled) override {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    trace_enabled_ = enabled;
-  }
-  [[nodiscard]] std::vector<sched::GrantRecord> grant_trace() const override {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    return grants_;
-  }
+  void set_trace(bool) override {}  // keeps every decision anyway
   [[nodiscard]] std::vector<sched::Decision> decision_trace() const override {
     const std::lock_guard<std::mutex> guard(mutex_);
     return decisions_;
@@ -164,13 +153,11 @@ class RacyScheduler : public sched::Scheduler {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
-  bool trace_enabled_ = false;
   std::vector<std::thread> workers_;
   std::map<std::uint64_t, std::unique_ptr<std::recursive_mutex>> app_mutexes_;
   std::map<std::uint64_t, std::unique_ptr<std::condition_variable_any>> app_condvars_;
   std::map<std::uint64_t, bool> replies_;
   std::vector<sched::Decision> decisions_;
-  std::vector<sched::GrantRecord> grants_;
   std::uint64_t decision_seq_ = 0;
   std::atomic<std::uint64_t> completed_{0};
 };

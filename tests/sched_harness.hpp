@@ -23,7 +23,7 @@
 #include <variant>
 #include <vector>
 
-#include "common/blocking_queue.hpp"
+#include "blocking_queue.hpp"
 #include "common/clock.hpp"
 #include "common/types.hpp"
 #include "sched/api.hpp"
@@ -90,7 +90,7 @@ class SchedulerCluster {
     for (int i = 0; i < replicas; ++i) {
       auto scheduler = sched::make_scheduler(kind, config);
       auto env = std::make_unique<Env>(*this, i, *scheduler);
-      scheduler->set_trace(true);
+      scheduler->set_trace(true);  // tests compare whole runs
       scheduler->start(*env);
       envs_.push_back(std::move(env));
       schedulers_.push_back(std::move(scheduler));
@@ -299,7 +299,7 @@ class SchedulerCluster {
   std::vector<std::unique_ptr<Env>> envs_;
   std::vector<std::unique_ptr<sched::Scheduler>> schedulers_;
   std::vector<std::unique_ptr<TraceLog>> traces_;
-  common::BlockingQueue<Event> bus_;
+  BlockingQueue<Event> bus_;
   std::thread bus_thread_;
   mutable std::mutex mutex_;
   std::map<std::uint64_t, Body> bodies_;

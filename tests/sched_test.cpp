@@ -37,23 +37,6 @@ class SchedTestBase : public ::testing::Test {
   double saved_scale_ = 1.0;
 };
 
-/// Projects a grant trace onto per-mutex grantee sequences (the global
-/// interleaving across different mutexes is allowed to differ between
-/// replicas of truly multithreaded strategies; the per-mutex order is
-/// the determinism contract).
-std::map<std::uint64_t, std::vector<std::uint64_t>> per_mutex(
-    const std::vector<sched::GrantRecord>& trace) {
-  std::map<std::uint64_t, std::vector<std::uint64_t>> result;
-  for (const auto& record : trace) {
-    // Skip scheduler-internal mutexes (PDS request queue): their grant
-    // stream continues with idle no-op cycles after the workload drains,
-    // so snapshots truncate at different points.
-    if (record.mutex.value() >= (1ULL << 61)) continue;
-    result[record.mutex.value()].push_back(record.thread.value());
-  }
-  return result;
-}
-
 // --- parameterized over every scheduler kind ---------------------------------
 
 class AllSchedulers : public SchedTestBase,
@@ -156,9 +139,10 @@ TEST_P(AllSchedulers, DeterministicUnderTimingPerturbation) {
   const auto reference = project(cluster.trace(0));
   for (int r = 1; r < 3; ++r) EXPECT_EQ(project(cluster.trace(r)), reference);
   // Lock-grant order must agree per mutex.
-  const auto grants = per_mutex(cluster.replica(0).grant_trace());
+  const auto grants = sched::per_mutex_decisions(cluster.replica(0).decision_trace());
   for (int r = 1; r < 3; ++r) {
-    EXPECT_EQ(per_mutex(cluster.replica(r).grant_trace()), grants) << "replica " << r;
+    EXPECT_EQ(sched::per_mutex_decisions(cluster.replica(r).decision_trace()), grants)
+        << "replica " << r;
   }
 }
 
@@ -843,8 +827,8 @@ TEST_F(SchedTestBase, PdsRoundRobinAssignmentStaysConsistent) {
   for (int i = 0; i < kRequests; ++i) cluster.submit(i);
   ASSERT_TRUE(cluster.wait_completed(kRequests));
   EXPECT_EQ(cluster.trace(0), cluster.trace(1));
-  EXPECT_EQ(per_mutex(cluster.replica(0).grant_trace()),
-            per_mutex(cluster.replica(1).grant_trace()));
+  EXPECT_EQ(sched::per_mutex_decisions(cluster.replica(0).decision_trace()),
+            sched::per_mutex_decisions(cluster.replica(1).decision_trace()));
 }
 
 /// Paper Fig. 1: ADETS-LSA timeout handling.  The TO-thread (with its
@@ -876,14 +860,14 @@ TEST_F(SchedTestBase, LsaTimeoutTrace) {
   // The TO-thread construct was exercised: some grant of mutex 6 went to
   // a thread with a derived (high-bit) id, on every replica, in the same
   // per-mutex position.
-  const auto grants = per_mutex(cluster.replica(0).grant_trace());
+  const auto grants = sched::per_mutex_decisions(cluster.replica(0).decision_trace());
   bool saw_to_thread = false;
   for (const auto thread : grants.at(6)) {
     if (thread & (1ULL << 63)) saw_to_thread = true;
   }
   EXPECT_TRUE(saw_to_thread);
   for (int r = 1; r < 3; ++r) {
-    EXPECT_EQ(per_mutex(cluster.replica(r).grant_trace()), grants);
+    EXPECT_EQ(sched::per_mutex_decisions(cluster.replica(r).decision_trace()), grants);
   }
 }
 
@@ -936,7 +920,6 @@ TEST_F(SchedTestBase, PdsCondVarRounds) {
 TEST_F(SchedTestBase, LsaBatchedTablesStayDeterministic) {
   sched::SchedulerConfig config;
   config.lsa_batch_grants = 4;
-  config.lsa_batch_delay = std::chrono::milliseconds(3);
   SchedulerCluster cluster(SchedulerKind::kLsa, 3, config);
   cluster.set_perturbation([](int replica, std::uint64_t request) {
     common::Rng rng(static_cast<std::uint64_t>(replica) * 17 + request);
@@ -956,16 +939,49 @@ TEST_F(SchedTestBase, LsaBatchedTablesStayDeterministic) {
   EXPECT_EQ(cluster.trace(2), cluster.trace(0));
 }
 
-TEST_F(SchedTestBase, GrantTraceCanBeDisabled) {
-  SchedulerCluster cluster(SchedulerKind::kSat, 1);
-  cluster.replica(0).set_trace(false);
-  cluster.set_body(0, [](BodyCtx& ctx) {
-    ctx.lock(1);
-    ctx.unlock(1);
-  });
-  cluster.submit(0);
-  ASSERT_TRUE(cluster.wait_completed(1));
-  EXPECT_TRUE(cluster.replica(0).grant_trace().empty());
+/// The decision ring keeps every decision while set_trace(true) is on,
+/// and only the newest kDecisionRingCapacity otherwise; grant_trace() is
+/// its lock grants.
+TEST_F(SchedTestBase, DecisionRingKeepsEveryDecisionOnlyWhileTraced) {
+  constexpr std::uint64_t kCapacity = sched::kDecisionRingCapacity;
+  constexpr std::uint64_t kGrants = kCapacity + 44;  // per request; a multiple of 3
+  SchedulerCluster cluster(SchedulerKind::kSat, 1);  // traced, as every harness replica
+  sched::Scheduler& scheduler = cluster.replica(0);
+  for (std::uint64_t request = 0; request < 3; ++request) {
+    cluster.set_body(request, [](BodyCtx& ctx) {
+      for (std::uint64_t i = 0; i < kGrants; ++i) {
+        ctx.lock(i % 3);
+        ctx.unlock(i % 3);
+      }
+    });
+  }
+  std::uint64_t completed = 0;
+  const auto run_next = [&] {
+    cluster.submit(completed);
+    ASSERT_TRUE(cluster.wait_completed(++completed));
+  };
+  // The ring holds decisions first..last, in order: the grants of
+  // mutex seq % 3, which grant_trace() returns.
+  const auto expect_ring = [&scheduler](std::uint64_t first, std::uint64_t last) {
+    const auto decisions = scheduler.decision_trace();
+    ASSERT_EQ(decisions.size(), last - first + 1);
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+      ASSERT_EQ(decisions[i].seq, first + i) << "entry " << i;
+      ASSERT_EQ(decisions[i].kind, sched::Decision::Kind::kLockGrant) << "entry " << i;
+      ASSERT_EQ(decisions[i].mutex.value(), decisions[i].seq % 3) << "entry " << i;
+    }
+    EXPECT_EQ(scheduler.grant_trace(), sched::grant_records(decisions));
+  };
+
+  run_next();
+  expect_ring(0, kGrants - 1);
+  scheduler.set_trace(false);
+  expect_ring(kGrants - kCapacity, kGrants - 1);
+  run_next();
+  expect_ring(2 * kGrants - kCapacity, 2 * kGrants - 1);
+  scheduler.set_trace(true);
+  run_next();
+  expect_ring(2 * kGrants - kCapacity, 3 * kGrants - 1);
 }
 
 }  // namespace
