@@ -6,7 +6,9 @@
 // driven through the in-process SchedulerCluster harness (an emulated
 // total-order bus).  The reported figure is base-level lock grants per
 // real second, i.e. the synchronisation-primitive overhead each strategy
-// adds on top of the (here absent) network and computation costs.
+// adds on top of the (here absent) network and computation costs.  Next
+// to it, the scheduler's wake-ups per grant: how many blocked threads it
+// made runnable for each grant, a count that no host speed changes.
 //
 // JSON schema ("adets-bench-sched/v1") is documented in
 // docs/benchmarking.md.
@@ -92,6 +94,8 @@ struct Point {
   bool completed = false;
   std::uint64_t lock_grants = 0;
   std::uint64_t broadcasts = 0;
+  std::uint64_t wakeups = 0;
+  double wakeups_per_grant = 0.0;
   double duration_s = 0.0;
   double grants_per_s = 0.0;
   double requests_per_s = 0.0;
@@ -121,6 +125,11 @@ Point run_point(const Options& opt, adets::sched::SchedulerKind kind) {
   cluster.stop();
   point.lock_grants = stats.lock_grants;
   point.broadcasts = stats.broadcasts;
+  point.wakeups = stats.wakeups;
+  if (point.lock_grants > 0) {
+    point.wakeups_per_grant =
+        static_cast<double>(point.wakeups) / static_cast<double>(point.lock_grants);
+  }
   point.duration_s = static_cast<double>(elapsed.count()) / 1e9;
   if (point.duration_s > 0.0) {
     point.grants_per_s = static_cast<double>(point.lock_grants) / point.duration_s;
@@ -149,15 +158,20 @@ int main(int argc, char** argv) {
   bool failed = false;
   for (const auto kind : opt.kinds) {
     const Point p = run_point(opt, kind);
-    std::fprintf(stderr, "[sched] %s: %s grants/s=%.0f req/s=%.0f (%.2fs)\n",
-                 p.scheduler.c_str(), p.completed ? "ok" : "TIMEOUT",
-                 p.grants_per_s, p.requests_per_s, p.duration_s);
+    std::fprintf(stderr,
+                 "[sched] %s: %s grants/s=%.0f req/s=%.0f wakeups=%llu "
+                 "wakeups/grant=%.3f (%.2fs)\n",
+                 p.scheduler.c_str(), p.completed ? "ok" : "TIMEOUT", p.grants_per_s,
+                 p.requests_per_s, static_cast<unsigned long long>(p.wakeups),
+                 p.wakeups_per_grant, p.duration_s);
     if (!p.completed) failed = true;
     json.begin_object();
     json.field("scheduler", p.scheduler);
     json.field("completed", p.completed);
     json.field("lock_grants", p.lock_grants);
     json.field("broadcasts", p.broadcasts);
+    json.field("wakeups", p.wakeups);
+    json.field("wakeups_per_grant", p.wakeups_per_grant);
     json.field("duration_s", p.duration_s);
     json.field("grants_per_s", p.grants_per_s);
     json.field("requests_per_s", p.requests_per_s);

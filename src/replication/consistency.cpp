@@ -1,17 +1,35 @@
 #include "replication/consistency.hpp"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 namespace adets::repl {
 namespace {
+
+/// Per application mutex, the grants a decision ring still holds:
+/// grant ordinal -> grantee thread.
+using GrantsByOrdinal = std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>>;
+
+GrantsByOrdinal grants_by_ordinal(const std::vector<sched::Decision>& decisions) {
+  GrantsByOrdinal grants;
+  for (const sched::Decision& decision : decisions) {
+    if (decision.kind != sched::Decision::Kind::kLockGrant ||
+        sched::is_internal_mutex(decision.mutex)) {
+      continue;
+    }
+    grants[decision.mutex.value()][decision.ordinal] = decision.thread.value();
+  }
+  return grants;
+}
 
 /// What check_group read from one live replica.
 struct Observed {
   int index = 0;
   std::uint64_t state_hash = 0;
   std::vector<sched::Decision> decisions;
-  /// Its hash or a grant order departs from the replicas before it.
+  GrantsByOrdinal grants;
+  /// Its hash or a grant departs from the replicas before it.
   bool disagrees = false;
 };
 
@@ -27,37 +45,25 @@ void dump_decisions(std::ostringstream& out, const Observed& replica, std::size_
   }
 }
 
-/// Points at the first per-mutex grant disagreement between a replica
-/// and the reference, if any.
+/// Points at the first grant, by mutex and ordinal, that a replica and
+/// the reference both retain and disagree on, if any.
 void diff_decisions(std::ostringstream& out, const Observed& reference,
                     const Observed& other) {
-  const auto ref = sched::per_mutex_decisions(reference.decisions);
-  const auto got = sched::per_mutex_decisions(other.decisions);
-  for (const auto& [mutex, ref_grants] : ref) {
-    const auto it = got.find(mutex);
-    const auto& other_grants =
-        it == got.end() ? std::vector<std::uint64_t>{} : it->second;
-    const std::size_t common = std::min(ref_grants.size(), other_grants.size());
-    for (std::size_t i = 0; i < common; ++i) {
-      if (ref_grants[i] != other_grants[i]) {
-        out << "  decision-trace diff: mutex " << mutex << " grant #" << i
-            << ": replica " << reference.index << " granted t" << ref_grants[i]
-            << ", replica " << other.index << " granted t" << other_grants[i]
-            << "\n";
+  for (const auto& [mutex, ref_grants] : reference.grants) {
+    const auto it = other.grants.find(mutex);
+    if (it == other.grants.end()) continue;
+    for (const auto& [ordinal, thread] : ref_grants) {
+      const auto got = it->second.find(ordinal);
+      if (got != it->second.end() && got->second != thread) {
+        out << "  decision-trace diff: mutex " << mutex << " grant #" << ordinal
+            << ": replica " << reference.index << " granted t" << thread
+            << ", replica " << other.index << " granted t" << got->second << "\n";
         return;
       }
     }
-    if (ref_grants.size() != other_grants.size()) {
-      out << "  decision-trace diff: mutex " << mutex << " has "
-          << ref_grants.size() << " grants on replica " << reference.index
-          << " vs " << other_grants.size() << " on replica " << other.index
-          << " (within the retained window)\n";
-      return;
-    }
   }
-  out << "  decision-trace diff: per-mutex grant projections agree within the "
-         "retained window (divergence predates the ring or is in object "
-         "state only)\n";
+  out << "  decision-trace diff: the grants both replicas retain agree "
+         "(divergence predates the rings or is in object state only)\n";
 }
 
 /// The diagnostic of an inconsistent group; `replicas.front()` is the
@@ -68,7 +74,8 @@ std::string explain(common::GroupId group, const ConsistencyReport& report,
   out << "DIVERGENCE in group " << group << ": state hashes";
   for (const std::uint64_t hash : report.state_hashes) out << " " << hash;
   out << (report.states_match ? " (equal)" : " (differ)") << ", per-mutex grant orders "
-      << (report.grant_orders_match ? "agree" : "differ") << "\n";
+      << (report.grant_orders_match ? "agree" : "differ") << " ("
+      << report.grants_compared << " grants compared)\n";
   for (const Observed& replica : replicas) dump_decisions(out, replica, /*tail=*/16);
   for (const Observed& replica : replicas) {
     if (replica.disagrees) diff_decisions(out, replicas.front(), replica);
@@ -96,23 +103,29 @@ ConsistencyReport check_group(runtime::Cluster& cluster, common::GroupId group) 
 
   report.states_match = true;
   report.grant_orders_match = true;
-  // Per mutex, the longest grant sequence seen so far.  Every replica's
-  // sequence must be a prefix of it, or extend it.
-  std::map<std::uint64_t, std::vector<std::uint64_t>> longest;
+  // Per mutex and grant ordinal, the grantee the first replica that
+  // retains that grant names, and how many replicas retain it.
+  struct FirstSeen {
+    std::uint64_t thread = 0;
+    int holders = 0;
+  };
+  std::map<std::uint64_t, std::map<std::uint64_t, FirstSeen>> seen;
   for (Observed& replica : replicas) {
     report.state_hashes.push_back(replica.state_hash);
     if (replica.state_hash != replicas.front().state_hash) {
       report.states_match = false;
       replica.disagrees = true;
     }
-    const auto& decisions = replica.decisions;
-    if (!decisions.empty() && decisions.front().seq != 0) continue;  // wrapped
-    for (auto& [mutex, grants] : sched::per_mutex_decisions(decisions)) {
-      auto& reference = longest[mutex];
-      if (grants.size() > reference.size()) std::swap(grants, reference);
-      if (!std::equal(grants.begin(), grants.end(), reference.begin())) {
-        report.grant_orders_match = false;
-        replica.disagrees = true;
+    replica.grants = grants_by_ordinal(replica.decisions);
+    for (const auto& [mutex, grants] : replica.grants) {
+      auto& by_ordinal = seen[mutex];
+      for (const auto& [ordinal, thread] : grants) {
+        FirstSeen& first = by_ordinal.try_emplace(ordinal, FirstSeen{thread, 0}).first->second;
+        if (++first.holders == 2) report.grants_compared++;
+        if (first.thread != thread) {
+          report.grant_orders_match = false;
+          replica.disagrees = true;
+        }
       }
     }
   }

@@ -123,6 +123,8 @@ struct SchedulerStats {
                                       // timeout messages, PDS no-ops)
   std::uint64_t activations = 0;      // SAT activations / MAT token grants
   std::uint64_t rounds = 0;           // PDS rounds
+  std::uint64_t wakeups = 0;          // blocked scheduler threads made
+                                      // runnable (one per wake, useful or not)
 };
 
 /// One recorded lock grant; replicas must produce identical traces.
@@ -151,6 +153,11 @@ struct Decision {
   common::CondVarId condvar;
   common::ThreadId thread;
   std::uint64_t generation = 0;  // wait generation (condvar kinds)
+  /// kLockGrant: how many grants of `mutex` this replica made before
+  /// this one.  The per-mutex grant order is the same on every replica,
+  /// so the ordinal is too, and it aligns rings that kept different
+  /// windows.
+  std::uint64_t ordinal = 0;
   friend bool operator==(const Decision&, const Decision&) = default;
 };
 

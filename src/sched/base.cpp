@@ -326,13 +326,15 @@ SchedulerStats SchedulerBase::stats() const {
 
 void SchedulerBase::record_grant(MutexId mutex, ThreadId thread) {
   stats_.lock_grants++;
-  record_decision(Decision::Kind::kLockGrant, mutex, CondVarId::invalid(), thread);
+  record_decision(Decision::Kind::kLockGrant, mutex, CondVarId::invalid(), thread,
+                  /*generation=*/0, grants_per_mutex_[mutex.value()]++);
 }
 
 void SchedulerBase::record_decision(Decision::Kind kind, MutexId mutex,
                                     CondVarId condvar, ThreadId thread,
-                                    std::uint64_t generation) {
-  const Decision decision{kind, decision_seq_++, mutex, condvar, thread, generation};
+                                    std::uint64_t generation, std::uint64_t ordinal) {
+  const Decision decision{kind,   decision_seq_++, mutex, condvar,
+                          thread, generation,      ordinal};
   if (keep_all_decisions_ || decision_ring_.size() < kDecisionRingCapacity) {
     decision_ring_.push_back(decision);
   } else {
@@ -354,7 +356,8 @@ std::string to_string(const Decision& decision) {
   switch (decision.kind) {
     case Decision::Kind::kLockGrant:
       out += "grant m" + std::to_string(decision.mutex.value()) + " -> t" +
-             std::to_string(decision.thread.value());
+             std::to_string(decision.thread.value()) + " (ordinal " +
+             std::to_string(decision.ordinal) + ")";
       break;
     case Decision::Kind::kCvWakeup:
       out += "wakeup t" + std::to_string(decision.thread.value()) + " cv" +
@@ -502,6 +505,7 @@ void SchedulerBase::block_for(Lk& lk, ThreadRecord& t, common::Duration real_tim
 }
 
 void SchedulerBase::wake(ThreadRecord& t) {
+  stats_.wakeups++;
   t.wake = true;
   t.cv.notify_all();
 }

@@ -30,7 +30,12 @@
 //  - the callback gate used by SL and ADETS-LSA: a callback runs only
 //    while its caller is parked in the call that caused it, and the
 //    caller resumes only after the callback finished;
-//  - the decision ring that cross-replica determinism checks read.
+//  - the decision ring that cross-replica determinism checks read;
+//  - wake(), the one way a blocked scheduler thread is made runnable.
+//    Strategies call it only for the thread an event can unblock, and
+//    each woken thread re-checks its own condition, so which threads
+//    are woken never reaches a decision (SchedulerStats::wakeups counts
+//    the calls).
 //
 // Strategies override the hooks below.  handle_request, base_lock and
 // base_unlock are pure.  handle_reply, base_before_nested and
@@ -217,9 +222,10 @@ class SchedulerBase : public Scheduler {
   /// or, for PDS idle-fill, through a broadcast no-op request.
   void block_for(Lk& lk, ThreadRecord& t, common::Duration real_timeout)
       ADETS_REQUIRES(mon_);
-  /// Makes `t` runnable (sets wake, notifies its cv).
-  void wake(ThreadRecord& t);
+  /// Makes `t` runnable (sets wake, notifies its cv) and counts it.
+  void wake(ThreadRecord& t) ADETS_REQUIRES(mon_);
 
+  /// Records a base-level grant of `mutex` with its grant ordinal.
   void record_grant(common::MutexId mutex, common::ThreadId thread)
       ADETS_REQUIRES(mon_);
 
@@ -227,7 +233,8 @@ class SchedulerBase : public Scheduler {
   /// the ring is full unless it keeps every decision.
   void record_decision(Decision::Kind kind, common::MutexId mutex,
                        common::CondVarId condvar, common::ThreadId thread,
-                       std::uint64_t generation = 0) ADETS_REQUIRES(mon_);
+                       std::uint64_t generation = 0, std::uint64_t ordinal = 0)
+      ADETS_REQUIRES(mon_);
 
   /// Executes one work item (application request or timeout handler) on
   /// the calling scheduler thread.  mon_ must NOT be held.  A work item
@@ -310,6 +317,8 @@ class SchedulerBase : public Scheduler {
   std::size_t decision_oldest_ ADETS_GUARDED_BY(mon_) = 0;
   bool keep_all_decisions_ ADETS_GUARDED_BY(mon_) = false;  // set_trace
   std::uint64_t decision_seq_ ADETS_GUARDED_BY(mon_) = 0;
+  /// Base-level grants so far per mutex: the next grant's ordinal.
+  std::map<std::uint64_t, std::uint64_t> grants_per_mutex_ ADETS_GUARDED_BY(mon_);
   SchedulerStats stats_ ADETS_GUARDED_BY(mon_);
 
   // Created in start() before threads; TimerService synchronizes itself.

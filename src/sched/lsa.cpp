@@ -68,7 +68,12 @@ void LsaScheduler::on_view_change(const std::vector<common::NodeId>& members) {
                           << expected_.size() << " recorded grant queues first";
   }
   leader_ = now_leader;
-  wake_lock_waiters(lk);
+  // A new leader grants from rt_waiters once the recorded grants are
+  // honoured, so every lock-blocked thread re-checks which branch it is
+  // in.  View changes are rare; this is LSA's only every-thread wake.
+  for (auto& [id, record] : threads_) {
+    if (lsa(*record).waiting_for.valid()) wake(*record);
+  }
 }
 
 // --- event stream -------------------------------------------------------------
@@ -89,7 +94,6 @@ void LsaScheduler::on_scheduler_message(common::NodeId sender, const Bytes& payl
   if (table->number < next_table_[sender.value()]) return;  // already applied
   held_tables_[{sender.value(), table->number}] = std::move(table->entries);
   apply_ready_tables(lk, sender.value());
-  wake_lock_waiters(lk);
 }
 
 void LsaScheduler::apply_ready_tables(Lk& lk, std::uint64_t sender) {
@@ -105,7 +109,13 @@ void LsaScheduler::apply_ready_tables(Lk& lk, std::uint64_t sender) {
 void LsaScheduler::apply_table(Lk& lk, const std::vector<TableEntry>& entries) {
   for (const TableEntry& entry : entries) {
     if (leader_) continue;  // the leader already granted these
-    if (entry.is_new && lsa_to_app_.count(entry.lsa_id) == 0) {
+    std::deque<std::uint64_t>& queue = expected_[entry.lsa_id];
+    queue.push_back(entry.thread);
+    const auto bound = lsa_to_app_.find(entry.lsa_id);
+    if (bound != lsa_to_app_.end()) {
+      // Only an entry at the head of its queue gives anyone a turn.
+      if (queue.size() == 1) wake_next_owner(lk, MutexId(bound->second));
+    } else if (entry.is_new) {
       // Dynamic mutex registration: bind via the creating thread's
       // (thread, lock-op) pair, which is replica-independent.
       const auto key = std::make_pair(entry.thread, entry.op);
@@ -117,24 +127,38 @@ void LsaScheduler::apply_table(Lk& lk, const std::vector<TableEntry>& entries) {
         early_new_entries_[key] = entry.lsa_id;
       }
     }
-    expected_[entry.lsa_id].push_back(entry.thread);
   }
 }
 
 void LsaScheduler::bind(Lk& lk, MutexId mutex, std::uint64_t lsa_id) {
   app_to_lsa_[mutex.value()] = lsa_id;
   lsa_to_app_[lsa_id] = mutex.value();
-  // Other threads may be blocked-unknown on the same mutex.
-  wake_lock_waiters(lk);
+  // Threads that blocked on the mutex while it was unknown here can now
+  // look up its recorded grants.
+  for (const auto& [key, app] : unknown_requests_) {
+    if (app != mutex.value()) continue;
+    if (ThreadRecord* record = find_thread(lk, ThreadId(key.first))) wake(*record);
+  }
 }
 
-void LsaScheduler::wake_lock_waiters(Lk&) {
-  for (auto& [id, record] : threads_) {
-    if (record->state == ThreadState::kBlockedLock ||
-        record->state == ThreadState::kBlockedReacquire) {
-      wake(*record);
-    }
+void LsaScheduler::wake_next_owner(Lk& lk, MutexId mutex) {
+  const MutexState& m = mutexes_[mutex.value()];
+  if (m.owner.valid()) return;  // the owner's unlock wakes the next one
+  // Recorded grants come first, as in lock_impl.
+  ThreadId next = ThreadId::invalid();
+  const auto binding = app_to_lsa_.find(mutex.value());
+  const auto recorded =
+      binding == app_to_lsa_.end() ? expected_.end() : expected_.find(binding->second);
+  if (recorded != expected_.end() && !recorded->second.empty()) {
+    next = ThreadId(recorded->second.front());
+  } else if (leader_ && !m.rt_waiters.empty()) {
+    next = m.rt_waiters.front();
   }
+  if (!next.valid()) return;
+  ThreadRecord* record = find_thread(lk, next);
+  // A recorded grantee that has not reached its lock call finds its turn
+  // there without a wake.
+  if (record != nullptr && lsa(*record).waiting_for == mutex) wake(*record);
 }
 
 // --- locking ---------------------------------------------------------------------
@@ -149,7 +173,9 @@ void LsaScheduler::lock_impl(Lk& lk, ThreadRecord& t, MutexId mutex) {
   // Every base-level lock call gets a per-thread operation index; lock
   // calls happen in program order, so `op` values agree across replicas
   // and key the dynamic mutex-id binding protocol.
-  const std::uint64_t op = ++lsa(t).lock_ops;
+  LsaThread& self = lsa(t);
+  const std::uint64_t op = ++self.lock_ops;
+  self.waiting_for = mutex;
   bool enqueued = false;
   while (!stopping()) {
     MutexState& m = mutexes_[mutex.value()];
@@ -164,9 +190,18 @@ void LsaScheduler::lock_impl(Lk& lk, ThreadRecord& t, MutexId mutex) {
           exp->second.pop_front();
           m.owner = t.id;
           record_grant(mutex, t.id);
+          self.waiting_for = MutexId::invalid();
+          // A fresh leader honoured the old leader's last recorded grant
+          // of this mutex: whoever waited here for a recorded turn now
+          // queues in rt_waiters instead.
+          if (leader_ && exp->second.empty()) {
+            for (auto& [id, record] : threads_) {
+              if (lsa(*record).waiting_for == mutex) wake(*record);
+            }
+          }
           return;
         }
-        block(lk, t);  // re-woken on unlocks / new tables / view changes
+        block(lk, t);  // woken when it is this thread's recorded turn
         continue;
       }
     }
@@ -180,6 +215,7 @@ void LsaScheduler::lock_impl(Lk& lk, ThreadRecord& t, MutexId mutex) {
         m.rt_waiters.pop_front();
         m.owner = t.id;
         record_grant(mutex, t.id);
+        self.waiting_for = MutexId::invalid();
         append_entry(lk, mutex, t.id, op);
         return;
       }
@@ -206,6 +242,7 @@ void LsaScheduler::lock_impl(Lk& lk, ThreadRecord& t, MutexId mutex) {
     // Bound but no recorded grants yet: wait for the next table.
     block(lk, t);
   }
+  self.waiting_for = MutexId::invalid();
 }
 
 void LsaScheduler::base_unlock(Lk& lk, ThreadRecord&, MutexId mutex) {
@@ -214,7 +251,7 @@ void LsaScheduler::base_unlock(Lk& lk, ThreadRecord&, MutexId mutex) {
 
 void LsaScheduler::unlock_impl(Lk& lk, MutexId mutex) {
   mutexes_[mutex.value()].owner = ThreadId::invalid();
-  wake_lock_waiters(lk);
+  wake_next_owner(lk, mutex);
 }
 
 void LsaScheduler::append_entry(Lk& lk, MutexId mutex, ThreadId thread,

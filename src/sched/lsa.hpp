@@ -43,6 +43,14 @@
 //    and the network may reorder them), so every table carries the
 //    leader's running table number and followers apply each leader's
 //    tables in that order, holding back any that arrive early.
+//
+// Wake-ups: an unlock, an applied table entry or a binding wakes only
+// the thread that may take that mutex next: the head of its recorded
+// grants (expected_) if that thread is blocked on it, else, on the
+// leader, the head of rt_waiters.  A binding wakes the threads blocked
+// on the mutex while it was unknown; a fresh leader wakes the threads
+// that waited for a recorded turn once the last one is honoured.  Only
+// a view change wakes every lock-blocked thread.
 #pragma once
 
 #include <deque>
@@ -67,9 +75,10 @@ class LsaScheduler : public SchedulerBase {
 
   /// True while this replica records (rather than replays) grants.
   [[nodiscard]] bool is_leader() const;
-  /// Scheduler threads LSA still keeps state for: live threads plus the
-  /// callback and dynamic-binding entries keyed by a thread id
-  /// (introspection; 0 once every thread has finished).
+  /// Scheduler threads LSA still keeps state for: live threads (whose
+  /// records hold their lock and wait state) plus the callback and
+  /// dynamic-binding entries keyed by a thread id (introspection; 0 once
+  /// every thread has finished).
   [[nodiscard]] std::size_t tracked_threads() const;
 
  protected:
@@ -89,6 +98,9 @@ class LsaScheduler : public SchedulerBase {
     /// order, so the count agrees across replicas and keys the
     /// dynamic-binding protocol.
     std::uint64_t lock_ops = 0;
+    /// The mutex this thread waits for in lock_impl, invalid outside it:
+    /// what lets an event wake only the thread it unblocks.
+    common::MutexId waiting_for = common::MutexId::invalid();
   };
   static LsaThread& lsa(ThreadRecord& t) { return static_cast<LsaThread&>(t); }
 
@@ -117,7 +129,9 @@ class LsaScheduler : public SchedulerBase {
   /// lambda so the lambda body contains no lock operations).
   void flush_batched();
   void bind(Lk& lk, common::MutexId mutex, std::uint64_t lsa_id) ADETS_REQUIRES(mon_);
-  void wake_lock_waiters(Lk& lk) ADETS_REQUIRES(mon_);
+  /// `mutex` is free, or its grant plan grew: wakes the thread that may
+  /// take it next, if that thread is blocked on it.
+  void wake_next_owner(Lk& lk, common::MutexId mutex) ADETS_REQUIRES(mon_);
 
   struct Table {
     std::uint64_t number = 0;  // the sending leader's running table count

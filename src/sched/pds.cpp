@@ -74,8 +74,15 @@ void PdsScheduler::spawn_worker(Lk& lk, bool pre_suspended) {
   }
 }
 
-void PdsScheduler::wake_everyone(Lk&) {
-  for (auto& [id, record] : threads_) wake(*record);
+void PdsScheduler::wake_fetcher(Lk& lk) {
+  if (request_queue_.empty()) return;
+  // Synchronized assignment: only the queue-mutex holder fetches; the
+  // other workers get the queue mutex from the round machinery.
+  const ThreadId fetcher = config_.pds_round_robin_assignment
+                               ? ThreadId(next_fetch_index_ % initial_pool_)
+                               : mutexes_[kQueueMutexId].owner;
+  if (!fetcher.valid()) return;
+  if (ThreadRecord* record = find_thread(lk, fetcher)) wake(*record);
 }
 
 // --- worker loop -------------------------------------------------------------------
@@ -106,7 +113,7 @@ std::optional<Request> PdsScheduler::fetch(Lk& lk, PdsThread& t) {
         Request request = std::move(request_queue_.front());
         request_queue_.pop_front();
         next_fetch_index_++;
-        wake_everyone(lk);
+        wake_fetcher(lk);  // the next request may be queued already
         return request;
       }
       block(lk, t);
@@ -183,7 +190,7 @@ void PdsScheduler::on_scheduler_message(common::NodeId sender,
 
 void PdsScheduler::handle_request(Lk& lk, Request request) {
   request_queue_.push_back(std::move(request));
-  wake_everyone(lk);  // a fetch-idle queue-mutex holder may be waiting
+  wake_fetcher(lk);
 }
 
 void PdsScheduler::debug_extra(std::string& out) const {

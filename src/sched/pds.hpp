@@ -13,7 +13,10 @@
 //    granted in increasing thread-id order; an unlock inside the round
 //    hands the mutex to the next same-round requester.
 // No communication is needed: the assignment is a pure function of the
-// replica-independent request set.
+// replica-independent request set.  Every wake-up is targeted: a grant
+// wakes its grantee, and a request arrival wakes only the worker that
+// fetches it (the queue-mutex holder, or under round-robin the worker
+// whose turn it is).
 //
 // Extensions (paper Sec. 4.2):
 //  - Request assignment: *synchronized* (workers fetch the next request
@@ -100,7 +103,10 @@ class PdsScheduler : public SchedulerBase {
   /// Fetches the next work item per the configured assignment strategy.
   std::optional<Request> fetch(Lk& lk, PdsThread& t) ADETS_REQUIRES(mon_);
   void spawn_worker(Lk& lk, bool pre_suspended) ADETS_REQUIRES(mon_);
-  void wake_everyone(Lk& lk) ADETS_REQUIRES(mon_);
+  /// Wakes the one worker that fetches the queue's head next: the
+  /// queue-mutex holder (synchronized assignment) or the worker whose
+  /// turn it is (round-robin).  No-op while the queue is empty.
+  void wake_fetcher(Lk& lk) ADETS_REQUIRES(mon_);
 
   std::uint64_t round_ ADETS_GUARDED_BY(mon_) = 0;
   std::deque<Request> request_queue_ ADETS_GUARDED_BY(mon_);

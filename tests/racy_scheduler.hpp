@@ -86,10 +86,10 @@ class RacyScheduler : public sched::Scheduler {
   void lock(common::MutexId mutex) override {
     app_mutex(mutex).lock();  // real-time arrival order: the violation
     const std::lock_guard<std::mutex> guard(mutex_);
-    decisions_.push_back(sched::Decision{sched::Decision::Kind::kLockGrant,
-                                         decision_seq_++, mutex,
-                                         common::CondVarId::invalid(),
-                                         common::ThreadId(current_request()), 0});
+    std::uint64_t ordinal = 0;  // earlier grants of `mutex`: every decision is a grant
+    for (const sched::Decision& d : decisions_) ordinal += d.mutex == mutex ? 1 : 0;
+    decisions_.push_back(sched::Decision{sched::Decision::Kind::kLockGrant, decision_seq_++,
+        mutex, common::CondVarId::invalid(), common::ThreadId(current_request()), 0, ordinal});
   }
   void unlock(common::MutexId mutex) override { app_mutex(mutex).unlock(); }
 

@@ -695,6 +695,107 @@ TEST_F(SchedTestBase, SlCallbackWaitsForItsCallerToReachTheCall) {
   expect_callback_waits_for_its_caller(SchedulerKind::kSl);
 }
 
+/// Waits until replica `r` has at least `n` threads in `state`, as its
+/// debug dump names it ("blk-lock", "blk-nested", ...).
+bool wait_threads_in(SchedulerCluster& cluster, int r, const std::string& state,
+                     std::size_t n) {
+  const auto& scheduler = dynamic_cast<const sched::SchedulerBase&>(cluster.replica(r));
+  const std::string tag = ":" + state + "]";
+  const auto deadline = common::Clock::now() + ms(5000);
+  while (true) {
+    const std::string dump = scheduler.debug_dump();
+    std::size_t count = 0;
+    for (auto at = dump.find(tag); at != std::string::npos; at = dump.find(tag, at + 1)) {
+      count++;
+    }
+    if (count >= n) return true;
+    if (common::Clock::now() > deadline) return false;
+    common::Clock::sleep_real(ms(1));
+  }
+}
+
+TEST_F(SchedTestBase, LsaWaitersOfOneMutexSleepThroughAnotherMutexsGrants) {
+  // Eight threads wait for mutex 1, which request 0 holds across a
+  // nested call.  Twenty requests on mutex 2 meanwhile unlock it and, on
+  // the follower, apply its tables.  Each of those events may wake the
+  // one thread that takes mutex 2 next, never a waiter of mutex 1: at
+  // most one wake-up per request on the follower (the requester itself,
+  // when its table arrives) and none on the leader.
+  SchedulerCluster cluster(SchedulerKind::kLsa, 2);
+  constexpr int kWaiters = 8;
+  constexpr int kOthers = 20;
+  cluster.set_body(0, [](BodyCtx& ctx) {
+    ctx.lock(1);
+    ctx.nested_call(900);
+    ctx.unlock(1);
+  });
+  for (int i = 1; i <= kWaiters + kOthers; ++i) {
+    const std::uint64_t m = i <= kWaiters ? 1 : 2;
+    cluster.set_body(i, [m](BodyCtx& ctx) {
+      ctx.lock(m);
+      ctx.unlock(m);
+    });
+  }
+  // Request 0 holds mutex 1 in its call before the waiters arrive, so
+  // mutex 1 is bound on the follower and no wake-up of the set-up is
+  // still to come once they all wait.
+  cluster.submit(0);
+  for (int r = 0; r < 2; ++r) ASSERT_TRUE(wait_threads_in(cluster, r, "blk-nested", 1)) << r;
+  for (int i = 1; i <= kWaiters; ++i) cluster.submit(i);
+  for (int r = 0; r < 2; ++r) {
+    ASSERT_TRUE(wait_threads_in(cluster, r, "blk-lock", kWaiters)) << r;
+  }
+  const std::uint64_t before[2] = {cluster.replica(0).stats().wakeups,
+                                   cluster.replica(1).stats().wakeups};
+  for (int i = 1; i <= kOthers; ++i) {
+    cluster.submit(kWaiters + i);
+    ASSERT_TRUE(cluster.wait_completed(i));
+  }
+  EXPECT_EQ(cluster.replica(0).stats().wakeups - before[0], 0u) << "leader";
+  EXPECT_LE(cluster.replica(1).stats().wakeups - before[1],
+            static_cast<std::uint64_t>(kOthers))
+      << "follower";
+  cluster.deliver_reply(900);
+  ASSERT_TRUE(cluster.wait_completed(1 + kWaiters + kOthers));
+}
+
+TEST_F(SchedTestBase, LsaFreshLeaderQueuesReplayWaitersOnceRecordedGrantsDrain) {
+  // The leader records grants of mutex 5 to requests 1 and 2 (in the
+  // order they raced for it), then fails.  On the surviving follower,
+  // request 3 blocks on mutex 5 before 1 and 2 get there, so it waits
+  // for its recorded turn.  As the new leader, the survivor honours the
+  // two recorded grants, and the second of them must send request 3 to
+  // the new leader's own queue: nothing else would wake it.
+  SchedulerCluster cluster(SchedulerKind::kLsa, 2);
+  for (int i = 0; i <= 3; ++i) {
+    cluster.set_body(i, [i](BodyCtx& ctx) {
+      ctx.lock(5);
+      ctx.trace("r" + std::to_string(i));
+      ctx.unlock(5);
+    });
+  }
+  cluster.submit(0);  // binds mutex 5 on both replicas
+  ASSERT_TRUE(cluster.wait_completed(1));
+  cluster.set_perturbation([](int replica, std::uint64_t request) {
+    if (replica == 1 && (request == 1 || request == 2)) common::Clock::sleep_real(ms(200));
+  });
+  cluster.submit(1);
+  cluster.submit(2);
+  ASSERT_TRUE(wait_trace(cluster, 0, 3));
+  // The leader crashes with its tables for 1 and 2 already sent.
+  cluster.replica(0).stop();
+  cluster.submit(3);
+  ASSERT_TRUE(wait_threads_in(cluster, 1, "blk-lock", 1));
+  cluster.replica(1).on_view_change({common::NodeId(1)});
+  const auto deadline = common::Clock::now() + ms(5000);
+  while (cluster.replica(1).completed_requests() < 4 && common::Clock::now() < deadline) {
+    common::Clock::sleep_real(ms(1));
+  }
+  std::vector<std::string> expected = cluster.trace(0);  // r0 and the recorded two
+  expected.push_back("r3");
+  EXPECT_EQ(cluster.trace(1), expected);
+}
+
 TEST_F(SchedTestBase, LsaReleasesPerThreadStateWhenThreadsFinish) {
   // A thread's lock-operation count and its callback and binding entries
   // belong to that thread.  None of it may outlive the thread, or a long
@@ -755,6 +856,25 @@ TEST_F(SchedTestBase, PdsIdlePoolBroadcastsNoNoops) {
   SchedulerCluster cluster(SchedulerKind::kPds, 1, config);
   common::Clock::sleep_real(ms(30));
   EXPECT_EQ(cluster.replica(0).stats().broadcasts, 0u);
+}
+
+TEST_F(SchedTestBase, PdsArrivalWakesOnlyTheWorkerThatFetchesIt) {
+  // Only the queue-mutex holder fetches, so an arrival wakes it alone;
+  // the other workers get the queue mutex from the round machinery.  Fed
+  // one request at a time, an idle pool of 4 makes two wake-ups per
+  // request: the holder, and the worker the queue mutex goes to next.
+  sched::SchedulerConfig config;
+  config.pds_thread_pool = 4;
+  SchedulerCluster cluster(SchedulerKind::kPds, 1, config);
+  constexpr std::uint64_t kRequests = 40;
+  cluster.submit(0);
+  ASSERT_TRUE(cluster.wait_completed(1));
+  const std::uint64_t before = cluster.replica(0).stats().wakeups;
+  for (std::uint64_t i = 1; i <= kRequests; ++i) {
+    cluster.submit(i);
+    ASSERT_TRUE(cluster.wait_completed(i + 1));
+  }
+  EXPECT_LE(cluster.replica(0).stats().wakeups - before, 2 * kRequests);
 }
 
 TEST_F(SchedTestBase, Pds2NeedsFewerRoundsThanPds1ForTwoLockWork) {
@@ -969,6 +1089,7 @@ TEST_F(SchedTestBase, DecisionRingKeepsEveryDecisionOnlyWhileTraced) {
       ASSERT_EQ(decisions[i].seq, first + i) << "entry " << i;
       ASSERT_EQ(decisions[i].kind, sched::Decision::Kind::kLockGrant) << "entry " << i;
       ASSERT_EQ(decisions[i].mutex.value(), decisions[i].seq % 3) << "entry " << i;
+      ASSERT_EQ(decisions[i].ordinal, decisions[i].seq / 3) << "entry " << i;
     }
     EXPECT_EQ(scheduler.grant_trace(), sched::grant_records(decisions));
   };
