@@ -30,7 +30,7 @@ std::optional<sched::SchedulerKind> kind_of(const std::string& strategy) {
   if (strategy == "sat") return sched::SchedulerKind::kSat;
   if (strategy == "mat") return sched::SchedulerKind::kMat;
   if (strategy == "lsa") return sched::SchedulerKind::kLsa;
-  if (strategy == "pds") return sched::SchedulerKind::kPds;
+  if (strategy == "pds" || strategy == "pds2") return sched::SchedulerKind::kPds;
   return std::nullopt;
 }
 
@@ -128,6 +128,7 @@ class World {
       } else {
         sched::SchedulerConfig config;
         config.pds_thread_pool = 2;
+        if (strategy == "pds2") config.pds_variant = 2;
         schedulers_.push_back(sched::make_scheduler(*kind_of(strategy), config));
       }
       schedulers_.back()->set_trace(true);  // the whole run, never wrapped
@@ -737,8 +738,8 @@ void Ctx::record_op(const std::string& method, const common::Bytes& args,
 }  // namespace
 
 const std::vector<std::string>& known_strategies() {
-  static const std::vector<std::string> all = {"seq", "sl",  "sat", "mat",
-                                               "lsa", "pds", "racy"};
+  static const std::vector<std::string> all = {"seq", "sl",  "sat",  "mat",
+                                               "lsa", "pds", "pds2", "racy"};
   return all;
 }
 

@@ -54,8 +54,9 @@ struct RunOptions {
   McRuntime::Options runtime;
 };
 
-/// Strategy names accepted by run_execution: the six ADETS strategies
-/// plus "racy" (tests/racy_scheduler.hpp behind harness-level hooks).
+/// Strategy names accepted by run_execution: the six ADETS strategies,
+/// "pds2" (PDS with pds_variant = 2) and "racy"
+/// (tests/racy_scheduler.hpp behind harness-level hooks).
 [[nodiscard]] const std::vector<std::string>& known_strategies();
 
 /// True when `strategy` can run `scenario` (capability gates).

@@ -108,6 +108,10 @@ void LsaScheduler::apply_ready_tables(Lk& lk, std::uint64_t sender) {
 
 void LsaScheduler::apply_table(Lk& lk, const std::vector<TableEntry>& entries) {
   for (const TableEntry& entry : entries) {
+    // Every replica numbers past each id in the total order, bound here
+    // or not (an is_new entry may still wait in early_new_entries_): the
+    // survivors of a fail-over then agree where a fresh leader goes on.
+    next_lsa_id_ = std::max(next_lsa_id_, entry.lsa_id + 1);
     if (leader_) continue;  // the leader already granted these
     std::deque<std::uint64_t>& queue = expected_[entry.lsa_id];
     queue.push_back(entry.thread);

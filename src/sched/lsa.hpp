@@ -29,7 +29,9 @@
 //  - Leader fail-over: when the view changes, the new leader first
 //    honours all grants recorded by the old leader (identical on all
 //    survivors thanks to totally-ordered table broadcasts), then starts
-//    recording its own.
+//    recording its own.  It numbers new mutexes past every table id it
+//    applied, as every replica does, so it never reuses the old
+//    leader's ids.
 //  - Callbacks (a synchronous nested call that leads back into this
 //    group on the same logical thread) run only while the calling
 //    thread is parked in that call, and the call returns only after

@@ -210,17 +210,9 @@ void PdsScheduler::base_lock(Lk& lk, ThreadRecord& t, MutexId mutex) {
 }
 
 void PdsScheduler::pds_lock(Lk& lk, PdsThread& t, MutexId mutex) {
-  // PDS-2 fast path: one extra in-round acquisition when permitted.
-  if (config_.pds_variant == 2 && t.phase == 1 && t.granted_round == round_) {
-    MutexState& m = mutexes_[mutex.value()];
-    if (!m.owner.valid() && lower_ids_have_phase1(lk, t)) {
-      m.owner = t.id;
-      record_grant(mutex, t.id);
-      t.phase = 2;
-      return;
-    }
-  }
-  // Suspend; the grant comes at a round boundary or an in-round unlock.
+  // Suspend; the grant comes at a round boundary, an in-round unlock or,
+  // for a PDS-2 second request, the mid-round pass.
+  t.second_request = config_.pds_variant == 2 && t.phase == 1 && t.granted_round == round_;
   t.wanted_mutex = mutex;
   t.request_round = round_;
   t.state = ThreadState::kBlockedLock;
@@ -242,22 +234,24 @@ bool PdsScheduler::round_awaited(Lk&) const {
   return false;
 }
 
-bool PdsScheduler::lower_ids_have_phase1(Lk&, const PdsThread& t) const {
-  for (const auto& [id, record] : threads_) {
-    if (id >= t.id.value()) break;
-    const PdsThread& lower = pds(*record);
-    if (lower.state == ThreadState::kDone || lower.state == ThreadState::kBlockedWait) {
-      continue;
-    }
-    if (!(lower.granted_round == round_ && lower.phase >= 1)) return false;
+bool PdsScheduler::grant_second_requests(Lk& lk) {
+  bool granted = false;
+  for (auto& [id, record] : threads_) {  // ordered by id
+    PdsThread& t = pds(*record);
+    if (t.state != ThreadState::kBlockedLock || !t.second_request) continue;
+    if (mutexes_[t.wanted_mutex.value()].owner.valid()) continue;
+    grant(lk, t, t.wanted_mutex);
+    t.phase = 2;
+    granted = true;
   }
-  return true;
+  return granted;
 }
 
 void PdsScheduler::grant(Lk&, PdsThread& t, MutexId mutex) {
   mutexes_[mutex.value()].owner = t.id;
   record_grant(mutex, t.id);
   t.wanted_mutex = MutexId::invalid();
+  t.second_request = false;
   t.phase = 1;
   t.granted_round = round_;
   if (t.state == ThreadState::kBlockedLock) t.state = ThreadState::kRunning;
@@ -300,6 +294,14 @@ void PdsScheduler::maybe_start_round(Lk& lk) {
       default:
         return;  // someone is still running / in a nested call
     }
+  }
+  // PDS-2: before the next round starts, one mid-round pass grants the
+  // round's second requests.  Every worker is suspended at a
+  // deterministic program point now, so the pass sees the same mutexes
+  // free on every replica.
+  if (config_.pds_variant == 2 && passed_round_ != round_) {
+    passed_round_ = round_;
+    if (grant_second_requests(lk)) return;
   }
   // ADETS-PDS pool resizing (paper Sec. 4.2): when every worker waits
   // (or is done), add one to avoid the all-waiting deadlock; retire

@@ -4,14 +4,20 @@
 // A fixed pool of worker threads (scheduler threads that, like every
 // strategy's, run on SchedulerBase's OS worker pool) executes requests
 // in sequential rounds:
-//  - A worker is suspended whenever it requests a mutex (PDS-1), or on
-//    its second-plus request (PDS-2, which grants one extra in-round
-//    acquisition when the mutex is free and all lower-id threads have
-//    taken their phase-1 mutex).
+//  - A worker is suspended whenever it requests a mutex.
 //  - Once every worker is suspended (on a mutex, in wait(), or
 //    terminated), a new round starts and pending mutex requests are
 //    granted in increasing thread-id order; an unlock inside the round
-//    hands the mutex to the next same-round requester.
+//    hands the mutex to the next requester from an earlier round.
+//  - PDS-2 grants one extra acquisition per round.  A worker's second
+//    request of a round suspends like any other; once every worker is
+//    suspended again, one mid-round pass grants the second requests in
+//    thread-id order wherever the mutex is free, and the next round
+//    starts only after that.  At that point every worker sits at a
+//    deterministic program point, so the pass sees the same state on
+//    every replica.  Granting a second request when it is made would
+//    let timing decide: whether another worker has released or taken
+//    the mutex by then is timing.
 // No communication is needed: the assignment is a pure function of the
 // replica-independent request set.  Every wake-up is targeted: a grant
 // wakes its grantee, and a request arrival wakes only the worker that
@@ -79,6 +85,7 @@ class PdsScheduler : public SchedulerBase {
     int phase = 0;                   // mutexes acquired this round
     std::uint64_t request_round = 0; // round in which wanted_mutex was requested
     std::uint64_t granted_round = 0; // round of the last grant
+    bool second_request = false;     // PDS-2: wanted_mutex is this round's second
     bool terminate = false;          // pool-shrink signal
   };
   static PdsThread& pds(ThreadRecord& t) { return static_cast<PdsThread&>(t); }
@@ -99,7 +106,9 @@ class PdsScheduler : public SchedulerBase {
   /// round lets it continue.  Workers waiting for the queue mutex get it
   /// once requests arrive, so they need no artificial one.
   bool round_awaited(Lk& lk) const ADETS_REQUIRES(mon_);
-  bool lower_ids_have_phase1(Lk& lk, const PdsThread& t) const ADETS_REQUIRES(mon_);
+  /// PDS-2's mid-round pass: grants, in thread-id order, each pending
+  /// second request whose mutex is free.  True if it granted any.
+  bool grant_second_requests(Lk& lk) ADETS_REQUIRES(mon_);
   /// Fetches the next work item per the configured assignment strategy.
   std::optional<Request> fetch(Lk& lk, PdsThread& t) ADETS_REQUIRES(mon_);
   void spawn_worker(Lk& lk, bool pre_suspended) ADETS_REQUIRES(mon_);
@@ -109,6 +118,7 @@ class PdsScheduler : public SchedulerBase {
   void wake_fetcher(Lk& lk) ADETS_REQUIRES(mon_);
 
   std::uint64_t round_ ADETS_GUARDED_BY(mon_) = 0;
+  std::uint64_t passed_round_ ADETS_GUARDED_BY(mon_) = 0;  // PDS-2: last round whose pass ran
   std::deque<Request> request_queue_ ADETS_GUARDED_BY(mon_);
   std::uint64_t next_fetch_index_ ADETS_GUARDED_BY(mon_) = 0;  // consumed count (round-robin)
   std::size_t initial_pool_ ADETS_GUARDED_BY(mon_) = 0;

@@ -115,7 +115,7 @@ TEST(AdetsMcTest, BatchedDeliveryPreservesGrantTraceEquality) {
 }
 
 TEST(AdetsMcTest, BoundedSweepAllStrategiesAllScenariosHasNoViolations) {
-  for (const std::string strategy : {"seq", "sl", "sat", "mat", "lsa", "pds"}) {
+  for (const std::string strategy : {"seq", "sl", "sat", "mat", "lsa", "pds", "pds2"}) {
     for (const Scenario& s : adets::mc::scenarios()) {
       if (!adets::mc::strategy_supports(strategy, s)) continue;
       ExploreOptions options;

@@ -796,6 +796,41 @@ TEST_F(SchedTestBase, LsaFreshLeaderQueuesReplayWaitersOnceRecordedGrantsDrain) 
   EXPECT_EQ(cluster.trace(1), expected);
 }
 
+TEST_F(SchedTestBase, LsaFreshLeaderNumbersNewMutexesPastTheOldLeadersIds) {
+  // The old leader bound mutex 10 to table id 1 before it failed.  A
+  // fresh leader that numbered new mutexes from its own count would bind
+  // mutex 20 to id 1 again; replica 2, which knows id 1 as mutex 10,
+  // would queue the grant there, and request 1 would wait on replica 2
+  // for a binding of mutex 20 that never comes.
+  SchedulerCluster cluster(SchedulerKind::kLsa, 3);
+  const auto locks = [](std::uint64_t m) {
+    return [m](BodyCtx& ctx) {
+      ctx.lock(m);
+      ctx.trace("m" + std::to_string(m));
+      ctx.unlock(m);
+    };
+  };
+  cluster.set_body(0, locks(10));
+  cluster.set_body(1, locks(20));
+  cluster.submit(0);  // binds mutex 10 on every replica
+  ASSERT_TRUE(cluster.wait_completed(1));
+  cluster.replica(0).stop();
+  const std::vector<common::NodeId> survivors{common::NodeId(1), common::NodeId(2)};
+  cluster.replica(1).on_view_change(survivors);
+  cluster.replica(2).on_view_change(survivors);
+  cluster.submit(1);  // mutex 20: nobody has bound it yet
+  const auto deadline = common::Clock::now() + ms(3000);
+  for (const int r : {1, 2}) {
+    while (cluster.replica(r).completed_requests() < 2 && common::Clock::now() < deadline) {
+      common::Clock::sleep_real(ms(1));
+    }
+    EXPECT_EQ(cluster.replica(r).completed_requests(), 2u) << "replica " << r;
+  }
+  EXPECT_EQ(cluster.trace(1), cluster.trace(2));
+  EXPECT_EQ(sched::per_mutex_decisions(cluster.replica(1).decision_trace()),
+            sched::per_mutex_decisions(cluster.replica(2).decision_trace()));
+}
+
 TEST_F(SchedTestBase, LsaReleasesPerThreadStateWhenThreadsFinish) {
   // A thread's lock-operation count and its callback and binding entries
   // belong to that thread.  None of it may outlive the thread, or a long
@@ -899,6 +934,42 @@ TEST_F(SchedTestBase, Pds2NeedsFewerRoundsThanPds1ForTwoLockWork) {
   const auto rounds_pds1 = run(1);
   const auto rounds_pds2 = run(2);
   EXPECT_LT(rounds_pds2, rounds_pds1);
+}
+
+TEST_F(SchedTestBase, Pds2GrantsSecondRequestsInTheSameOrderOnEveryReplica) {
+  // PDS-2 lets a worker take a second mutex within its round.  Whether
+  // that mutex is free when the worker asks depends on how far the other
+  // workers got, which is timing, so the grant waits for the mid-round
+  // pass, when every worker is suspended.  Here each replica runs every
+  // body at its own pace before and between the two locks.
+  sched::SchedulerConfig config;
+  config.pds_thread_pool = 4;
+  config.pds_variant = 2;
+  SchedulerCluster cluster(SchedulerKind::kPds, 3, config);
+  cluster.set_perturbation([](int replica, std::uint64_t request) {
+    common::Rng rng(static_cast<std::uint64_t>(replica) * 7919 + request);
+    common::Clock::sleep_real(ms(static_cast<int>(rng.uniform(0, 2))));
+  });
+  constexpr int kRequests = 24;
+  for (int i = 0; i < kRequests; ++i) {
+    cluster.set_body(i, [i](BodyCtx& ctx) {
+      common::Rng rng(static_cast<std::uint64_t>(ctx.replica()) * 104729 + i);
+      const std::uint64_t first = 100 + i % 4;
+      const std::uint64_t second = 200 + i % 2;
+      ctx.lock(first);
+      ctx.compute(ms(static_cast<int>(rng.uniform(0, 2))));
+      ctx.lock(second);
+      ctx.unlock(second);
+      ctx.unlock(first);
+    });
+  }
+  for (int i = 0; i < kRequests; ++i) cluster.submit(i);
+  ASSERT_TRUE(cluster.wait_completed(kRequests));
+  const auto grants = sched::per_mutex_decisions(cluster.replica(0).decision_trace());
+  for (int r = 1; r < 3; ++r) {
+    EXPECT_EQ(sched::per_mutex_decisions(cluster.replica(r).decision_trace()), grants)
+        << "replica " << r;
+  }
 }
 
 TEST_F(SchedTestBase, PdsPoolGrowsOutOfAllWaitingDeadlock) {

@@ -40,7 +40,7 @@ struct Cli {
 void usage() {
   std::fprintf(stderr,
                "usage: adetsmc [options]\n"
-               "  --strategy NAME[,NAME...]   seq sl sat mat lsa pds racy (default: all but racy)\n"
+               "  --strategy NAME[,NAME...]   seq sl sat mat lsa pds pds2 racy (default: all but racy)\n"
                "  --scenario NAME[,NAME...]   see --list (default: all applicable)\n"
                "  --preemption-bound N        bounded mode, N preemptions (default 2)\n"
                "  --exhaustive                full DPOR instead of bounded mode\n"
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   if (!cli.replay_path.empty()) return do_replay(cli);
 
   if (cli.strategies.empty()) {
-    cli.strategies = {"seq", "sl", "sat", "mat", "lsa", "pds"};
+    cli.strategies = {"seq", "sl", "sat", "mat", "lsa", "pds", "pds2"};
   }
   bool any_violation = false;
   bool all_exhausted = true;
