@@ -80,9 +80,12 @@ int main(int argc, char** argv) {
   for (auto& t : threads) t.join();
   const auto elapsed = common::Clock::now() - start;
 
-  (void)cluster.wait_drained(
-      bank, static_cast<std::uint64_t>(kAccounts) +
-                static_cast<std::uint64_t>(clients) * static_cast<std::uint64_t>(ops));
+  if (!cluster.wait_drained(bank, static_cast<std::uint64_t>(kAccounts) +
+                                       static_cast<std::uint64_t>(clients) *
+                                           static_cast<std::uint64_t>(ops))) {
+    std::printf("the replicas did not finish the requests\n");
+    return 1;
+  }
   const auto report = repl::check_group(cluster, bank);
   std::printf("%s: %d clients x %d ops in %.1f ms real; withdrawals ok=%d timeout=%d\n",
               sched::to_string(kind).c_str(), clients, ops,

@@ -66,8 +66,12 @@ int main(int argc, char** argv) {
   common::Reader cas_stale(stale_reply);
   std::printf("cas fresh=%d stale=%d\n", cas_ok.boolean(), cas_stale.boolean());
 
-  (void)cluster.wait_drained(store, 6);
+  if (!cluster.wait_drained(store, 6)) {
+    std::printf("the replicas did not finish the requests\n");
+    return 1;
+  }
   const auto report = repl::check_group(cluster, store);
-  std::printf("replicas consistent: %s\n", report.consistent() ? "yes" : "NO");
+  std::printf("replicas consistent: %s\n%s", report.consistent() ? "yes" : "NO",
+              report.detail.c_str());
   return report.consistent() ? 0 : 1;
 }

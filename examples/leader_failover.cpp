@@ -8,6 +8,7 @@
 // recording, and (c) the survivors remain mutually consistent.
 #include <cstdio>
 
+#include "replication/consistency.hpp"
 #include "runtime/cluster.hpp"
 #include "sched/lsa.hpp"
 #include "workload/objects.hpp"
@@ -43,9 +44,14 @@ int main() {
     total += workload::unpack_u64(
         client.invoke(bank, "balance", workload::pack_u64(account)))[0];
   }
-  const bool consistent =
-      cluster.replica(bank, 1).state_hash() == cluster.replica(bank, 2).state_hash();
-  std::printf("total balance: %llu (expected 200), survivors consistent: %s\n",
-              static_cast<unsigned long long>(total), consistent ? "yes" : "NO");
-  return (total == 200 && consistent) ? 0 : 1;
+  // 44 requests in all; the crashed leader is not waited for.
+  if (!cluster.wait_drained(bank, 44)) {
+    std::printf("the survivors did not finish the requests\n");
+    return 1;
+  }
+  const auto report = repl::check_group(cluster, bank);
+  std::printf("total balance: %llu (expected 200), survivors consistent: %s\n%s",
+              static_cast<unsigned long long>(total), report.consistent() ? "yes" : "NO",
+              report.detail.c_str());
+  return (total == 200 && report.consistent()) ? 0 : 1;
 }

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "replication/consistency.hpp"
 #include "replication/replay.hpp"
 #include "runtime/cluster.hpp"
 #include "workload/objects.hpp"
@@ -58,6 +59,11 @@ int main(int argc, char** argv) {
   for (auto& t : threads) t.join();
   if (!cluster.wait_drained(bank, kClients * kOps)) {
     std::printf("live run did not drain!\n");
+    return 1;
+  }
+  const auto report = repl::check_group(cluster, bank);
+  if (!report.consistent()) {
+    std::printf("live replicas diverged:\n%s", report.detail.c_str());
     return 1;
   }
   const std::uint64_t live = cluster.replica(bank, 1).state_hash();

@@ -68,7 +68,10 @@ int main(int argc, char** argv) {
 
   // Let every replica finish executing before comparing state (clients
   // only wait for the first reply).
-  (void)cluster.wait_drained(buffer, static_cast<std::uint64_t>(2 * pairs) * items);
+  if (!cluster.wait_drained(buffer, static_cast<std::uint64_t>(2 * pairs) * items)) {
+    std::printf("the replicas did not finish the requests\n");
+    return 1;
+  }
 
   // Every produced value was consumed exactly once.
   const std::uint64_t total = static_cast<std::uint64_t>(pairs) * items;
@@ -77,8 +80,8 @@ int main(int argc, char** argv) {
   std::printf("%s: %d pairs x %d items in %.1f ms real\n",
               sched::to_string(kind).c_str(), pairs, items,
               std::chrono::duration<double, std::milli>(elapsed).count());
-  std::printf("checksum: %s, replicas consistent: %s\n",
+  std::printf("checksum: %s, replicas consistent: %s\n%s",
               consumed_sum.load() == expected_sum ? "ok" : "MISMATCH",
-              report.consistent() ? "yes" : "NO");
+              report.consistent() ? "yes" : "NO", report.detail.c_str());
   return (consumed_sum.load() == expected_sum && report.consistent()) ? 0 : 1;
 }

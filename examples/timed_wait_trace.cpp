@@ -9,11 +9,12 @@
 // ends "notified" or "timed out" is inherently racy — the point of the
 // deterministic schedulers is that *all replicas agree on the outcome*.
 // The example runs the race several times per scheduler and prints the
-// outcome and the agreement check.
+// outcome and the agreement check; it exits 1 if replicas ever disagree.
 #include <cstdio>
 #include <string>
 #include <thread>
 
+#include "replication/consistency.hpp"
 #include "runtime/cluster.hpp"
 #include "workload/objects.hpp"
 
@@ -56,6 +57,7 @@ class Rendezvous : public runtime::ReplicatedObject {
 
 int main(int argc, char** argv) {
   const int runs = argc > 1 ? std::atoi(argv[1]) : 5;
+  bool ever_disagreed = false;
   for (const auto kind : {sched::SchedulerKind::kLsa, sched::SchedulerKind::kSat,
                           sched::SchedulerKind::kMat, sched::SchedulerKind::kPds}) {
     std::printf("%s:", sched::to_string(kind).c_str());
@@ -84,12 +86,17 @@ int main(int argc, char** argv) {
       (outcome == 1 ? notified : timed_out)++;
 
       // Let every replica finish both requests before comparing state.
-      (void)cluster.wait_drained(group, 2);
-      const auto hashes = cluster.state_hashes(group);
-      for (const auto h : hashes) all_consistent = all_consistent && h == hashes.front();
+      if (!cluster.wait_drained(group, 2)) {
+        std::printf(" the replicas did not finish the requests\n");
+        return 1;
+      }
+      const auto report = repl::check_group(cluster, group);
+      if (!report.consistent()) std::printf("\n%s", report.detail.c_str());
+      all_consistent = all_consistent && report.consistent();
     }
     std::printf(" notified=%d timed_out=%d, replicas always agreed: %s\n", notified,
                 timed_out, all_consistent ? "yes" : "NO (bug!)");
+    ever_disagreed = ever_disagreed || !all_consistent;
   }
-  return 0;
+  return ever_disagreed ? 1 : 0;
 }

@@ -53,29 +53,30 @@
 //    view of itself alone: it stops ordering rather than split the group.
 //
 // Threads: the service has no thread of its own.  Everything it does
-// runs on its node's SimNetwork thread: the handling of each received
-// message, the timed duties (batch flush, heartbeats, suspicion,
-// proposal expiry, NACK retry, retransmission), which run when the
-// node's one deadline falls due, and the callbacks.  A handler lowers
-// that deadline only for an obligation it creates (a first pending
-// submission, a batch opened with a flush delay, a NACK to retry); the
-// deadline handler recomputes the earliest duty.  What the service sends
-// to its own node (the sequencer's SeqBatch to itself, a member's
-// submissions while it is the sequencer) crosses no simulated link.
+// runs on the SimNetwork's network thread, which runs every node: the
+// handling of each received message, the timed duties (batch flush,
+// heartbeats, suspicion, proposal expiry, NACK retry, retransmission),
+// which run when the node's one deadline falls due, and the callbacks.
+// A handler lowers that deadline only for an obligation it creates (a
+// first pending submission, a batch opened with a flush delay, a NACK to
+// retry); the deadline handler recomputes the earliest duty.  What the
+// service sends to its own node (the sequencer's SeqBatch to itself, a
+// member's submissions while it is the sequencer) crosses no simulated
+// link.
 //
 // Callbacks (deliver, view, direct) are produced only while a received
 // message is handled (timed duties send, but never deliver), and run on
-// the node's thread right after mutex_ is released, in the order they
+// the network thread right after mutex_ is released, in the order they
 // were produced.  A callback may re-enter the service (submit,
-// send_direct), but its node receives nothing and sends no heartbeat
+// send_direct), but no node receives anything or sends a heartbeat
 // while it runs, so it must take monitors only briefly, never wait for
-// a message, and return far sooner than suspect_timeout, or its peers
-// suspect the node: the scheduler entry points only enqueue work, and a
+// a message, and return far sooner than suspect_timeout, or peers
+// suspect each other: the scheduler entry points only enqueue work, and a
 // client's reply callback records the reply or issues the next request.
 //
 // Lifetime: a service registers itself as its node's network handlers,
 // so the SimNetwork must outlive it.  stop() unregisters them and waits
-// until the node's thread has left them; from then on no duty or
+// until the network thread has left them; from then on no duty or
 // callback runs and no message reaches the service, so it may be
 // destroyed while the network keeps running.
 #pragma once
@@ -175,9 +176,9 @@ class GroupService {
   /// Highest contiguously delivered sequence number (tests).
   [[nodiscard]] std::uint64_t delivered_up_to(common::GroupId group) const;
 
-  /// Unregisters the node's handlers; returns once the node's thread has
-  /// left them (at once on that thread).  No duty or callback runs after
-  /// it returns.  Idempotent; the destructor calls it.
+  /// Unregisters the node's handlers; returns once the network thread
+  /// has left them (at once on that thread).  No duty or callback runs
+  /// after it returns.  Idempotent; the destructor calls it.
   void stop();
 
  private:
@@ -260,7 +261,7 @@ class GroupService {
 
   // All handlers below run with mutex_ held (enforced by clang's
   // thread-safety analysis via ADETS_REQUIRES) unless stated otherwise.
-  void on_message(transport::Message message);  // node thread
+  void on_message(transport::Message message);  // network thread
   void handle_submit_batch(common::GroupId group, const transport::Message& m,
                            common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_submit_ack_batch(common::GroupId group, common::NodeId from,
@@ -318,12 +319,13 @@ class GroupService {
       ADETS_REQUIRES(mutex_);
 
   /// Runs the callbacks the handler just queued with `lock` (on mutex_)
-  /// released; returns with `lock` held.  Node thread only.
+  /// released; returns with `lock` held.  Network thread only.
   void run_callbacks(common::MutexLock& lock) ADETS_REQUIRES(mutex_);
 
-  /// The node's deadline handler (node thread): batch flush, heartbeats,
-  /// suspicion, proposal expiry, NACK retry and retransmission, each
-  /// once it is due.  Returns when the next of them is due.
+  /// The node's deadline handler (network thread): batch flush,
+  /// heartbeats, suspicion, proposal expiry, NACK retry and
+  /// retransmission, each once it is due.  Returns when the next of them
+  /// is due.
   common::TimePoint on_deadline();
 
   transport::SimNetwork& net_;

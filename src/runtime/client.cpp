@@ -77,7 +77,7 @@ void Client::on_direct(NodeId /*src*/, const SharedBytes& payload) {
     callback = std::move(it->second);
     pending_.erase(it);
   }
-  // Complete outside the lock, on this node's network thread; the
+  // Complete outside the lock, on the network thread; the
   // callback may immediately issue the next invocation.
   callback(std::move(reply->result));
 }

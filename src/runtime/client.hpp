@@ -9,9 +9,9 @@
 //  - invoke_async(): registers a completion callback, so one client
 //    node can multiplex many logical closed-loop sessions (the load
 //    harness drives thousands of simulated clients over a handful of
-//    client nodes this way).  Callbacks run on the client node's
-//    network thread (GroupService's callback contract) and must not
-//    block;
+//    client nodes this way).  Callbacks run on the network thread,
+//    which runs every node (GroupService's callback contract), and must
+//    not block;
 //  - invoke(): synchronous, blocks the calling thread on the callback
 //    of an invoke_async().
 #pragma once
@@ -48,8 +48,8 @@ class Client {
                        const common::Bytes& args,
                        std::chrono::milliseconds timeout = std::chrono::seconds(60));
 
-  /// Asynchronous invocation: `on_reply` fires once, on the client
-  /// node's network thread, with the first replica reply.  No built-in
+  /// Asynchronous invocation: `on_reply` fires once, on the network
+  /// thread, with the first replica reply.  No built-in
   /// timeout — a caller that needs one owns the deadline (the load
   /// harness does).
   common::RequestId invoke_async(common::GroupId group, const std::string& method,

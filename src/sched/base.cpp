@@ -46,7 +46,7 @@ void SchedulerBase::stop() {
     wake_all_for_stop(lk);
     for (Worker* w : idle_) {
       w->record = nullptr;
-      w->wakeup.release();
+      w->post();
     }
     idle_.clear();
   }
@@ -439,13 +439,13 @@ SchedulerBase::ThreadRecord& SchedulerBase::spawn_thread(
   }
   w->record = &t;
   w->mc_ticket = mc_ticket;
-  w->wakeup.release();
+  w->post();
   return t;
 }
 
 void SchedulerBase::worker_main(Worker& w) {
   while (true) {
-    w.wakeup.acquire();
+    w.park();
     ThreadRecord* const t = w.record;
     if (t == nullptr) return;
     mchook::Interceptor* const mc = w.mc_ticket != 0 ? mchook::active() : nullptr;

@@ -46,15 +46,17 @@
 #pragma once
 
 #include <atomic>
+#include <cerrno>
 #include <deque>
 #include <map>
 #include <memory>
 #include <optional>
-#include <semaphore>
 #include <set>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <semaphore.h>
 
 #include "common/annotations.hpp"
 #include "common/mutex.hpp"
@@ -328,15 +330,26 @@ class SchedulerBase : public Scheduler {
  private:
   /// One pooled OS thread.  Between scheduler threads it parks on
   /// `wakeup`, a semaphore rather than a monitor: a parked worker is not
-  /// a model-checker task, so it must hold no intercepted lock.
+  /// a model-checker task, so it must hold no intercepted lock.  A POSIX
+  /// semaphore sleeps in the kernel at once; std::binary_semaphore's
+  /// acquire() first yields the CPU a few times, and on one CPU each
+  /// yield is a context switch.
   struct Worker {
-    Worker() = default;
+    Worker() { sem_init(&wakeup, 0, 0); }
+    ~Worker() { sem_destroy(&wakeup); }
     Worker(const Worker&) = delete;  // its thread holds its address
     Worker& operator=(const Worker&) = delete;
 
-    std::binary_semaphore wakeup{0};
-    // Written with mon_ held before `wakeup` is released and read by the
-    // worker after it acquires `wakeup`, which orders the two.
+    void post() { sem_post(&wakeup); }
+    /// Sleeps until the next post().
+    void park() {
+      while (sem_wait(&wakeup) != 0 && errno == EINTR) {
+      }
+    }
+
+    sem_t wakeup{};
+    // Written with mon_ held before `wakeup` is posted and read by the
+    // worker after its sem_wait returns, which orders the two.
     ThreadRecord* record = nullptr;  // the scheduler thread to run; null: exit
     std::uint64_t mc_ticket = 0;     // adets-mc spawn ticket, 0 if unmanaged
     std::thread os_thread;           // declared last: it uses the fields above

@@ -1,6 +1,7 @@
 #include "transport/network.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -10,42 +11,47 @@ using common::Duration;
 using common::NodeId;
 using common::TimePoint;
 
+namespace {
+
+/// The network whose loop this thread runs, if any.
+thread_local const SimNetwork* tls_network = nullptr;
+
+}  // namespace
+
 SimNetwork::SimNetwork(LinkConfig default_link, std::uint64_t seed)
-    : default_link_(default_link), rng_(seed) {}
+    : default_link_(default_link), rng_(seed), thread_([this] { loop(); }) {}
 
 SimNetwork::~SimNetwork() { stop(); }
 
 NodeId SimNetwork::create_node() {
   const common::MutexLock guard(mutex_);
-  const auto id = NodeId(static_cast<NodeId::rep_type>(nodes_.size()));
-  heaps_.emplace_back();
-  deadlines_.push_back(TimePoint::max());
-  handlers_.emplace_back();
-  in_handler_.push_back(false);
-  auto node = std::make_unique<Node>();
-  Node* raw = node.get();
-  node->thread = std::thread([this, id, raw] { node_loop(id, *raw); });
-  nodes_.push_back(std::move(node));
-  return id;
+  nodes_.emplace_back();
+  return NodeId(static_cast<NodeId::rep_type>(nodes_.size() - 1));
 }
 
 void SimNetwork::set_handler(NodeId node, Handler on_message, DeadlineHandler on_deadline) {
   common::MutexLock lock(mutex_);
-  handlers_.at(node.value()) = Handlers{std::move(on_message), std::move(on_deadline)};
-  deadlines_[node.value()] = TimePoint::max();
-  if (nodes_[node.value()]->thread.get_id() == std::this_thread::get_id()) return;
-  while (in_handler_[node.value()]) handler_left_.wait(lock);
+  Node& n = nodes_.at(node.value());
+  n.on_message = std::move(on_message);
+  n.on_deadline = std::move(on_deadline);
+  n.deadline = TimePoint::max();
+  if (tls_network == this) return;
+  while (running_ == node) handler_left_.wait(lock);
+}
+
+bool SimNetwork::wakes_loop(TimePoint due) {
+  if (due >= sleep_until_) return false;
+  sleep_until_ = TimePoint::min();
+  return true;
 }
 
 void SimNetwork::wake_at(NodeId node, TimePoint at) {
   common::MutexLock lock(mutex_);
-  if (node.value() >= nodes_.size() || at >= deadlines_[node.value()]) return;
-  deadlines_[node.value()] = at;
-  const std::vector<Pending>& heap = heaps_[node.value()];
-  if (!heap.empty() && heap.front().due <= at) return;
-  Node& to = *nodes_[node.value()];
+  if (node.value() >= nodes_.size() || at >= nodes_[node.value()].deadline) return;
+  nodes_[node.value()].deadline = at;
+  const bool wake = wakes_loop(at);
   lock.unlock();
-  to.cv.notify_one();
+  if (wake) wake_.notify_one();
 }
 
 bool SimNetwork::send(NodeId src, NodeId dst, common::SharedBytes payload) {
@@ -55,7 +61,7 @@ bool SimNetwork::send(NodeId src, NodeId dst, common::SharedBytes payload) {
   if (src.value() >= nodes_.size() || dst.value() >= nodes_.size()) return false;
   stats_.messages_sent++;
   stats_.bytes_sent += payload.size();
-  if (nodes_[src.value()]->crashed.load() || nodes_[dst.value()]->crashed.load()) {
+  if (nodes_[src.value()].crashed || nodes_[dst.value()].crashed) {
     stats_.messages_dropped++;
     return false;
   }
@@ -109,32 +115,25 @@ bool SimNetwork::send(NodeId src, NodeId dst, common::SharedBytes payload) {
     last_scheduled_[key] = due;
   }
 
-  Node& to = *nodes_[dst.value()];
-  bool earliest = false;
   if (fault.duplicated) {
     // The trailing copy is delivered one base latency later and does not
     // advance the FIFO horizon (a late duplicate, as on a retransmitting
     // real network); dedup is the upper layers' job.  The duplicate
     // aliases the original's buffer.
     stats_.messages_duplicated++;
-    earliest = push(dst, Pending{due + common::Clock::scaled(link.base_latency),
-                                 next_seq_++, Message{src, dst, payload}, std::nullopt});
+    push(Pending{due + common::Clock::scaled(link.base_latency), next_seq_++,
+                 Message{src, dst, payload}, std::nullopt});
   }
-  earliest |= push(
-      dst, Pending{due, next_seq_++, Message{src, dst, std::move(payload)}, std::nullopt});
+  push(Pending{due, next_seq_++, Message{src, dst, std::move(payload)}, std::nullopt});
+  const bool wake = wakes_loop(due);
   lock.unlock();
-  // A node thread sleeps until its earliest entry is due, so only a new
-  // earliest entry needs to wake it.
-  if (earliest) to.cv.notify_one();
+  if (wake) wake_.notify_one();
   return true;
 }
 
-bool SimNetwork::push(NodeId dst, Pending item) {
-  std::vector<Pending>& heap = heaps_[dst.value()];
-  const std::uint64_t seq = item.seq;
-  heap.push_back(std::move(item));
-  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-  return heap.front().seq == seq;
+void SimNetwork::push(Pending item) {
+  heap_.push_back(std::move(item));
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
 void SimNetwork::set_link(NodeId src, NodeId dst, LinkConfig config) {
@@ -149,35 +148,33 @@ void SimNetwork::crash(NodeId node) {
 
 void SimNetwork::apply_node_event(const NodeEvent& event) {
   if (event.node.value() >= nodes_.size()) return;
-  Node& node = *nodes_[event.node.value()];
-  if (event.kind == NodeEvent::Kind::kCrash) {
-    if (node.crashed.exchange(true)) return;
-    stats_.node_crashes++;
-    ADETS_LOG_INFO("net") << "node " << event.node << " crashed";
-  } else {
-    if (!node.crashed.exchange(false)) return;
-    stats_.node_restarts++;
-    ADETS_LOG_INFO("net") << "node " << event.node << " restarted";
-  }
+  const bool crash = event.kind == NodeEvent::Kind::kCrash;
+  if (std::exchange(nodes_[event.node.value()].crashed, crash) == crash) return;
+  (crash ? stats_.node_crashes : stats_.node_restarts)++;
+  ADETS_LOG_INFO("net") << "node " << event.node << (crash ? " crashed" : " restarted");
 }
 
 void SimNetwork::set_fault_plan(FaultPlan plan) {
   const auto now = common::Clock::now();
-  const common::MutexLock guard(mutex_);
+  common::MutexLock lock(mutex_);
   if (stopping_) return;
   fault_plan_ = std::move(plan);
   fault_plan_armed_ = true;
   fault_counters_.clear();
   fault_trace_.clear();
-  // Each event fires on the thread of the node it names.
+  // Each event fires on the network thread, in (due, seq) order with
+  // the messages.
+  TimePoint earliest = TimePoint::max();
   for (const auto& event : fault_plan_.node_events) {
     if (event.node.value() >= nodes_.size()) continue;
-    if (push(event.node,
-             Pending{now + common::Clock::scaled(event.at), next_seq_++, Message{}, event})) {
-      nodes_[event.node.value()]->cv.notify_one();
-    }
+    const TimePoint due = now + common::Clock::scaled(event.at);
+    push(Pending{due, next_seq_++, Message{}, event});
+    earliest = std::min(earliest, due);
     pending_node_events_++;
   }
+  const bool wake = wakes_loop(earliest);
+  lock.unlock();
+  if (wake) wake_.notify_one();
 }
 
 FaultTrace SimNetwork::fault_trace() const {
@@ -192,7 +189,7 @@ std::size_t SimNetwork::pending_node_events() const {
 
 bool SimNetwork::crashed(NodeId node) const {
   const common::MutexLock guard(mutex_);
-  return node.value() < nodes_.size() && nodes_[node.value()]->crashed.load();
+  return node.value() < nodes_.size() && nodes_[node.value()].crashed;
 }
 
 NetworkStats SimNetwork::stats() const {
@@ -201,17 +198,13 @@ NetworkStats SimNetwork::stats() const {
 }
 
 void SimNetwork::stop() {
-  std::vector<Node*> nodes;
   {
     const common::MutexLock guard(mutex_);
     if (stopping_) return;
     stopping_ = true;
-    for (auto& n : nodes_) nodes.push_back(n.get());
   }
-  for (Node* n : nodes) n->cv.notify_all();
-  for (Node* n : nodes) {
-    if (n->thread.joinable()) n->thread.join();
-  }
+  wake_.notify_one();
+  thread_.join();
 }
 
 LinkConfig SimNetwork::link_for(NodeId src, NodeId dst) const {
@@ -221,68 +214,74 @@ LinkConfig SimNetwork::link_for(NodeId src, NodeId dst) const {
 
 template <typename Call>
 void SimNetwork::run_handler(NodeId id, common::MutexLock& lock, Call&& call) {
-  in_handler_[id.value()] = true;
+  running_ = id;
   lock.unlock();
   // `call` drops its handler copy before returning, so whatever the
   // handler captured is released outside mutex_.
   call();
   lock.lock();
-  in_handler_[id.value()] = false;
+  running_.reset();
   handler_left_.notify_all();
 }
 
-void SimNetwork::node_loop(NodeId id, Node& node) {
+void SimNetwork::loop() {
+  tls_network = this;
   common::MutexLock lock(mutex_);
-  // Plain (predicate-free) waits: the enclosing loop re-evaluates the
-  // full condition after every wakeup, and keeping guarded members out
-  // of wait predicates is what lets clang's thread-safety analysis see
-  // this function whole (lambda bodies are analyzed separately).
+  // Plain waits: guarded members kept out of wait predicates (lambdas)
+  // let clang's thread-safety analysis see this function whole.
   while (!stopping_) {
-    // Looked up on every pass: create_node may grow heaps_ meanwhile.
-    std::vector<Pending>& heap = heaps_[id.value()];
-    const TimePoint deadline = deadlines_[id.value()];
-    const TimePoint due = heap.empty() ? deadline : std::min(deadline, heap.front().due);
-    if (due == TimePoint::max()) {
-      node.cv.wait(lock);
-      continue;
+    // The earliest deadline, the lowest node id on a tie; it runs before
+    // a message due at the same instant.
+    std::size_t node = 0;
+    for (std::size_t i = 1; i < nodes_.size(); ++i) {
+      if (nodes_[i].deadline < nodes_[node].deadline) node = i;
     }
-    if (due > common::Clock::now()) {
-      node.cv.wait_until(lock, due);
+    const TimePoint deadline = nodes_.empty() ? TimePoint::max() : nodes_[node].deadline;
+    const TimePoint due = heap_.empty() ? deadline : std::min(deadline, heap_.front().due);
+    if (due == TimePoint::max() || due > common::Clock::now()) {
+      sleep_until_ = due;  // an earlier entry wakes the thread (wakes_loop)
+      if (due == TimePoint::max()) {
+        wake_.wait(lock);
+      } else {
+        wake_.wait_until(lock, due);
+      }
+      sleep_until_ = TimePoint::min();
       continue;
     }
     if (due == deadline) {
       // Timed duties run on a crashed node too, as they would on a
       // machine cut off from the network; its sends are dropped.
-      deadlines_[id.value()] = TimePoint::max();
-      DeadlineHandler on_deadline = handlers_[id.value()].on_deadline;
+      nodes_[node].deadline = TimePoint::max();
+      DeadlineHandler on_deadline = nodes_[node].on_deadline;
       if (!on_deadline) continue;
       TimePoint next = TimePoint::max();
-      run_handler(id, lock, [&] {
+      run_handler(NodeId(static_cast<NodeId::rep_type>(node)), lock, [&] {
         next = on_deadline();
         on_deadline = nullptr;
       });
       // wake_at may have lowered the deadline while the handler ran.
-      deadlines_[id.value()] = std::min(deadlines_[id.value()], next);
+      nodes_[node].deadline = std::min(nodes_[node].deadline, next);
       continue;
     }
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    Pending item = std::move(heap.back());
-    heap.pop_back();
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    Pending item = std::move(heap_.back());
+    heap_.pop_back();
     if (item.node_event) {
       pending_node_events_--;
       apply_node_event(*item.node_event);
       continue;
     }
-    if (node.crashed.load()) {
+    const NodeId dst = item.message.dst;
+    if (nodes_[dst.value()].crashed) {
       stats_.messages_dropped++;
       continue;
     }
     stats_.messages_delivered++;
     // A copy: the handler may replace itself, and create_node may grow
-    // handlers_, while it runs.
-    Handler on_message = handlers_[id.value()].on_message;
+    // nodes_, while it runs.
+    Handler on_message = nodes_[dst.value()].on_message;
     if (!on_message) continue;
-    run_handler(id, lock, [&] {
+    run_handler(dst, lock, [&] {
       on_message(std::move(item.message));
       on_message = nullptr;
     });

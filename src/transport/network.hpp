@@ -1,12 +1,20 @@
 // Simulated point-to-point network.
 //
 // Replaces the paper's 100 Mbit/s switched LAN.  Every simulated machine
-// is a "node" with an id and one thread of its own.  A sent message goes
-// onto its destination's queue of in-flight messages, ordered by due
-// time (send time plus link latency).  Each node also has one deadline,
-// set by its owner for timed duties (the GCS heartbeats, flushes and
-// retransmissions).  The node's thread sleeps until the earlier of its
-// deadline and its earliest message and runs the matching handler.
+// is a "node" with an id.  A sent message joins the network's one queue
+// of in-flight messages, ordered by (due, seq): its due time (send time
+// plus link latency) and its send order.  Each node also has one
+// deadline, set by its owner for timed duties (the GCS heartbeats,
+// flushes and retransmissions).
+//
+// One thread, the network thread, runs every node.  It sleeps until the
+// earliest entry over all nodes is due, a message or a node's deadline,
+// and runs the matching handler of that node; entries that fall due
+// together cost one wake-up.  A tie between a deadline and a message
+// runs the deadline first; deadlines of different nodes go by node id,
+// and messages by seq.  Handlers run one at a time, so a running handler
+// holds up every node: it must never wait for another node's message,
+// and must return far sooner than the GCS's suspect_timeout.
 //
 // Properties (mirroring a TCP LAN, which the paper's middleware assumes):
 //  - per-(src,dst) FIFO ordering, even with latency jitter;
@@ -18,17 +26,15 @@
 //  - loopback: a message a node sends to itself crosses no link (in the
 //    paper's testbed the group communication module runs inside each
 //    replica's process).  It gets no latency or jitter and is due at
-//    once, unless a FaultPlan verdict delays it; its node's thread
+//    once, unless a FaultPlan verdict delays it; the network thread
 //    handles it after the handler that sent it returns, never inside
 //    it.  It is counted, dropped on a crash and given fault verdicts
 //    like any other message.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -66,7 +72,8 @@ struct NetworkStats {
   std::uint64_t node_restarts = 0;
 };
 
-/// The simulated network fabric.  Thread-safe.
+/// The simulated network fabric.  Thread-safe; the constructor starts
+/// the network thread and stop() joins it.
 class SimNetwork {
  public:
   using Handler = std::function<void(Message)>;
@@ -85,17 +92,18 @@ class SimNetwork {
   common::NodeId create_node();
 
   /// Registers (or replaces) the handlers of a node and clears its
-  /// deadline.  Both run on the node's thread, one call at a time, and a
-  /// running call holds up everything else due on the node.  Returns once
-  /// the node's thread is not inside a handler it replaced, so empty
-  /// handlers unregister a receiver for good; called on the node's own
-  /// thread (from inside a handler), it returns at once.
+  /// deadline.  Both run on the network thread, one handler of any node
+  /// at a time.  Called on the network thread (from inside a handler) it
+  /// returns at once; from any other thread it returns once the network
+  /// thread runs none of the node's handlers it replaced, so empty
+  /// handlers unregister a receiver for good.
   void set_handler(common::NodeId node, Handler on_message,
                    DeadlineHandler on_deadline = {});
 
   /// Lowers `node`'s deadline to `at` (a later `at` changes nothing).
-  /// Callable from any thread; like send(), it wakes the node only when
-  /// `at` became its earliest entry.
+  /// Callable from any thread; like send() and set_fault_plan(), it wakes
+  /// the network thread only when it adds an entry earlier than every
+  /// entry the thread sleeps for, so never when called on that thread.
   void wake_at(common::NodeId node, common::TimePoint at);
 
   /// Sends `payload` from `src` to `dst`; returns false if either end is
@@ -127,7 +135,7 @@ class SimNetwork {
 
   [[nodiscard]] NetworkStats stats() const;
 
-  /// Stops all node threads; pending messages are discarded.
+  /// Stops the network thread; pending messages are discarded.
   void stop();
 
  private:
@@ -142,52 +150,44 @@ class SimNetwork {
     }
   };
 
-  /// One simulated machine; its queue, deadline and handlers live in
-  /// heaps_, deadlines_ and handlers_ under the same index.
+  /// One simulated machine.
   struct Node {
-    /// Waits on mutex_; woken when a send or wake_at makes its entry the
-    /// earliest, and on stop.
-    common::CondVar cv;
-    std::atomic<bool> crashed{false};
-    std::thread thread;  // declared last: it uses the fields above
-  };
-
-  struct Handlers {
     Handler on_message;
     DeadlineHandler on_deadline;
+    /// When on_deadline is due (TimePoint::max() for never).
+    common::TimePoint deadline = common::TimePoint::max();
+    bool crashed = false;
   };
 
-  /// Sleeps until node `id`'s deadline or earliest entry is due, then
-  /// runs the matching handler with mutex_ released; returns once
-  /// stopping.
-  void node_loop(common::NodeId id, Node& node);
+  /// The network thread: runs each entry once due, handlers with mutex_
+  /// released; returns once stopping.
+  void loop();
   /// Runs `call` (a copy of one of node `id`'s handlers) with `lock`
-  /// released and the node marked as inside its handler; returns with
-  /// `lock` held.
+  /// released and `id` marked as running; returns with `lock` held.
   template <typename Call>
   void run_handler(common::NodeId id, common::MutexLock& lock, Call&& call)
       ADETS_REQUIRES(mutex_);
-  /// Pushes `item` onto `dst`'s heap; true if it became the earliest.
-  bool push(common::NodeId dst, Pending item) ADETS_REQUIRES(mutex_);
+  void push(Pending item) ADETS_REQUIRES(mutex_);
+  /// True if an entry due at `due` must wake the sleeping network thread,
+  /// which then counts as awake until it sleeps again.
+  bool wakes_loop(common::TimePoint due) ADETS_REQUIRES(mutex_);
   void apply_node_event(const NodeEvent& event) ADETS_REQUIRES(mutex_);
   LinkConfig link_for(common::NodeId src, common::NodeId dst) const
       ADETS_REQUIRES(mutex_);
 
-  // Set in the constructor, read-only afterwards (link_for falls back
-  // to it under mutex_ anyway).
   const LinkConfig default_link_;
   mutable common::Mutex mutex_{"net::mutex"};
-  std::vector<std::unique_ptr<Node>> nodes_ ADETS_GUARDED_BY(mutex_);
-  /// Per node: messages and FaultPlan node events bound for it, a
-  /// min-heap by (due, seq).
-  std::vector<std::vector<Pending>> heaps_ ADETS_GUARDED_BY(mutex_);
-  /// Per node: when its on_deadline is due (TimePoint::max() for never).
-  std::vector<common::TimePoint> deadlines_ ADETS_GUARDED_BY(mutex_);
-  std::vector<Handlers> handlers_ ADETS_GUARDED_BY(mutex_);
-  /// Per node: its thread is running a handler (with mutex_ released).
-  std::vector<bool> in_handler_ ADETS_GUARDED_BY(mutex_);
-  /// Notified whenever a node's thread leaves its handler.
+  /// Messages and FaultPlan node events, a min-heap by (due, seq).
+  std::vector<Pending> heap_ ADETS_GUARDED_BY(mutex_);
+  std::vector<Node> nodes_ ADETS_GUARDED_BY(mutex_);  // indexed by id
+  /// The node whose handler runs (with mutex_ released), if any.
+  std::optional<common::NodeId> running_ ADETS_GUARDED_BY(mutex_);
+  /// Notified whenever the network thread leaves a handler.
   common::CondVar handler_left_;
+  /// When the sleeping network thread wakes by itself (TimePoint::max()
+  /// for never); TimePoint::min() while it is awake.
+  common::TimePoint sleep_until_ ADETS_GUARDED_BY(mutex_) = common::TimePoint::min();
+  common::CondVar wake_;  // the network thread sleeps on it
   std::map<std::pair<std::uint32_t, std::uint32_t>, LinkConfig> links_
       ADETS_GUARDED_BY(mutex_);
   std::map<std::pair<std::uint32_t, std::uint32_t>, common::TimePoint> last_scheduled_
@@ -203,6 +203,7 @@ class SimNetwork {
   FaultTrace fault_trace_ ADETS_GUARDED_BY(mutex_);
   std::size_t pending_node_events_ ADETS_GUARDED_BY(mutex_) = 0;
   bool stopping_ ADETS_GUARDED_BY(mutex_) = false;
+  std::thread thread_;  // declared last: it uses the fields above
 };
 
 }  // namespace adets::transport

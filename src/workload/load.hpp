@@ -6,8 +6,8 @@
 // clients), thousands of logical clients are multiplexed over a small
 // number of client *nodes* via Client::invoke_async — each completion
 // callback issues the owning logical client's next request on the
-// client node's network thread, so 10k clients cost ~16 node threads
-// (each also runs its node's GCS duties) instead of 30k threads.
+// network thread, so 10k clients cost ~16 client nodes, all run by that
+// one thread with every node's GCS duties, instead of 30k threads.
 //
 // All reported times are paper time (real time divided by the
 // ADETS_TIME_SCALE factor), matching the rest of the bench suite.

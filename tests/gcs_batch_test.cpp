@@ -112,7 +112,7 @@ class GcsBatchTest : public ::testing::Test {
   }
 
   /// Aborts the test binary with `label` unless the test body and its
-  /// TearDown (which waits for the node threads) finish within `limit`.
+  /// TearDown (which waits for the network thread) finish within `limit`.
   void arm_watchdog(const std::string& label, std::chrono::milliseconds limit) {
     watchdog_.emplace(label, limit);
   }

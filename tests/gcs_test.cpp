@@ -97,8 +97,8 @@ class GcsTest : public ::testing::Test {
   }
 
   /// Aborts the test binary with `label` unless the test body and its
-  /// TearDown (which waits for the services' node threads) finish
-  /// within `limit`.
+  /// TearDown (which waits for the network thread) finish within
+  /// `limit`.
   void arm_watchdog(const std::string& label, std::chrono::milliseconds limit) {
     watchdog_.emplace(label, limit);
   }
