@@ -34,9 +34,22 @@ constexpr std::size_t kRetainedLimit = 8192;
 /// this (entries below the retained window reference messages nobody can
 /// re-request anyway).
 constexpr std::size_t kDedupLimit = 2 * kRetainedLimit;
-/// Max payload bytes of one SeqBatch or SubmitBatch datagram; a batch
-/// that reaches it is flushed at once.
+/// Caps of one SubmitBatch or SeqBatch datagram: messages, and payload
+/// bytes after which no further message joins it.
+constexpr std::size_t kMaxBatchMsgs = 64;
 constexpr std::size_t kMaxBatchBytes = 64 * 1024;
+
+/// Length of the datagram that starts at message `first` of `count`,
+/// whose payload sizes `size_of(i)` gives (at least one message).
+template <typename SizeOf>
+std::size_t chunk_length(std::size_t first, std::size_t count, SizeOf size_of) {
+  std::size_t n = 1;
+  for (std::size_t bytes = size_of(first);
+       first + n < count && n < kMaxBatchMsgs && bytes < kMaxBatchBytes; ++n) {
+    bytes += size_of(first + n);
+  }
+  return n;
+}
 
 }  // namespace
 
@@ -230,105 +243,32 @@ void GroupService::handle_submit_batch(GroupId group, const transport::Message& 
     net_.send(self_, st.view.sequencer(), m.payload);
     return;
   }
-  const NodeId sender(r.u32());
-  const std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Submission s;
-    s.sender = sender;
-    s.sender_msg_id = r.u64();
-    const auto [offset, length] = r.blob_span();
-    s.payload = m.payload.slice(offset, length);
-    sequence_submission(group, st, std::move(s));
-  }
-  maybe_flush(group, st, /*force=*/false);
-}
-
-void GroupService::sequence_submission(GroupId group, MemberState& st,
-                                       Submission submission) {
   // Between a view-commit and its installation the old sequence space is
   // frozen; the sender retransmits into the new view.
   if (st.commit_pending) return;
-  const auto key = std::make_pair(submission.sender.value(), submission.sender_msg_id);
-  const auto dup = st.dedup.find(key);
-  if (dup != st.dedup.end()) {
-    // Already sequenced.  Re-ack externals only once the original was
-    // actually multicast — an unflushed original will be acked by its
-    // flush anyway, and acking earlier would widen the loss window on a
-    // sequencer crash.
-    if (!st.view.contains(submission.sender) && dup->second <= st.flushed_seq) {
-      net_.send(self_, submission.sender,
-                encode_submit_ack_batch(group, std::span(&submission.sender_msg_id, 1)));
-    }
-    return;
+  const NodeId sender(r.u32());
+  std::vector<Submission> batch;
+  for (std::uint32_t i = 0, count = r.u32(); i < count; ++i) {
+    const std::uint64_t msg_id = r.u64();
+    const auto [offset, length] = r.blob_span();
+    batch.push_back({sender, msg_id, m.payload.slice(offset, length)});
   }
-  Sequenced message;
-  message.seq = SeqNo(st.next_seq++);
-  message.submission = std::move(submission);
-  st.dedup[key] = message.seq.value();
-  if (!st.view.contains(message.submission.sender)) {
-    st.batch_acks[message.submission.sender.value()].push_back(
-        message.submission.sender_msg_id);
-  }
-  if (st.batch.empty()) {
-    st.batch_since = common::Clock::now();
-    if (config_.batch_flush_delay != Duration::zero()) {
-      net_.wake_at(self_, st.batch_since + config_.batch_flush_delay);
+  // One sequencing round, started only once the whole batch parsed (a
+  // malformed one sequences nothing): what is new is multicast before
+  // this handler returns, then an external sender is acked every message
+  // of the batch.  A duplicate was multicast in the round that sequenced
+  // it, so it is re-acked too.
+  const bool external = !st.view.contains(sender);
+  std::vector<Sequenced> round;
+  std::vector<std::uint64_t> acks;
+  for (Submission& s : batch) {
+    if (external) acks.push_back(s.sender_msg_id);
+    if (st.dedup.try_emplace({sender.value(), s.sender_msg_id}, st.next_seq).second) {
+      round.push_back({SeqNo(st.next_seq++), std::move(s)});
     }
   }
-  st.batch_bytes += message.submission.payload.size();
-  st.batch.push_back(std::move(message));
-}
-
-void GroupService::maybe_flush(GroupId group, MemberState& st, bool force) {
-  if (st.batch.empty()) return;
-  if (!force) {
-    const bool caps_hit = st.batch.size() >= config_.max_batch_msgs ||
-                          st.batch_bytes >= kMaxBatchBytes;
-    const bool delay_elapsed =
-        config_.batch_flush_delay == Duration::zero() ||
-        common::Clock::now() - st.batch_since >= config_.batch_flush_delay;
-    if (!caps_hit && !delay_elapsed) return;
-  }
-  flush_batch(group, st);
-}
-
-void GroupService::flush_batch(GroupId group, MemberState& st) {
-  if (st.batch.empty()) return;
-  if (st.commit_pending || st.view.sequencer() != self_) {
-    // A view change overtook the batch: nothing in it was multicast or
-    // acked anywhere, so drop it (senders re-submit into the new view)
-    // and let the dedup rebuild forget the discarded sequence numbers.
-    for (const auto& m : st.batch) {
-      st.dedup.erase({m.submission.sender.value(), m.submission.sender_msg_id});
-    }
-    st.batch.clear();
-    st.batch_bytes = 0;
-    st.batch_acks.clear();
-    return;
-  }
-  std::size_t i = 0;
-  while (i < st.batch.size()) {
-    // One contiguous chunk per datagram, capped by both batch knobs.
-    std::size_t count = 1;
-    std::size_t bytes = st.batch[i].submission.payload.size();
-    while (i + count < st.batch.size() && count < config_.max_batch_msgs &&
-           bytes < kMaxBatchBytes) {
-      bytes += st.batch[i + count].submission.payload.size();
-      ++count;
-    }
-    const SharedBytes datagram{
-        encode_seq_batch(group, std::span(st.batch).subspan(i, count))};
-    for (auto m : st.view.members) net_.send(self_, m, datagram);
-    st.flushed_seq = st.batch[i + count - 1].seq.value();
-    i += count;
-  }
-  st.batch.clear();
-  st.batch_bytes = 0;
-  // The deferred external acks: the messages are on the wire now.
-  for (const auto& [node, ids] : st.batch_acks) {
-    net_.send(self_, NodeId(node), encode_submit_ack_batch(group, ids));
-  }
-  st.batch_acks.clear();
+  send_seq_batches(group, round, st.view.members);
+  if (!acks.empty()) net_.send(self_, sender, encode_submit_ack_batch(group, acks));
 }
 
 void GroupService::handle_submit_ack_batch(GroupId group, NodeId from, Reader& r) {
@@ -374,7 +314,7 @@ void GroupService::handle_seq_batch(GroupId group, const transport::Message& m,
     st.holdback.emplace(seq, std::move(message));
   }
   try_deliver(group, st);
-  send_nack_if_gap(group, st, /*force=*/false);
+  send_nack_if_gap(group, st);
 }
 
 void GroupService::try_deliver(GroupId group, MemberState& st) {
@@ -415,10 +355,10 @@ bool GroupService::has_gap(const MemberState& st) {
   return !st.holdback.empty() && st.holdback.begin()->first > st.delivered_up_to + 1;
 }
 
-void GroupService::send_nack_if_gap(GroupId group, MemberState& st, bool force) {
+void GroupService::send_nack_if_gap(GroupId group, MemberState& st) {
   if (!has_gap(st)) return;
   const auto now = common::Clock::now();
-  if (!force && now - st.last_nack < config_.retransmit_interval) return;
+  if (now - st.last_nack < config_.retransmit_interval) return;
   st.last_nack = now;
   send_nack(group, st.view.sequencer(), st.delivered_up_to + 1,
             st.holdback.begin()->first - 1);
@@ -444,37 +384,32 @@ void GroupService::handle_nack(GroupId group, NodeId from, Reader& r) {
   send_repair(group, st, from, from_seq, to_seq);
 }
 
+void GroupService::send_seq_batches(GroupId group, std::span<const Sequenced> run,
+                                    std::span<const NodeId> dsts) {
+  const auto size_of = [&](std::size_t i) { return run[i].submission.payload.size(); };
+  for (std::size_t i = 0, n = 0; i < run.size(); i += n) {
+    n = chunk_length(i, run.size(), size_of);
+    const SharedBytes datagram{encode_seq_batch(group, run.subspan(i, n))};
+    for (const NodeId dst : dsts) net_.send(self_, dst, datagram);
+  }
+}
+
 void GroupService::send_repair(GroupId group, MemberState& st, NodeId dst,
                                std::uint64_t from_seq, std::uint64_t to_seq) {
   // Repair at batch granularity: every maximal contiguous run of found
-  // messages goes out as one SeqBatch (capped by the batch knobs).
+  // messages goes out as capped SeqBatch datagrams.
   std::vector<Sequenced> run;
-  std::size_t run_bytes = 0;
-  const auto emit = [&]() ADETS_REQUIRES(mutex_) {
-    if (run.empty()) return;
-    net_.send(self_, dst, encode_seq_batch(group, run));
-    run.clear();
-    run_bytes = 0;
-  };
   for (std::uint64_t seq = from_seq; seq <= to_seq; ++seq) {
-    const Sequenced* found = nullptr;
     if (auto rit = st.retained.find(seq); rit != st.retained.end()) {
-      found = &rit->second;
+      run.push_back(rit->second);
     } else if (auto hit = st.holdback.find(seq); hit != st.holdback.end()) {
-      found = &hit->second;
+      run.push_back(hit->second);
+    } else {
+      send_seq_batches(group, run, std::span(&dst, 1));  // a gap ends the run
+      run.clear();
     }
-    if (found == nullptr) {
-      emit();  // gap in what we hold: close the contiguous run
-      continue;
-    }
-    if (run.size() >= config_.max_batch_msgs ||
-        run_bytes + found->submission.payload.size() > kMaxBatchBytes) {
-      emit();
-    }
-    run.push_back(*found);
-    run_bytes += found->submission.payload.size();
   }
-  emit();
+  send_seq_batches(group, run, std::span(&dst, 1));
 }
 
 void GroupService::handle_heartbeat(GroupId group, NodeId, Reader& r) {
@@ -615,7 +550,6 @@ void GroupService::finish_proposal(GroupId group, MemberState& st) {
     hb = st.holdback.erase(hb);
   }
   try_deliver(group, st);
-  send_nack_if_gap(group, st, /*force=*/true);
 }
 
 void GroupService::handle_view_commit(GroupId group, Reader& r) {
@@ -649,14 +583,8 @@ void GroupService::maybe_install_view(GroupId group, MemberState& st) {
   for (auto m : st.view.members) {
     if (m != self_) st.last_heard[m.value()] = now;
   }
-  // A batch sequenced in the old view was never multicast or acked;
-  // discard it, the senders re-submit into the new sequence space.
-  st.batch.clear();
-  st.batch_bytes = 0;
-  st.batch_acks.clear();
   if (st.view.sequencer() == self_) {
     st.next_seq = st.commit_final_highest + 1;
-    st.flushed_seq = st.commit_final_highest;
     // Rebuild the dedup map from everything that survived the change so
     // re-submissions of already-sequenced messages are not duplicated.
     st.dedup.clear();
@@ -722,29 +650,22 @@ void GroupService::retarget_pending(GroupId group, SenderState& sender,
 void GroupService::send_submissions(GroupId group, SenderState& sender,
                                     const std::vector<std::uint64_t>& msg_ids,
                                     std::size_t target) {
-  const NodeId dst = sender.members[target];
-  std::size_t i = 0;
-  while (i < msg_ids.size()) {
-    std::size_t count = 1;
-    std::size_t bytes = sender.pending[msg_ids[i]].payload.size();
-    while (i + count < msg_ids.size() && count < config_.max_batch_msgs &&
-           bytes < kMaxBatchBytes) {
-      bytes += sender.pending[msg_ids[i + count]].payload.size();
-      ++count;
-    }
+  const auto size_of = [&](std::size_t i) { return sender.pending[msg_ids[i]].payload.size(); };
+  for (std::size_t i = 0, n = 0; i < msg_ids.size(); i += n) {
+    n = chunk_length(i, msg_ids.size(), size_of);
+    std::size_t bytes = 20 * (n + 1);
+    for (std::size_t j = i; j < i + n; ++j) bytes += size_of(j);
     Writer w;
-    w.reserve(bytes + 20 * (count + 1));
+    w.reserve(bytes);
     w.u8(static_cast<std::uint8_t>(WireKind::kSubmitBatch));
     w.u32(group.value());
     w.u32(self_.value());
-    w.u32(static_cast<std::uint32_t>(count));
-    for (std::size_t j = 0; j < count; ++j) {
-      const std::uint64_t id = msg_ids[i + j];
-      w.u64(id);
-      w.blob(sender.pending[id].payload);
+    w.u32(static_cast<std::uint32_t>(n));
+    for (std::size_t j = i; j < i + n; ++j) {
+      w.u64(msg_ids[j]);
+      w.blob(sender.pending[msg_ids[j]].payload);
     }
-    net_.send(self_, dst, w.take());
-    i += count;
+    net_.send(self_, sender.members[target], w.take());
   }
 }
 
@@ -757,15 +678,6 @@ TimePoint GroupService::on_deadline() {
   TimePoint next = TimePoint::max();
   for (auto& [group_raw, st] : memberships_) {
     const GroupId group(group_raw);
-    // Flush a batch the sequencing rounds left open (flush-delay
-    // policy); do it before heartbeats so known_highest is current.
-    if (st.view.sequencer() == self_ && !st.batch.empty()) {
-      if (now - st.batch_since >= config_.batch_flush_delay) {
-        maybe_flush(group, st, /*force=*/true);
-      } else {
-        next = std::min(next, st.batch_since + config_.batch_flush_delay);
-      }
-    }
     // Heartbeats.
     if (now - st.last_heartbeat >= kHeartbeatInterval) {
       st.last_heartbeat = now;
@@ -773,15 +685,14 @@ TimePoint GroupService::on_deadline() {
       w.u8(static_cast<std::uint8_t>(WireKind::kHeartbeat));
       w.u32(group_raw);
       // Highest sequence this node knows of, so receivers can detect
-      // (and NACK) a gap at the tail of the stream.  The sequencer
-      // advertises only what it has multicast (flushed_seq): an
-      // unflushed batch is not repairable, NACKing it would spin.
+      // (and NACK) a gap at the tail of the stream.  A sequencer has
+      // multicast everything it sequenced.
       std::uint64_t known_highest = st.delivered_up_to;
       if (!st.holdback.empty()) {
         known_highest = std::max(known_highest, st.holdback.rbegin()->first);
       }
       if (st.view.sequencer() == self_) {
-        known_highest = std::max(known_highest, st.flushed_seq);
+        known_highest = std::max(known_highest, st.next_seq - 1);
       }
       w.u64(known_highest);
       const SharedBytes datagram{w.take()};
@@ -813,7 +724,7 @@ TimePoint GroupService::on_deadline() {
       }
       if (st.proposing) next = std::min(next, st.proposal_deadline);
     }
-    send_nack_if_gap(group, st, /*force=*/false);
+    send_nack_if_gap(group, st);
     if (has_gap(st)) next = std::min(next, st.last_nack + config_.retransmit_interval);
   }
   for (auto& [group_raw, sender] : senders_) {

@@ -11,15 +11,15 @@
 //    submissions and multicasts them; members deliver in sequence order
 //    using a hold-back queue and NACK-based gap repair.
 //  - Each ordering role has one wire format, a batch (SubmitBatch,
-//    SubmitAckBatch, SeqBatch); a lone message is a batch of one.  The
-//    sequencer coalesces the submissions of one sequencing round into a
-//    single SeqBatch multicast (a contiguous run of sequence numbers)
-//    instead of one datagram per message; flushing is governed by
-//    GcsConfig::max_batch_msgs and batch_flush_delay and a fixed 64 KiB
-//    payload cap.
-//    Acks to external senders are deferred to the flush, so an ack
-//    implies the message was actually multicast.  NACK repair responds
-//    at the same granularity (contiguous runs of the retained window).
+//    SubmitAckBatch, SeqBatch); a lone message is a batch of one.  A
+//    sequencing round is self-contained: the sequencer multicasts what
+//    one received SubmitBatch sequenced as one SeqBatch (a contiguous run
+//    of sequence numbers) before that handler returns, then acks an
+//    external sender, so an ack implies the message was multicast and
+//    nothing sequenced is ever held.  The one batching point is the
+//    sender's: GcsConfig::submit_flush_delay packs a burst of
+//    submissions into one SubmitBatch.  Every SubmitBatch, SeqBatch and
+//    NACK repair run is capped at 64 messages and 64 KiB of payload.
 //  - Submissions are idempotent: (sender, sender_msg_id) pairs are
 //    deduplicated by the sequencer, and senders retransmit every
 //    retransmit_interval until their message is observed sequenced
@@ -42,11 +42,9 @@
 //  - A heartbeat failure detector drives view changes.  The new
 //    coordinator (lowest surviving member) collects each survivor's
 //    received messages, recomputes the highest safely-contiguous sequence
-//    number, discards anything beyond it (never delivered anywhere, will
-//    be re-submitted), and commits the new view.  A batch the old
-//    sequencer had not flushed is discarded wholesale: none of it was
-//    acked or retained anywhere, so senders re-submit and the new
-//    sequencer re-sequences.  View events are delivered in-stream, after
+//    number, discards anything beyond it (no survivor delivered it; a
+//    sender that never saw it sequenced or acked re-submits it), and
+//    commits the new view.  View events are delivered in-stream, after
 //    all messages of the old view.  A view installs only once every
 //    member it names has acked, so a member that suspects all its peers
 //    (crashed, or merely stalled past suspect_timeout) never installs a
@@ -54,15 +52,14 @@
 //
 // Threads: the service has no thread of its own.  Everything it does
 // runs on the SimNetwork's network thread, which runs every node: the
-// handling of each received message, the timed duties (batch flush,
+// handling of each received message, the timed duties (submit flush,
 // heartbeats, suspicion, proposal expiry, NACK retry, retransmission),
 // which run when the node's one deadline falls due, and the callbacks.
 // A handler lowers that deadline only for an obligation it creates (a
-// first pending submission, a batch opened with a flush delay, a NACK to
-// retry); the deadline handler recomputes the earliest duty.  What the
-// service sends to its own node (the sequencer's SeqBatch to itself, a
-// member's submissions while it is the sequencer) crosses no simulated
-// link.
+// first pending or held submission, a NACK to retry); the deadline
+// handler recomputes the earliest duty.  What the service sends to its
+// own node (the sequencer's SeqBatch to itself, a member's submissions
+// while it is the sequencer) crosses no simulated link.
 //
 // Callbacks (deliver, view, direct) are produced only while a received
 // message is handled (timed duties send, but never deliver), and run on
@@ -88,6 +85,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -109,19 +107,10 @@ struct GcsConfig {
   common::Duration suspect_timeout = std::chrono::milliseconds(150);
   common::Duration retransmit_interval = std::chrono::milliseconds(60);
 
-  // --- sequencer batching ---------------------------------------------
-  /// Max messages per SeqBatch or SubmitBatch datagram.  1 disables
-  /// batching: every message travels in a datagram of its own, as a batch
-  /// of one.  A fixed 64 KiB payload cap also bounds every datagram.
-  std::size_t max_batch_msgs = 64;
-  /// How long the sequencer may hold a non-full batch open to coalesce
-  /// submissions across sequencing rounds.  Zero flushes at the end of
-  /// every round (no added latency); non-zero trades up to that much
-  /// latency for larger batches.
-  common::Duration batch_flush_delay = common::Duration::zero();
   /// When non-zero, submit() holds a submission back for up to this long
   /// (counted from the first one held) so several local submissions pack
-  /// into one SubmitBatch datagram.  Zero sends immediately.
+  /// into one SubmitBatch datagram, and so into one sequencing round.
+  /// Zero sends immediately.
   common::Duration submit_flush_delay = common::Duration::zero();
 };
 
@@ -188,14 +177,6 @@ class GroupService {
     // Sequencer role (used when self is view.sequencer()).
     std::uint64_t next_seq = 1;
     std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> dedup;
-    // Sequencer batching: sequenced but not yet multicast messages, the
-    // external acks deferred to their flush, and the highest sequence
-    // number actually multicast (what heartbeats may advertise).
-    std::vector<Sequenced> batch;
-    std::size_t batch_bytes = 0;
-    common::TimePoint batch_since{};
-    std::map<std::uint32_t, std::vector<std::uint64_t>> batch_acks;
-    std::uint64_t flushed_seq = 0;
     // Delivery.
     std::uint64_t delivered_up_to = 0;
     std::map<std::uint64_t, Sequenced> holdback;
@@ -280,21 +261,13 @@ class GroupService {
   void handle_view_commit(common::GroupId group, common::Reader& r)
       ADETS_REQUIRES(mutex_);
 
-  void sequence_submission(common::GroupId group, MemberState& st, Submission submission)
-      ADETS_REQUIRES(mutex_);
-  /// Flushes the pending batch if a cap is hit or the flush delay
-  /// elapsed (`force` flushes unconditionally).
-  void maybe_flush(common::GroupId group, MemberState& st, bool force)
-      ADETS_REQUIRES(mutex_);
-  void flush_batch(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void try_deliver(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   /// The holdback queue starts above the next sequence number to deliver.
   static bool has_gap(const MemberState& st);
   void maybe_install_view(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void start_proposal(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void finish_proposal(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
-  void send_nack_if_gap(common::GroupId group, MemberState& st, bool force)
-      ADETS_REQUIRES(mutex_);
+  void send_nack_if_gap(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   /// Asks `sequencer` to retransmit sequence numbers [from_seq, to_seq].
   void send_nack(common::GroupId group, common::NodeId sequencer, std::uint64_t from_seq,
                  std::uint64_t to_seq);
@@ -312,6 +285,10 @@ class GroupService {
   void send_submissions(common::GroupId group, SenderState& sender,
                         const std::vector<std::uint64_t>& msg_ids, std::size_t target)
       ADETS_REQUIRES(mutex_);
+  /// Sends the contiguous run `run` to each of `dsts` as capped SeqBatch
+  /// datagrams.
+  void send_seq_batches(common::GroupId group, std::span<const Sequenced> run,
+                        std::span<const common::NodeId> dsts);
   /// Repairs [from_seq, to_seq] for `dst` out of retained/holdback, as
   /// contiguous SeqBatch runs.
   void send_repair(common::GroupId group, MemberState& st, common::NodeId dst,
@@ -322,7 +299,7 @@ class GroupService {
   /// released; returns with `lock` held.  Network thread only.
   void run_callbacks(common::MutexLock& lock) ADETS_REQUIRES(mutex_);
 
-  /// The node's deadline handler (network thread): batch flush,
+  /// The node's deadline handler (network thread): submit flush,
   /// heartbeats, suspicion, proposal expiry, NACK retry and
   /// retransmission, each once it is due.  Returns when the next of them
   /// is due.

@@ -84,7 +84,7 @@ inline Sequenced decode_sequenced(common::Reader& r,
 
 // A SeqBatch is a contiguous run [first_seq, first_seq + count): the per
 // message seq is implicit, so the run header costs 12 bytes however many
-// messages it carries.  A sequencer flush and NACK repair both send it
+// messages it carries.  A sequencing round and NACK repair both send it
 // (any contiguous sub-run of the retained window is a valid SeqBatch);
 // `run` must be non-empty.
 inline common::Bytes encode_seq_batch(common::GroupId group,

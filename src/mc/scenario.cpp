@@ -187,8 +187,8 @@ void racy_kvreg_body(McCtx& ctx) {
   ctx.unlock(1);
 }
 
-// Four requests arriving back-to-back, the delivery shape a flushed
-// SeqBatch produces: the GCS hands the whole batch to on_deliver in one
+// Four requests arriving back-to-back, the delivery shape one sequencing
+// round's SeqBatch produces: the GCS hands the whole batch to on_deliver in one
 // event and the replica runs the per-message callback with no gaps, so
 // request starts are not separated by network interleavings.  Two
 // contended mutexes give every strategy a real grant-order choice inside

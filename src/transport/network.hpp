@@ -5,7 +5,7 @@
 // of in-flight messages, ordered by (due, seq): its due time (send time
 // plus link latency) and its send order.  Each node also has one
 // deadline, set by its owner for timed duties (the GCS heartbeats,
-// flushes and retransmissions).
+// submit flushes and retransmissions).
 //
 // One thread, the network thread, runs every node.  It sleeps until the
 // earliest entry over all nodes is due, a message or a node's deadline,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <limits>
@@ -11,11 +12,21 @@
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
+#include "replication/consistency.hpp"
 #include "workload/kvstore.hpp"
 
 namespace adets::workload {
 
 namespace {
+
+/// Keys are "k<0..kKeySpace-1>"; a put writes kValueBytes, and
+/// kPutRatio of the requests are puts (the rest are gets).
+constexpr int kKeySpace = 256;
+constexpr int kValueBytes = 32;
+constexpr double kPutRatio = 0.5;
+/// Real-time deadline for the whole run; on expiry the run is cut short
+/// and `completed` is false.
+constexpr std::chrono::seconds kDeadline{180};
 
 void atomic_min(std::atomic<std::int64_t>& a, std::int64_t v) {
   std::int64_t cur = a.load(std::memory_order_relaxed);
@@ -103,14 +114,14 @@ LoadResult run_load(const LoadConfig& config) {
     LogicalClient& lc = clients[static_cast<std::size_t>(i)];
     const int idx = lc.issued++;
     const bool timed = idx >= warmup;
-    const bool is_put = lc.rng.uniform_real(0.0, 1.0) < config.put_ratio;
+    const bool is_put = lc.rng.uniform_real(0.0, 1.0) < kPutRatio;
     const std::string key =
         "k" + std::to_string(lc.rng.uniform(
-                  0, static_cast<std::uint64_t>(config.key_space) - 1));
+                  0, static_cast<std::uint64_t>(kKeySpace) - 1));
     common::Bytes args;
     if (is_put) {
       args = KvStore::pack_put(
-          key, std::string(static_cast<std::size_t>(config.value_bytes),
+          key, std::string(static_cast<std::size_t>(kValueBytes),
                            static_cast<char>('a' + idx % 26)));
     } else {
       args = KvStore::pack_key(key);
@@ -148,7 +159,7 @@ LoadResult run_load(const LoadConfig& config) {
 
   {
     std::unique_lock<std::mutex> lock(done_mutex);
-    result.completed = done_cv.wait_for(lock, config.deadline, [&] {
+    result.completed = done_cv.wait_for(lock, kDeadline, [&] {
       return finished_clients >= n;
     });
   }
@@ -157,12 +168,8 @@ LoadResult run_load(const LoadConfig& config) {
   if (result.completed) {
     const auto total = static_cast<std::uint64_t>(n) *
                        static_cast<std::uint64_t>(per_client);
-    const bool drained =
-        cluster.wait_drained(group, total, std::chrono::seconds(60));
-    const auto hashes = cluster.state_hashes(group);
-    result.converged = drained && !hashes.empty() &&
-                       std::all_of(hashes.begin(), hashes.end(),
-                                   [&](std::uint64_t h) { return h == hashes[0]; });
+    result.converged = cluster.wait_drained(group, total, std::chrono::seconds(60)) &&
+                       repl::check_group(cluster, group).consistent();
   }
   const auto net = cluster.network().stats();
   result.messages_sent = net.messages_sent;

@@ -2,18 +2,18 @@
 //
 // Simulates N logical clients, each in a closed loop over a replicated
 // KvStore: issue one request, wait for the reply, immediately issue the
-// next.  Unlike the figure benchmarks (one OS thread per client, tens of
-// clients), thousands of logical clients are multiplexed over a small
-// number of client *nodes* via Client::invoke_async — each completion
-// callback issues the owning logical client's next request on the
-// network thread, so 10k clients cost ~16 client nodes, all run by that
-// one thread with every node's GCS duties, instead of 30k threads.
+// next.  Each request is a put of a 32-byte value or a get, half each,
+// on one of 256 keys.  Unlike the figure benchmarks (one OS thread per
+// client, tens of clients), thousands of logical clients are multiplexed
+// over a small number of client *nodes* via Client::invoke_async — each
+// completion callback issues the owning logical client's next request on
+// the network thread, so 10k clients cost ~16 client nodes, all run by
+// that one thread with every node's GCS duties, instead of 30k threads.
 //
 // All reported times are paper time (real time divided by the
 // ADETS_TIME_SCALE factor), matching the rest of the bench suite.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 
 #include "runtime/cluster.hpp"
@@ -33,22 +33,15 @@ struct LoadConfig {
   /// Untimed leading requests per logical client.
   int warmup_per_client = 2;
   std::uint64_t seed = 1;
-  /// KvStore key space; keys are "k<0..key_space-1>".
-  int key_space = 256;
-  int value_bytes = 32;
-  /// Fraction of operations that are puts (the rest are gets).
-  double put_ratio = 0.5;
-  /// Network latency model and GCS tunables (batching knobs live here).
+  /// Network latency model and GCS tunables (the submit hold lives here).
   runtime::ClusterConfig cluster;
-  /// Real-time deadline for the whole run; on expiry the run is cut
-  /// short and `completed` is false.
-  std::chrono::seconds deadline{180};
 };
 
 struct LoadResult {
-  /// Every logical client finished its full loop before the deadline.
+  /// Every logical client finished its full loop within 180 s (real).
   bool completed = false;
-  /// All replica state hashes were equal after draining.
+  /// The run completed, every live replica executed every request, and
+  /// repl::check_group then found them consistent.
   bool converged = false;
   /// Measured (post-warmup) invocations that completed.
   std::uint64_t invocations = 0;
@@ -65,7 +58,7 @@ struct LoadResult {
   double mean_ms = 0.0;
   double max_ms = 0.0;
   // Network totals for the whole run (warmup included) — the datagram
-  // count is what sequencer batching is meant to shrink.
+  // count is what packing submissions is meant to shrink.
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;
 };

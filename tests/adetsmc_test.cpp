@@ -95,7 +95,7 @@ TEST(AdetsMcTest, ExhaustiveLsaProtocolPipelineHasNoViolations) {
 }
 
 TEST(AdetsMcTest, BatchedDeliveryPreservesGrantTraceEquality) {
-  // The seqbatch scenario models a flushed sequencer batch: all four
+  // The seqbatch scenario models one sequencing round's SeqBatch: all four
   // requests start back-to-back with no delivery interleaving between
   // them.  Under a bounded exploration no strategy may diverge the
   // per-mutex grant traces across replicas.

@@ -1,8 +1,12 @@
-// Sequencer-batching tests: every ordering datagram is a batch
-// (SeqBatch/SubmitBatch/SubmitAckBatch), and packing several messages
-// into one must be an invisible transport optimisation — same total
-// order, same exactly-once guarantee, same failover behaviour as
-// max_batch_msgs=1, where each batch carries one message.
+// Batching tests: every ordering datagram is a batch (SubmitBatch,
+// SeqBatch, SubmitAckBatch).  The one batching point, the sender's
+// submit_flush_delay hold, must pack a burst into one datagram per link
+// and stay an invisible transport optimisation: same total order, same
+// exactly-once guarantee and same failover behaviour as sending every
+// submission at once, in a batch of one.  The sequencer holds nothing: a
+// round is multicast before its handler returns, so a crashed
+// sequencer's messages that no other member received are re-sequenced
+// once in the new view.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -119,8 +123,7 @@ class GcsBatchTest : public ::testing::Test {
 
   static GcsConfig batched_config() {
     GcsConfig config;
-    config.max_batch_msgs = 4;
-    config.batch_flush_delay = std::chrono::milliseconds(40);
+    config.submit_flush_delay = std::chrono::milliseconds(40);
     config.suspect_timeout = std::chrono::seconds(30);  // no spurious views
     return config;
   }
@@ -131,11 +134,9 @@ class GcsBatchTest : public ::testing::Test {
 };
 
 TEST_F(GcsBatchTest, PartialBatchIsFlushedByTimer) {
-  // Fewer submissions than max_batch_msgs: nothing forces a flush, so
-  // delivery depends on the batch_flush_delay timer alone.
-  GcsConfig config = batched_config();
-  config.max_batch_msgs = 64;
-  BatchCluster cluster(*net_, 2, 1, config);
+  // An external sender holds fewer submissions than fill a SubmitBatch:
+  // nothing but its submit_flush_delay timer sends them.
+  BatchCluster cluster(*net_, 2, 1, batched_config());
   for (int i = 0; i < 3; ++i) {
     cluster.service(2).submit(BatchCluster::kGroup, text("p" + std::to_string(i)));
   }
@@ -146,19 +147,17 @@ TEST_F(GcsBatchTest, PartialBatchIsFlushedByTimer) {
 }
 
 TEST_F(GcsBatchTest, BatchedDeliveryMatchesUnbatchedOrder) {
-  // Same workload through max_batch_msgs=1 (batches of one message) and
-  // through aggressive batching: both must deliver the submission
-  // sequence verbatim on every member.  The sequencer submits to itself,
-  // so the expected order is exactly the submission order.
+  // Same workload without a hold (every submission sent at once, in a
+  // batch of one) and with it (the burst packed into one SubmitBatch):
+  // both must deliver the submission sequence verbatim on every member.
+  // The sequencer submits to itself, so the expected order is exactly
+  // the submission order.
   std::vector<std::string> expected;
   for (int i = 0; i < 12; ++i) expected.push_back("m" + std::to_string(i));
 
   for (const bool batched : {false, true}) {
     GcsConfig config = batched_config();
-    if (!batched) {
-      config.max_batch_msgs = 1;
-      config.batch_flush_delay = std::chrono::milliseconds(0);
-    }
+    if (!batched) config.submit_flush_delay = common::Duration::zero();
     BatchCluster cluster(*net_, 3, 0, config);
     for (const auto& m : expected) {
       cluster.service(0).submit(BatchCluster::kGroup, text(m));
@@ -175,7 +174,8 @@ TEST_F(GcsBatchTest, DuplicatesAcrossBatchBoundariesAreFiltered) {
   // Cut sequencer -> submitter, so the submitter never sees its message
   // sequenced and retries into later sequencing rounds (and, via target
   // rotation, through other members).  The duplicates land in different
-  // batches; dedup must still collapse them to one delivery.
+  // SubmitBatches and rounds; dedup must still collapse them to one
+  // delivery.
   GcsConfig config = batched_config();
   config.retransmit_interval = std::chrono::milliseconds(30);
   BatchCluster cluster(*net_, 3, 0, config);
@@ -204,40 +204,70 @@ TEST_F(GcsBatchTest, DuplicatesAcrossBatchBoundariesAreFiltered) {
   EXPECT_EQ(cluster.sink(2).snapshot(), log0);
 }
 
-TEST_F(GcsBatchTest, FailoverResequencesUnflushedBatch) {
+TEST_F(GcsBatchTest, FailoverResequencesWhatOnlyTheOldSequencerReceived) {
   arm_watchdog("gcs batch failover", std::chrono::seconds(120));
-  // A huge flush delay parks submissions in the sequencer's open batch;
-  // crashing the sequencer before the flush must not lose them — the
-  // senders still hold them as unacked pendings and re-submit into the
-  // new view, where the new sequencer assigns fresh sequence numbers.
-  // The flush delay applies in the new view too, so a third message
-  // after failover fills the batch to max_batch_msgs and forces the
-  // cap-based flush.
+  // The sequencer's links to the other members are cut, so its round for
+  // two submissions reaches only its own node; then it crashes.  No
+  // survivor received the messages and neither submitter saw its message
+  // sequenced, so both re-submit into the new view, where the new
+  // sequencer must sequence each exactly once.
   GcsConfig config = batched_config();
-  config.max_batch_msgs = 3;
-  config.batch_flush_delay = std::chrono::seconds(30);
   config.suspect_timeout = std::chrono::milliseconds(150);
   BatchCluster cluster(*net_, 3, 0, config);
+  transport::LinkConfig dead;
+  dead.drop_probability = 1.0;
+  net_->set_link(cluster.node(0), cluster.node(1), dead);
+  net_->set_link(cluster.node(0), cluster.node(2), dead);
 
-  cluster.service(1).submit(BatchCluster::kGroup, text("held-1"));
-  cluster.service(2).submit(BatchCluster::kGroup, text("held-2"));
-  // Let the submissions reach the sequencer's open batch, then kill it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_TRUE(cluster.sink(1).snapshot().empty());  // batch still held
+  cluster.service(1).submit(BatchCluster::kGroup, text("lost-1"));
+  cluster.service(2).submit(BatchCluster::kGroup, text("lost-2"));
+  ASSERT_TRUE(cluster.sink(0).wait_count(2));  // sequenced in view 0
+  EXPECT_TRUE(cluster.sink(1).snapshot().empty());
   net_->crash(cluster.node(0));
 
   ASSERT_TRUE(cluster.sink(1).wait_view(std::chrono::seconds(30)));
-  cluster.service(2).submit(BatchCluster::kGroup, text("flusher"));
-
-  ASSERT_TRUE(cluster.sink(1).wait_count(3, std::chrono::seconds(30)));
-  ASSERT_TRUE(cluster.sink(2).wait_count(3, std::chrono::seconds(30)));
+  ASSERT_TRUE(cluster.sink(1).wait_count(2, std::chrono::seconds(30)));
+  ASSERT_TRUE(cluster.sink(2).wait_count(2, std::chrono::seconds(30)));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   const auto log1 = cluster.sink(1).snapshot();
-  EXPECT_EQ(log1.size(), 3u);
-  EXPECT_EQ(std::count(log1.begin(), log1.end(), "held-1"), 1);
-  EXPECT_EQ(std::count(log1.begin(), log1.end(), "held-2"), 1);
-  EXPECT_EQ(std::count(log1.begin(), log1.end(), "flusher"), 1);
+  EXPECT_EQ(log1.size(), 2u);
+  EXPECT_EQ(std::count(log1.begin(), log1.end(), "lost-1"), 1);
+  EXPECT_EQ(std::count(log1.begin(), log1.end(), "lost-2"), 1);
   EXPECT_EQ(cluster.sink(2).snapshot(), log1);
+}
+
+TEST_F(GcsBatchTest, BurstInOneHoldWindowCrossesEachLinkOnce) {
+  arm_watchdog("gcs batch packing", std::chrono::seconds(60));
+  // An external sender's 20 submissions inside one submit_flush_delay
+  // window travel as one SubmitBatch, are sequenced in one round and
+  // acked by one SubmitAckBatch.  Heartbeats run between members only,
+  // so nothing else uses the two links between sender and sequencer.
+  // The long hold and retransmit interval keep a slow host from
+  // splitting the burst or retransmitting it.
+  GcsConfig config = batched_config();
+  config.submit_flush_delay = std::chrono::milliseconds(250);
+  config.retransmit_interval = std::chrono::seconds(5);
+  BatchCluster cluster(*net_, 3, 1, config);
+  net_->set_fault_plan(transport::FaultPlan{});  // records every send
+
+  std::vector<std::string> expected;
+  for (int i = 0; i < 20; ++i) {
+    expected.push_back("b" + std::to_string(i));
+    cluster.service(3).submit(BatchCluster::kGroup, text(expected.back()));
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(cluster.sink(i).wait_count(expected.size())) << "member " << i;
+    EXPECT_EQ(cluster.sink(i).snapshot(), expected) << "member " << i;
+  }
+  // The round sent its ack in the handler that multicast it, so the
+  // ack is on record once any member has delivered.
+  const auto trace = net_->fault_trace();
+  const auto datagrams = [&](NodeId src, NodeId dst) -> std::size_t {
+    const auto it = trace.find({src.value(), dst.value()});
+    return it == trace.end() ? 0 : it->second.size();
+  };
+  EXPECT_EQ(datagrams(cluster.node(3), cluster.node(0)), 1u) << "external -> sequencer";
+  EXPECT_EQ(datagrams(cluster.node(0), cluster.node(3)), 1u) << "sequencer -> external";
 }
 
 }  // namespace

@@ -46,12 +46,12 @@ class ParallelCalls : public ::testing::TestWithParam<SchedulerKind> {
     watchdog_.emplace(label, limit);
   }
 
-  /// Batched sequencing, so a burst of calls reaches each replica in a
-  /// few deliveries and their threads run side by side.
+  /// Packed submissions, so a burst of calls is sequenced in a few
+  /// rounds, reaches each replica in a few deliveries, and their threads
+  /// run side by side.
   static runtime::ClusterConfig batched() {
     runtime::ClusterConfig config;
     config.gcs.submit_flush_delay = std::chrono::milliseconds(2);
-    config.gcs.batch_flush_delay = std::chrono::milliseconds(2);
     return config;
   }
 

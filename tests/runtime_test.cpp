@@ -427,6 +427,26 @@ TEST_F(RuntimeTest, LsaLeaderCrashFailsOverAndStaysConsistent) {
   EXPECT_EQ(cluster.replica(bank, 1).state_hash(), cluster.replica(bank, 2).state_hash());
 }
 
+TEST_F(RuntimeTest, LsaMutexFirstLockedAfterLeaderCrashIsBoundByTheNewLeader) {
+  arm_watchdog("LSA binding after a leader crash", std::chrono::seconds(120));
+  // Accounts 0-3 are bound by the first leader; accounts 4-7 are first
+  // locked after it crashed, so the new leader binds their mutexes and
+  // must number them past every table id the old leader used.
+  Cluster cluster;
+  const GroupId bank = cluster.create_group(
+      3, SchedulerKind::kLsa, [] { return std::make_unique<workload::BankAccounts>(8); });
+  Client& client = cluster.create_client();
+  for (int i = 0; i < 8; ++i) client.invoke(bank, "deposit", pack_u64(i % 4, 5));
+  cluster.crash_replica(bank, 0);
+  for (int i = 0; i < 8; ++i) {
+    client.invoke(bank, "deposit", pack_u64(4 + i % 4, 5), std::chrono::seconds(30));
+  }
+  ASSERT_TRUE(cluster.wait_drained(bank, 16));
+  const auto report = repl::check_group(cluster, bank);
+  EXPECT_TRUE(report.consistent()) << report.detail;
+  EXPECT_GT(report.grants_compared, 0u);
+}
+
 // No method name is special: "__poison" is an unknown method like any
 // other, so a client cannot shrink a PDS pool by calling it.
 TEST_F(RuntimeTest, PoisonMethodLeavesPdsPoolIntact) {
