@@ -4,15 +4,9 @@
 // instead of raw std::mutex / std::condition_variable so that
 //  1. clang's -Wthread-safety can check which functions run under which
 //     monitor (see common/annotations.hpp and docs/static-analysis.md);
-//  2. the debug lock-order validator (common/lock_order.hpp) observes
-//     every acquisition when the build defines ADETS_LOCK_ORDER_CHECK;
-//  3. adets-sa's raw-mutex rule has a sanctioned replacement to point at.
-//
-// CondVar waits release and reacquire the underlying std::mutex through
-// the std::unique_lock that MutexLock manages, bypassing the lock-order
-// hooks.  That is intentional: a thread blocked in wait acquires nothing
-// else, so treating the monitor as continuously held adds no false
-// ordering edges and keeps the relock cheap.
+//  2. adets-sa's raw-mutex rule has a sanctioned replacement to point at.
+// Lock order is checked statically by adets-sa's lock graph and
+// dynamically by ThreadSanitizer, which sees the std::mutex inside.
 //
 // Every blocking/wake operation additionally consults the adets-mc
 // interception point (common/mc_hooks.hpp).  Outside a model-checking
@@ -31,32 +25,20 @@
 #include "common/annotations.hpp"
 #include "common/clock.hpp"
 #include "common/mc_hooks.hpp"
-#ifdef ADETS_LOCK_ORDER_CHECK
-#include "common/lock_order.hpp"
-#endif
 
 namespace adets::common {
 
-/// An annotated, optionally order-checked std::mutex.
+/// An annotated std::mutex.
 class ADETS_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  /// `name` appears in lock-order cycle reports; pass a string literal.
+  /// `name` names the mutex in adets-mc's reports; pass a string literal.
   explicit Mutex(const char* name) : name_(name) {}
-
-  ~Mutex() {
-#ifdef ADETS_LOCK_ORDER_CHECK
-    lock_order::on_destroy(this);
-#endif
-  }
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
   void lock() ADETS_ACQUIRE() {
-#ifdef ADETS_LOCK_ORDER_CHECK
-    lock_order::on_acquire(this, name_);
-#endif
     // A handled hook call blocks until the checker grants this thread the
     // mutex; the real lock below is then uncontended.
     if (auto* mc = mchook::active()) mc->mutex_lock(this, name_);
@@ -65,16 +47,13 @@ class ADETS_CAPABILITY("mutex") Mutex {
 
   void unlock() ADETS_RELEASE() {
     m_.unlock();
-#ifdef ADETS_LOCK_ORDER_CHECK
-    lock_order::on_release(this);
-#endif
     // Real release above precedes the model release, so a thread the
     // checker schedules next never blocks on the real mutex.
     if (auto* mc = mchook::active()) mc->mutex_unlock(this);
   }
 
   /// The wrapped mutex, for CondVar and std interop.  Locking through
-  /// the native handle bypasses the analysis and the order checker;
+  /// the native handle bypasses the analysis and the adets-mc hooks;
   /// only MutexLock/CondVar may do so.
   std::mutex& native_handle() { return m_; }
 

@@ -85,9 +85,9 @@ class TimerService {
     }
   }
 
-  // Raw std::mutex: the timer thread fires scheduler callbacks, so a
-  // common::Mutex here would feed the lock-order validator events from
-  // a context it does not model; guard facts are for adets-sa only.
+  // Raw std::mutex: adets-mc virtualises the timer (schedule() above)
+  // instead of modelling its lock, and a common::Mutex would report the
+  // lock to the checker; guard facts are for adets-sa only.
   std::mutex mutex_;
   std::condition_variable cv_;
   std::map<Key, std::function<void()>> timers_ ADETS_GUARDED_BY_STATIC(mutex_);

@@ -39,6 +39,11 @@ constexpr std::size_t kDedupLimit = 2 * kRetainedLimit;
 constexpr std::size_t kMaxBatchMsgs = 64;
 constexpr std::size_t kMaxBatchBytes = 64 * 1024;
 
+/// The primary-component rule: a view needs a strict majority of `current`.
+bool majority_of(std::size_t members, const View& current) {
+  return 2 * members > current.members.size();
+}
+
 /// Length of the datagram that starts at message `first` of `count`,
 /// whose payload sizes `size_of(i)` gives (at least one message).
 template <typename SizeOf>
@@ -244,8 +249,9 @@ void GroupService::handle_submit_batch(GroupId group, const transport::Message& 
     return;
   }
   // Between a view-commit and its installation the old sequence space is
-  // frozen; the sender retransmits into the new view.
-  if (st.commit_pending) return;
+  // frozen, and a sequencer that hears no majority of its view orders
+  // nothing; the sender retransmits.
+  if (st.commit_pending || !hears_majority(st)) return;
   const NodeId sender(r.u32());
   std::vector<Submission> batch;
   for (std::uint32_t i = 0, count = r.u32(); i < count; ++i) {
@@ -433,13 +439,25 @@ void GroupService::handle_heartbeat(GroupId group, NodeId, Reader& r) {
 
 // --- view changes ------------------------------------------------------------
 
+bool GroupService::hears_majority(const MemberState& st) const {
+  const auto now = common::Clock::now();
+  const auto live = std::count_if(st.view.members.begin(), st.view.members.end(), [&](NodeId m) {
+    const auto heard = st.last_heard.find(m.value());
+    return m == self_ || (heard != st.last_heard.end() &&
+                          now - heard->second < config_.suspect_timeout);
+  });
+  return majority_of(static_cast<std::size_t>(live), st.view);
+}
+
 void GroupService::start_proposal(GroupId group, MemberState& st) {
   std::vector<NodeId> survivors;
   for (auto m : st.view.members) {
     if (m == self_ || st.suspected.count(m.value()) == 0) survivors.push_back(m);
   }
-  if (survivors.empty() || survivors.front() != self_) return;
-  st.proposing = true;
+  // Only the lowest survivor proposes, and only a majority of the view;
+  // an expired proposal whose survivors lost the majority is dropped.
+  st.proposing = majority_of(survivors.size(), st.view) && survivors.front() == self_;
+  if (!st.proposing) return;
   st.proposal_view_id = st.view.id.value() + 1;
   st.proposal_members = survivors;
   st.proposal_acks.clear();
@@ -476,6 +494,7 @@ void GroupService::handle_view_propose(GroupId group, NodeId from, Reader& r) {
   const std::uint64_t coord_highest = r.u64();
   if (proposal_view_id <= st.view.id.value()) return;
   if (std::find(members.begin(), members.end(), self_) == members.end()) return;
+  if (!majority_of(members.size(), st.view)) return;
 
   // Reply with everything we received beyond the coordinator's horizon.
   std::vector<const Sequenced*> extra;

@@ -46,9 +46,12 @@
 //    sender that never saw it sequenced or acked re-submits it), and
 //    commits the new view.  View events are delivered in-stream, after
 //    all messages of the old view.  A view installs only once every
-//    member it names has acked, so a member that suspects all its peers
-//    (crashed, or merely stalled past suspect_timeout) never installs a
-//    view of itself alone: it stops ordering rather than split the group.
+//    member it names has acked, and only if they are a strict majority
+//    of the view it replaces; the sequencer orders only while it has
+//    heard from such a majority within suspect_timeout.  So a side of a
+//    partition without a majority stops ordering rather than split the
+//    group, but an old sequencer cut off from the majority orders until
+//    suspect_timeout has passed, at sequence numbers the next view reuses.
 //
 // Threads: the service has no thread of its own.  Everything it does
 // runs on the SimNetwork's network thread, which runs every node: the
@@ -264,6 +267,9 @@ class GroupService {
   void try_deliver(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   /// The holdback queue starts above the next sequence number to deliver.
   static bool has_gap(const MemberState& st);
+  /// This member and the peers it heard from within suspect_timeout are
+  /// a strict majority of its view.
+  bool hears_majority(const MemberState& st) const;
   void maybe_install_view(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void start_proposal(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void finish_proposal(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);

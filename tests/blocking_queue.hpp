@@ -60,9 +60,9 @@ class BlockingQueue {
   [[nodiscard]] bool empty() const { return size() == 0; }
 
  private:
-  // Raw std::mutex: the scheduler test harness is not middleware the
-  // lock-order validator or adets-mc observe, so the guard facts are
-  // declared for adets-sa only.
+  // Raw std::mutex: the scheduler test harness is not middleware that
+  // adets-mc observes, so the guard facts are declared for adets-sa
+  // only.
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<T> items_ ADETS_GUARDED_BY_STATIC(mutex_);

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/watchdog.hpp"
 #include "gcs/group_service.hpp"
+#include "watchdog.hpp"
 
 namespace adets::gcs {
 namespace {
@@ -130,7 +130,7 @@ class GcsBatchTest : public ::testing::Test {
 
   double saved_scale_ = 1.0;
   std::unique_ptr<transport::SimNetwork> net_;
-  std::optional<common::Watchdog> watchdog_;
+  std::optional<testing::Watchdog> watchdog_;
 };
 
 TEST_F(GcsBatchTest, PartialBatchIsFlushedByTimer) {

@@ -1,5 +1,5 @@
 // Additional group-communication tests: multi-group isolation, large
-// payloads, non-sequencer member crash, progress introspection.
+// payloads, non-sequencer member crash, progress introspection, splits.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "gcs/group_service.hpp"
@@ -19,14 +20,15 @@ using common::Bytes;
 using common::GroupId;
 using common::NodeId;
 
+/// Five nodes, each with a service; most tests use the first three.
 class GcsExtraTest : public ::testing::Test {
  protected:
   void SetUp() override {
     saved_scale_ = common::Clock::scale();
     common::Clock::set_scale(0.01);
     net_ = std::make_unique<transport::SimNetwork>();
-    for (int i = 0; i < 3; ++i) nodes_.push_back(net_->create_node());
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 5; ++i) nodes_.push_back(net_->create_node());
+    for (int i = 0; i < 5; ++i) {
       services_.push_back(std::make_unique<GroupService>(*net_, nodes_[i]));
     }
   }
@@ -58,6 +60,10 @@ class GcsExtraTest : public ::testing::Test {
     bool wait_count(std::size_t n, std::chrono::seconds timeout = std::chrono::seconds(10)) {
       std::unique_lock<std::mutex> lock(mutex);
       return cv.wait_for(lock, timeout, [&] { return messages.size() >= n; });
+    }
+    std::vector<Bytes> snapshot() {
+      const std::lock_guard<std::mutex> guard(mutex);
+      return messages;
     }
   };
 
@@ -293,6 +299,68 @@ TEST_F(GcsExtraTest, ViewEventDeliveredToApp) {
   const std::lock_guard<std::mutex> guard(s0.mutex);
   ASSERT_FALSE(s0.views.empty());
   EXPECT_GE(s0.views.back(), 1u);
+}
+
+/// A group of the first `size` nodes, split by cutting every link
+/// between nodes [0, k) and [k, size) once it has ordered Bytes{0}.
+class GcsPartitionTest : public GcsExtraTest {
+ protected:
+  /// Splits the group and, once the failure detector and any view change
+  /// have had time to act, submits Bytes{1} at node k - 1 and Bytes{2}
+  /// at node size - 1.
+  void split(std::size_t size, std::size_t k) {
+    const std::vector<NodeId> members(nodes_.begin(), nodes_.begin() + size);
+    for (std::size_t i = 0; i < size; ++i) services_[i]->join(kGroup, members, sink().callbacks());
+    services_[0]->submit(kGroup, Bytes{0});
+    for (Sink& s : sinks_) ASSERT_TRUE(s.wait_count(1));
+    const transport::LinkConfig dead{.drop_probability = 1.0};
+    for (std::size_t x = 0; x < k; ++x) {
+      for (std::size_t y = k; y < size; ++y) {
+        net_->set_link(nodes_[x], nodes_[y], dead);
+        net_->set_link(nodes_[y], nodes_[x], dead);
+      }
+    }
+    settle();
+    services_[k - 1]->submit(kGroup, Bytes{1});
+    services_[size - 1]->submit(kGroup, Bytes{2});
+  }
+
+  /// Long enough to suspect an unreachable peer (150 ms) and to finish a
+  /// view change (a proposal expires after 250 ms).
+  static void settle() { std::this_thread::sleep_for(std::chrono::seconds(1)); }
+
+  /// Nodes `side` installed a view of themselves and delivered `message`.
+  void expect_goes_on(const std::vector<std::size_t>& side, const Bytes& message) {
+    std::vector<NodeId> members;
+    for (auto i : side) members.push_back(nodes_[i]);
+    for (auto i : side) {
+      ASSERT_TRUE(sinks_[i].wait_count(2)) << "node " << i;
+      EXPECT_EQ(sinks_[i].snapshot(), (std::vector<Bytes>{Bytes{0}, message})) << "node " << i;
+      EXPECT_EQ(services_[i]->current_view(kGroup).members, members) << "node " << i;
+    }
+  }
+
+  /// Nodes `side` stayed at view 0 and ordered nothing more.
+  void expect_stopped(const std::vector<std::size_t>& side) {
+    settle();
+    for (auto i : side) {
+      EXPECT_EQ(services_[i]->current_view(kGroup).id.value(), 0u) << "node " << i;
+      EXPECT_EQ(sinks_[i].snapshot(), std::vector<Bytes>{Bytes{0}}) << "node " << i;
+    }
+  }
+
+  static constexpr GroupId kGroup{3};
+};
+
+TEST_F(GcsPartitionTest, EvenSplitOrdersOnNeitherSide) {
+  split(4, 2);
+  expect_stopped({0, 1, 2, 3});
+}
+
+TEST_F(GcsPartitionTest, MajorityGoesOnAndMinorityStops) {
+  split(5, 3);
+  expect_goes_on({0, 1, 2}, Bytes{1});
+  expect_stopped({3, 4});
 }
 
 }  // namespace

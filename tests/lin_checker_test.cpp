@@ -17,13 +17,13 @@
 #include <vector>
 
 #include "common/serialization.hpp"
-#include "common/watchdog.hpp"
 #include "lin/checker.hpp"
 #include "lin/history.hpp"
 #include "lin/recorder.hpp"
 #include "lin/spec.hpp"
 #include "racy_scheduler.hpp"
 #include "runtime/cluster.hpp"
+#include "watchdog.hpp"
 #include "workload/kvstore.hpp"
 
 namespace adets {
@@ -319,7 +319,7 @@ TEST(LinRacyCluster, RacySchedulerYieldsNonLinearizableHistory) {
   constexpr int kRounds = 60;
 
   // Declared before the cluster, so it also covers the cluster's teardown.
-  const common::Watchdog watchdog("racy lin cluster run and teardown",
+  const testing::Watchdog watchdog("racy lin cluster run and teardown",
                                   std::chrono::seconds(120));
   runtime::Cluster cluster;
   const auto group = cluster.create_group(

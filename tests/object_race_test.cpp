@@ -13,9 +13,9 @@
 #include <string>
 #include <thread>
 
-#include "common/watchdog.hpp"
 #include "replication/consistency.hpp"
 #include "runtime/cluster.hpp"
+#include "watchdog.hpp"
 #include "workload/kvstore.hpp"
 #include "workload/objects.hpp"
 
@@ -77,7 +77,7 @@ class ParallelCalls : public ::testing::TestWithParam<SchedulerKind> {
   }
 
   double saved_scale_ = 1.0;
-  std::optional<common::Watchdog> watchdog_;
+  std::optional<testing::Watchdog> watchdog_;
 };
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ParallelCalls,

@@ -10,11 +10,11 @@
 #include <string>
 #include <thread>
 
-#include "common/watchdog.hpp"
 #include "replication/consistency.hpp"
 #include "runtime/cluster.hpp"
 #include "sched/lsa.hpp"
 #include "sched/pds.hpp"
+#include "watchdog.hpp"
 #include "workload/objects.hpp"
 
 namespace adets::runtime {
@@ -44,7 +44,7 @@ class RuntimeTest : public ::testing::Test {
   }
 
   double saved_scale_ = 1.0;
-  std::optional<common::Watchdog> watchdog_;
+  std::optional<testing::Watchdog> watchdog_;
 };
 
 sched::SchedulerConfig pds_pool(std::size_t n) {

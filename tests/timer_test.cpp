@@ -7,11 +7,12 @@
 #include <vector>
 
 #include "common/timer.hpp"
-#include "common/watchdog.hpp"
+#include "watchdog.hpp"
 
 namespace adets::common {
 namespace {
 
+using adets::testing::Watchdog;
 using std::chrono::milliseconds;
 
 TEST(TimerServiceTest, FiresAfterDelay) {

@@ -1,4 +1,4 @@
-// Test/benchmark watchdog.
+// Test watchdog.
 //
 // A deterministic-scheduler bug typically manifests as a replica-wide
 // stall (a thread waiting for a grant that never comes).  Under ctest
@@ -6,7 +6,6 @@
 // with a message, so the failing test is attributable.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -17,7 +16,7 @@
 
 #include "common/annotations.hpp"
 
-namespace adets::common {
+namespace adets::testing {
 
 class Watchdog {
  public:
@@ -48,9 +47,7 @@ class Watchdog {
   }
 
   // label_ is written once in the constructor before the watchdog
-  // thread starts; the raw std::mutex (this utility must work even when
-  // common::Mutex instrumentation is the thing being debugged) only
-  // protects the disarm flag.
+  // thread starts; the mutex only protects the disarm flag.
   const std::string label_;
   std::mutex mutex_;
   std::condition_variable cv_;
@@ -58,4 +55,4 @@ class Watchdog {
   std::thread thread_;
 };
 
-}  // namespace adets::common
+}  // namespace adets::testing

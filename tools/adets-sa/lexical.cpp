@@ -11,8 +11,8 @@
 //
 // Scope is a fixed path rule (lexical_scoped): files with a `sched`,
 // `replication` or `lin` directory component.  The common/ wrappers
-// that implement the sanctioned replacements (Clock, Rng, Mutex, the
-// lock-order validator) sit outside it by construction.
+// that implement the sanctioned replacements (Clock, Rng, Mutex) sit
+// outside it by construction.
 
 #include <algorithm>
 #include <cctype>
@@ -51,7 +51,7 @@ const std::vector<LineRule>& line_rules() {
        std::regex(R"(std\s*::\s*(recursive_mutex|timed_mutex|recursive_timed_mutex|shared_timed_mutex|shared_mutex|mutex|condition_variable_any|condition_variable)\b)"),
        "raw std synchronisation type in scheduler/replication state; use "
        "common::Mutex / common::CondVar (annotated for clang thread-safety "
-       "and hooked into the lock-order validator)"},
+       "and hooked into adets-mc)"},
       {"ptr-key", {"*"}, std::regex(R"(std\s*::\s*(?:multi)?(?:map|set)\s*<\s*[^,<>]*\*)"),
        "pointer-keyed ordered container: iteration follows allocation "
        "addresses, which differ across replicas; key by a stable id"},

@@ -3,7 +3,7 @@
 // Nodes are mutex identities ("Class::member", instance-insensitive by
 // design: every instance of a class shares one lock-order role).  Two
 // instances of one class locked in both orders are therefore invisible
-// here; the runtime lock-order validator keys by address and sees them.
+// here; ThreadSanitizer keys by address and sees them.
 // Edges are acquire-while-held facts:
 //
 //   * direct: an Acquisition whose `held` set is non-empty;

@@ -17,8 +17,7 @@ namespace fs = std::filesystem;
 /// locks themselves; the model neither parses nor audits them.
 const std::vector<std::string>& exempt_suffixes() {
   static const std::vector<std::string>* s = new std::vector<std::string>{
-      "common/annotations.hpp", "common/mutex.hpp",   "common/mutex.cpp",
-      "common/lock_order.hpp",  "common/lock_order.cpp",
+      "common/annotations.hpp", "common/mutex.hpp",
       "common/mc_hooks.hpp",    "common/mc_hooks.cpp",
       "common/clock.hpp",       "common/clock.cpp",
   };
