@@ -1,6 +1,5 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -23,14 +22,6 @@ LogLevel parse_level(const char* text) {
   return LogLevel::kWarn;
 }
 
-std::atomic<int>& level_storage() {
-  // NOLINT below: read once under the static-local init guard; nothing
-  // in the process calls setenv.
-  static std::atomic<int> level{
-      static_cast<int>(parse_level(std::getenv("ADETS_LOG")))};  // NOLINT(concurrency-mt-unsafe)
-  return level;
-}
-
 const char* level_name(LogLevel level) {
   switch (level) {
     case LogLevel::kError: return "ERROR";
@@ -44,10 +35,12 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-LogLevel log_level() { return static_cast<LogLevel>(level_storage().load(std::memory_order_relaxed)); }
-
-void set_log_level(LogLevel level) {
-  level_storage().store(static_cast<int>(level), std::memory_order_relaxed);
+LogLevel log_level() {
+  // NOLINT below: read once, under the static-local init guard, and the
+  // library never calls setenv.
+  static const LogLevel level =
+      parse_level(std::getenv("ADETS_LOG"));  // NOLINT(concurrency-mt-unsafe)
+  return level;
 }
 
 void log_line(LogLevel level, const std::string& component, const std::string& message) {

@@ -17,9 +17,6 @@ enum class LogLevel : int { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3, kTrace
 /// Returns the process-wide log level.
 LogLevel log_level();
 
-/// Overrides the process-wide log level.
-void set_log_level(LogLevel level);
-
 /// True when `level` messages should be emitted.
 inline bool log_enabled(LogLevel level) {
   return static_cast<int>(level) <= static_cast<int>(log_level());

@@ -1,6 +1,5 @@
 #include "lin/spec.hpp"
 
-#include <deque>
 #include <map>
 #include <utility>
 
@@ -40,34 +39,6 @@ std::string serialize_kv(const KvState& map) {
     w.str(key);
     w.str(value);
   }
-  return from_writer(w);
-}
-
-// --- buffer state ----------------------------------------------------------
-
-struct BufState {
-  std::uint64_t produced = 0;
-  std::uint64_t consumed = 0;
-  std::deque<std::uint64_t> items;
-};
-
-BufState parse_buf(const std::string& state) {
-  const common::Bytes bytes = to_bytes(state);
-  common::Reader r(bytes);
-  BufState s;
-  s.produced = r.u64();
-  s.consumed = r.u64();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) s.items.push_back(r.u64());
-  return s;
-}
-
-std::string serialize_buf(const BufState& s) {
-  common::Writer w;
-  w.u64(s.produced);
-  w.u64(s.consumed);
-  w.u32(static_cast<std::uint32_t>(s.items.size()));
-  for (const std::uint64_t item : s.items) w.u64(item);
   return from_writer(w);
 }
 
@@ -203,124 +174,10 @@ std::string KvSpec::describe(const Operation& op) const {
   }
 }
 
-// --- BufferSpec ------------------------------------------------------------
-
-std::string BufferSpec::initial_state() const { return serialize_buf({}); }
-
-std::optional<std::string> BufferSpec::apply(const std::string& state,
-                                             const Operation& op) const {
-  BufState s = parse_buf(state);
-  common::Reader args(op.args);
-  common::Reader result(op.result);
-
-  if (op.method == "produce") {
-    if (capacity_ > 0 && s.items.size() >= capacity_) return std::nullopt;
-    s.items.push_back(args.remaining() >= 8 ? args.u64() : 0);
-    s.produced++;
-    // Unbounded replies with the queue length after the push, bounded
-    // with the total produced count (see workload/objects.cpp).
-    const std::uint64_t expected =
-        capacity_ == 0 ? static_cast<std::uint64_t>(s.items.size()) : s.produced;
-    if (result.u64() != expected) return std::nullopt;
-    return serialize_buf(s);
-  }
-  if (op.method == "consume") {
-    if (s.items.empty()) return std::nullopt;  // blocking: cannot linearize here
-    const std::uint64_t head = s.items.front();
-    if (result.u64() != head) return std::nullopt;
-    s.items.pop_front();
-    s.consumed++;
-    return serialize_buf(s);
-  }
-  if (op.method == "poll_consume") {
-    const bool success = result.u64() != 0;
-    if (success != !s.items.empty()) return std::nullopt;
-    if (!success) return state;
-    if (result.u64() != s.items.front()) return std::nullopt;
-    s.items.pop_front();
-    s.consumed++;
-    return serialize_buf(s);
-  }
-  if (op.method == "poll_produce" && capacity_ > 0) {
-    const bool success = result.u64() != 0;
-    if (success != (s.items.size() < capacity_)) return std::nullopt;
-    if (!success) return state;
-    s.items.push_back(args.remaining() >= 8 ? args.u64() : 0);
-    s.produced++;
-    return serialize_buf(s);
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> BufferSpec::apply_pending(const std::string& state,
-                                                     const Operation& op) const {
-  BufState s = parse_buf(state);
-  common::Reader args(op.args);
-  if (op.method == "produce") {
-    if (capacity_ > 0 && s.items.size() >= capacity_) return std::nullopt;
-    s.items.push_back(args.remaining() >= 8 ? args.u64() : 0);
-    s.produced++;
-    return serialize_buf(s);
-  }
-  if (op.method == "consume") {
-    if (s.items.empty()) return std::nullopt;
-    s.items.pop_front();
-    s.consumed++;
-    return serialize_buf(s);
-  }
-  if (op.method == "poll_consume") {
-    if (s.items.empty()) return state;
-    s.items.pop_front();
-    s.consumed++;
-    return serialize_buf(s);
-  }
-  if (op.method == "poll_produce" && capacity_ > 0) {
-    if (s.items.size() >= capacity_) return state;
-    s.items.push_back(args.remaining() >= 8 ? args.u64() : 0);
-    s.produced++;
-    return serialize_buf(s);
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> BufferSpec::partition_of(const Operation&) const {
-  return std::string("q");  // one logical queue: a single partition
-}
-
-std::string BufferSpec::describe(const Operation& op) const {
-  try {
-    common::Reader args(op.args);
-    std::string out = op.method + "(";
-    if ((op.method == "produce" || op.method == "poll_produce") &&
-        args.remaining() >= 8) {
-      out += std::to_string(args.u64());
-    }
-    out += ")";
-    if (op.pending()) return out + " -> pending";
-    common::Reader result(op.result);
-    out += " -> " + std::to_string(result.u64());
-    if (result.remaining() >= 8) out += ", " + std::to_string(result.u64());
-    return out;
-  } catch (const common::SerializationError&) {
-    return to_string(op);
-  }
-}
-
 // --- registry --------------------------------------------------------------
 
 std::unique_ptr<SequentialSpec> make_spec(const std::string& name) {
   if (name == "kv") return std::make_unique<KvSpec>();
-  if (name == "unbounded-buffer") return std::make_unique<BufferSpec>(0);
-  if (name == "bounded-buffer") return std::make_unique<BufferSpec>(2);
-  const std::string prefix = "bounded-buffer:";
-  if (name.rfind(prefix, 0) == 0) {
-    try {
-      const std::size_t capacity = std::stoul(name.substr(prefix.size()));
-      if (capacity > 0) return std::make_unique<BufferSpec>(capacity);
-    } catch (const std::exception&) {
-      return nullptr;
-    }
-  }
   return nullptr;
 }
 

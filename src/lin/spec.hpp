@@ -37,7 +37,7 @@ class SequentialSpec {
  public:
   virtual ~SequentialSpec() = default;
 
-  /// Registry name ("kv", "bounded-buffer", "unbounded-buffer").
+  /// Registry name ("kv").
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Canonical serialized initial state.
@@ -52,9 +52,9 @@ class SequentialSpec {
   /// request may have executed inside the group even though the client
   /// never saw a reply) linearizes from `state`.  The effect is applied
   /// with the result unconstrained; nullopt when the operation could
-  /// not take effect from `state` at all (e.g. a blocking consume of an
-  /// empty buffer).  All shipped objects have deterministic effects, so
-  /// one successor suffices.
+  /// not take effect from `state` at all (e.g. an unknown method).
+  /// KvStore's methods have deterministic effects, so one successor
+  /// suffices.
   [[nodiscard]] virtual std::optional<std::string> apply_pending(
       const std::string& state, const Operation& op) const = 0;
 
@@ -84,35 +84,8 @@ class KvSpec final : public SequentialSpec {
   [[nodiscard]] std::string describe(const Operation& op) const override;
 };
 
-/// FIFO queue spec shared by the two buffer objects (workload/objects.*):
-/// produce/consume plus their poll_* variants.  State: produced count,
-/// consumed count and the queued items.  A bounded buffer additionally
-/// refuses produce at capacity (the blocking produce can only linearize
-/// while the queue has room).
-class BufferSpec final : public SequentialSpec {
- public:
-  /// `capacity` 0 = unbounded (Fig. 6a), else bounded (Fig. 6b).
-  explicit BufferSpec(std::size_t capacity = 0) : capacity_(capacity) {}
-
-  [[nodiscard]] std::string name() const override {
-    return capacity_ == 0 ? "unbounded-buffer" : "bounded-buffer";
-  }
-  [[nodiscard]] std::string initial_state() const override;
-  [[nodiscard]] std::optional<std::string> apply(
-      const std::string& state, const Operation& op) const override;
-  [[nodiscard]] std::optional<std::string> apply_pending(
-      const std::string& state, const Operation& op) const override;
-  [[nodiscard]] std::optional<std::string> partition_of(
-      const Operation& op) const override;
-  [[nodiscard]] std::string describe(const Operation& op) const override;
-
- private:
-  std::size_t capacity_;
-};
-
-/// Spec registry for tools/lincheck and history headers; nullptr for an
-/// unknown name.  "bounded-buffer" uses the BoundedBuffer default
-/// capacity (2) unless the name carries an explicit ":<capacity>".
+/// Spec registry for the 'spec' header of a history file; nullptr for
+/// an unknown name.
 [[nodiscard]] std::unique_ptr<SequentialSpec> make_spec(const std::string& name);
 
 }  // namespace adets::lin

@@ -118,12 +118,10 @@ class World {
   World(const Scenario& scenario, const std::string& strategy,
         const RunOptions& options)
       : scenario_(scenario),
-        strategy_(strategy),
-        racy_(strategy == "racy"),
         options_(options),
         runtime_(options.runtime) {
     for (int r = 0; r < kReplicas; ++r) {
-      if (racy_) {
+      if (strategy == "racy") {
         schedulers_.push_back(std::make_unique<testing::RacyScheduler>());
       } else {
         sched::SchedulerConfig config;
@@ -155,24 +153,8 @@ class World {
 
   void execute_body(int replica, const sched::Request& request) {
     if (request.kind != sched::RequestKind::kApplication) return;
-    if (racy_) {
-      // RacyScheduler workers are raw std::threads; manage them through
-      // the adoption path with an id stable across re-executions.
-      runtime_.adopt_current_thread(
-          200 + static_cast<std::uint64_t>(replica) * 100 + request.id.value(),
-          "w" + std::to_string(replica) + ":" +
-              std::to_string(request.id.value()));
-    }
     Ctx ctx(*this, replica, request.id.value());
     if (scenario_.body) scenario_.body(ctx);
-    if (racy_) {
-      // Count completion before retiring: RacyScheduler's own counter
-      // only bumps after execute() returns, when this thread is already
-      // unmanaged, so the controller could see every task parked while
-      // the count still lags (a spurious deadlock).
-      racy_completed_[replica].fetch_add(1, std::memory_order_release);
-      runtime_.retire_current_thread();
-    }
   }
 
   void broadcast_msg(int replica, const common::Bytes& payload) {
@@ -184,14 +166,6 @@ class World {
   }
 
   void ctx_lock(int replica, std::uint64_t mutex) {
-    if (racy_) {
-      // RacyScheduler grants locks with raw primitives the hooks cannot
-      // see; model the acquisition at harness level instead so its
-      // real-time races become explorable choices.
-      runtime_.acquire_app_resource(app_token(replica, mutex),
-                                    "app:" + std::to_string(replica) + ":" +
-                                        std::to_string(mutex));
-    }
     std::uint64_t before = 0;
     {
       const std::lock_guard<std::mutex> guard(state_m_);
@@ -208,7 +182,6 @@ class World {
 
   void ctx_unlock(int replica, std::uint64_t mutex) {
     schedulers_[replica]->unlock(common::MutexId(mutex));
-    if (racy_) runtime_.release_app_resource(app_token(replica, mutex));
   }
 
   bool ctx_wait(int replica, std::uint64_t mutex, std::uint64_t condvar,
@@ -284,10 +257,6 @@ class World {
     std::uint64_t waited;  // other grants between attempt and acquisition
   };
 
-  static std::uint64_t app_token(int replica, std::uint64_t mutex) {
-    return (static_cast<std::uint64_t>(replica + 1) << 32) | mutex;
-  }
-
   // Append an event to the canonical total order and every replica's
   // delivery queue.  The sequencer lock makes concurrent publications
   // atomic across queues, so all replicas see one global order.
@@ -358,9 +327,6 @@ class World {
     sched::Scheduler& s = *schedulers_[replica];
     switch (event.kind) {
       case BusEvent::Kind::kRequest:
-        // A racy on_request spawns an unmanaged worker that adopts
-        // itself from execute_body; quiescence must wait for it.
-        if (racy_) runtime_.expect_adoption();
         s.on_request(event.request);
         break;
       case BusEvent::Kind::kReply:
@@ -374,10 +340,9 @@ class World {
 
   [[nodiscard]] bool done() {
     for (int r = 0; r < kReplicas; ++r) {
-      const std::uint64_t completed =
-          racy_ ? racy_completed_[r].load(std::memory_order_acquire)
-                : schedulers_[r]->completed_requests();
-      if (completed < scenario_.submissions.size()) return false;
+      if (schedulers_[r]->completed_requests() < scenario_.submissions.size()) {
+        return false;
+      }
     }
     const std::size_t published = published_.load(std::memory_order_acquire);
     for (int r = 0; r < kReplicas; ++r) {
@@ -640,8 +605,6 @@ class World {
   }
 
   const Scenario& scenario_;
-  const std::string strategy_;
-  const bool racy_;
   const RunOptions options_;
   // adets-sa:allow(unguarded-field) McRuntime synchronizes itself (model_m_)
   McRuntime runtime_;
@@ -671,9 +634,6 @@ class World {
   // adets-sa:allow(unguarded-field) written only in run(), before drivers
   std::vector<std::unique_ptr<WorldEnv>> envs_;
   std::vector<std::thread> drivers_;
-  // Racy-path completion counts, bumped while the worker is still
-  // managed (see execute_body) so done() never races the model state.
-  std::array<std::atomic<std::uint64_t>, kReplicas> racy_completed_{};
 
   // Harness-internal bookkeeping.  Deliberately a raw std::mutex: this
   // state is not part of the modelled world (only one managed task runs
@@ -745,8 +705,8 @@ const std::vector<std::string>& known_strategies() {
 
 bool strategy_supports(const std::string& strategy, const Scenario& scenario) {
   if (strategy == "racy") {
-    // The racy double has no deterministic timeout events; only the
-    // lock-level scenarios are meaningful against it.
+    // The racy fixture diverges by design, so a sweep of the ordinary
+    // scenarios would only report that; it runs the negative controls.
     return scenario.racy_only;
   }
   if (scenario.racy_only) return false;

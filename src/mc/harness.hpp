@@ -56,7 +56,7 @@ struct RunOptions {
 
 /// Strategy names accepted by run_execution: the six ADETS strategies,
 /// "pds2" (PDS with pds_variant = 2) and "racy"
-/// (tests/racy_scheduler.hpp behind harness-level hooks).
+/// (tests/racy_scheduler.hpp, explored through the same hooks).
 [[nodiscard]] const std::vector<std::string>& known_strategies();
 
 /// True when `strategy` can run `scenario` (capability gates).

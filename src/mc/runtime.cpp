@@ -73,14 +73,12 @@ bool McRuntime::quiescent_locked() const {
 }
 
 McRuntime::Task& McRuntime::register_task_locked(std::uint64_t id,
-                                                 const std::string& name,
-                                                 bool external) {
+                                                 const std::string& name) {
   auto [it, inserted] = tasks_.emplace(id, std::make_unique<Task>());
   if (!inserted) fatal("duplicate managed-task id");
   Task& t = *it->second;
   t.id = id;
   t.name = name;
-  t.external = external;
   return t;
 }
 
@@ -227,7 +225,7 @@ std::uint64_t McRuntime::thread_spawning() {
 void McRuntime::thread_begin(std::uint64_t ticket) {
   std::unique_lock<std::mutex> ml(model_m_);
   Task& t =
-      register_task_locked(ticket, "T" + std::to_string(ticket), false);
+      register_task_locked(ticket, "T" + std::to_string(ticket));
   tls_task() = &t;
   expected_checkins_--;
   announce_and_park(ml, t, Task::Park::kStart);
@@ -261,33 +259,12 @@ void McRuntime::adopt_current_thread(std::uint64_t stable_id,
     ctrl_cv_.notify_all();
     return;  // run unmanaged; real primitives take over
   }
-  Task& t = register_task_locked(stable_id, name, true);
+  Task& t = register_task_locked(stable_id, name);
   tls_task() = &t;
   announce_and_park(ml, t, Task::Park::kStart);
 }
 
 void McRuntime::retire_current_thread() { thread_end(); }
-
-void McRuntime::acquire_app_resource(std::uint64_t resource,
-                                     const std::string& name) {
-  Task* t = self();
-  std::unique_lock<std::mutex> ml(model_m_);
-  const std::uint64_t res = token_locked(
-      kAppRes, reinterpret_cast<const void*>(resource), name);
-  if (t == nullptr || draining_) return;
-  t->res = res;
-  announce_and_park(ml, *t, Task::Park::kLock);
-}
-
-void McRuntime::release_app_resource(std::uint64_t resource) {
-  Task* t = self();
-  std::unique_lock<std::mutex> ml(model_m_);
-  const std::uint64_t res = token_locked(
-      kAppRes, reinterpret_cast<const void*>(resource), "app");
-  owners_[res] = 0;
-  if (t == nullptr || draining_) return;
-  touch_locked(res);  // release-type: no yield (see mutex_unlock)
-}
 
 // --- controller -------------------------------------------------------------
 
@@ -503,7 +480,7 @@ void McRuntime::shutdown() {
 
 void McRuntime::runner_loop() {
   std::unique_lock<std::mutex> ml(model_m_);
-  Task& t = register_task_locked(1, "timer-runner", false);
+  Task& t = register_task_locked(1, "timer-runner");
   runner_task_ = &t;
   tls_task() = &t;
   for (;;) {

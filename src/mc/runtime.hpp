@@ -4,8 +4,8 @@
 // onto a single logical processor (CHESS lineage).  Managed threads are
 // (a) scheduler threads spawned through SchedulerBase (registered via
 // spawn tickets; the pooled OS worker that runs one is managed only for
-// that thread's lifetime), (b) harness driver threads and RacyScheduler
-// workers (adopted explicitly), and (c) the runtime's own timer-runner
+// that thread's lifetime), (b) the harness's driver threads (adopted
+// explicitly), and (c) the runtime's own timer-runner
 // task that executes virtualised TimerService callbacks.  Each managed
 // thread runs until its next interception point (common/mc_hooks.hpp),
 // announces the operation it wants to perform, and parks; the controller
@@ -109,20 +109,13 @@ class McRuntime final : public mchook::Interceptor {
 
   // --- managed-world helpers for the harness ------------------------------
   /// Announces that exactly one adopt_current_thread call is imminent
-  /// (e.g. a RacyScheduler worker was just spawned by a delivery);
-  /// quiescence waits for it.  Callable from any thread.
+  /// (a harness driver thread is about to start); quiescence waits for
+  /// it.  Callable from any thread.
   void expect_adoption();
   /// Registers the calling (externally created) thread as a managed task
   /// with a caller-chosen stable id, and parks until first scheduled.
   void adopt_current_thread(std::uint64_t stable_id, const std::string& name);
   void retire_current_thread();
-  /// Models an application-level lock for schedulers whose threads do not
-  /// block through common::Mutex/CondVar (the racy double):
-  /// parks until the model grants `resource` to the calling task.  The
-  /// caller performs the real acquisition afterwards (uncontended by
-  /// construction, since every acquirer routes through this).
-  void acquire_app_resource(std::uint64_t resource, const std::string& name);
-  void release_app_resource(std::uint64_t resource);
   /// Applies a condvar-notify effect from the (unmanaged) controller —
   /// used when the harness seeds the event bus while every task is
   /// parked.  `condvar` is the common::CondVar the tasks wait on.
@@ -147,12 +140,11 @@ class McRuntime final : public mchook::Interceptor {
     void* mu_ptr = nullptr;  // common::Mutex* to really relock after a wait
     bool timed = false;
     bool wake_was_timeout = false;  // how the last cv wake resolved
-    bool external = false;          // adopted (not spawn-ticketed)
     std::condition_variable cv;     // parks on model_m_
     bool go = false;
   };
 
-  enum ResourceKind { kMutexRes = 1, kCvRes = 2, kAppRes = 3, kTimerRes = 4 };
+  enum ResourceKind { kMutexRes = 1, kCvRes = 2, kTimerRes = 3 };
 
   std::uint64_t token_locked(ResourceKind kind, const void* ptr,
                              const std::string& name);
@@ -171,8 +163,7 @@ class McRuntime final : public mchook::Interceptor {
   void apply_notify_locked(std::uint64_t cvres, bool all);
   [[nodiscard]] bool quiescent_locked() const;
   void runner_loop();
-  Task& register_task_locked(std::uint64_t id, const std::string& name,
-                             bool external);
+  Task& register_task_locked(std::uint64_t id, const std::string& name);
 
   const Options options_;
 

@@ -117,8 +117,8 @@ void timeout_body(McCtx& ctx) {
 }
 
 // Two requests writing under one lock — enough for the RacyScheduler to
-// diverge: replicas grant the (real, unordered) lock in different
-// real-time orders, so the per-mutex traces disagree.
+// diverge: replicas grant the lock by real-time arrival, which differs
+// between them, so the per-mutex traces disagree.
 void racy_locks_body(McCtx& ctx) {
   ctx.lock(1);
   ctx.trace(1, "r" + std::to_string(ctx.request_id()));

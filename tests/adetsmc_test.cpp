@@ -1,8 +1,9 @@
 // Regression tests for the adets-mc model checker (src/mc/).
 //
 // The negative control: adetsmc must catch tests/racy_scheduler.hpp (a
-// scheduler that grants locks in real-time order) with a minimized,
-// deterministically replayable divergence trace.  The positive
+// scheduler that grants locks in real-time order) on both racy
+// scenarios with a minimized, deterministically replayable divergence
+// trace.  The positive
 // controls: exhaustive DPOR exploration must complete with zero
 // violations for SEQ on the contended two-request lock scenario and for
 // LSA on the single-request protocol-pipeline scenario, in exactly the
@@ -32,33 +33,35 @@ const Scenario* scenario(const char* name) {
 }
 
 TEST(AdetsMcTest, RacySchedulerDivergenceFoundMinimizedAndReplayable) {
-  const Scenario* racy = scenario("racy_locks");
-  ASSERT_NE(racy, nullptr);
+  for (const char* name : {"racy_locks", "racy_kvreg"}) {
+    const Scenario* racy = scenario(name);
+    ASSERT_NE(racy, nullptr);
 
-  ExploreOptions options;
-  options.preemption_bound = 2;
-  options.max_schedules = 500;
-  options.max_seconds = 60.0;
-  const ExploreReport report = adets::mc::explore(*racy, "racy", options);
+    ExploreOptions options;
+    options.preemption_bound = 2;
+    options.max_schedules = 500;
+    options.max_seconds = 60.0;
+    const ExploreReport report = adets::mc::explore(*racy, "racy", options);
 
-  ASSERT_TRUE(report.found_violation) << report.report;
-  bool grant_divergence = false;
-  for (const adets::mc::Violation& v : report.violations) {
-    grant_divergence = grant_divergence || v.property == "grant-divergence";
+    ASSERT_TRUE(report.found_violation) << name << ": " << report.report;
+    bool grant_divergence = false;
+    for (const adets::mc::Violation& v : report.violations) {
+      grant_divergence = grant_divergence || v.property == "grant-divergence";
+    }
+    EXPECT_TRUE(grant_divergence) << name << ": " << report.report;
+    ASSERT_FALSE(report.witness.empty()) << name;
+
+    // The minimized witness must reproduce the violation on strict
+    // replay, and two replays must agree byte-for-byte.
+    const ExecutionResult first =
+        adets::mc::replay_trace(*racy, "racy", report.witness, {});
+    ASSERT_FALSE(first.violations.empty()) << name << ": " << first.report;
+    const ExecutionResult second =
+        adets::mc::replay_trace(*racy, "racy", report.witness, {});
+    EXPECT_EQ(first.order_key, second.order_key) << name;
+    EXPECT_EQ(first.outcome, second.outcome) << name;
+    EXPECT_EQ(first.report, second.report) << name;
   }
-  EXPECT_TRUE(grant_divergence) << report.report;
-  ASSERT_FALSE(report.witness.empty());
-
-  // The minimized witness must reproduce the violation on strict replay,
-  // and two replays must agree byte-for-byte.
-  const ExecutionResult first =
-      adets::mc::replay_trace(*racy, "racy", report.witness, {});
-  ASSERT_FALSE(first.violations.empty()) << first.report;
-  const ExecutionResult second =
-      adets::mc::replay_trace(*racy, "racy", report.witness, {});
-  EXPECT_EQ(first.order_key, second.order_key);
-  EXPECT_EQ(first.outcome, second.outcome);
-  EXPECT_EQ(first.report, second.report);
 }
 
 TEST(AdetsMcTest, ExhaustiveSeqContendedLocksHasNoViolations) {

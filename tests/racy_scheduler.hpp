@@ -1,34 +1,37 @@
 // A deliberately NONDETERMINISTIC scheduler: the negative control of
-// the cross-replica consistency check (repl::check_group).
+// every determinism check (repl::check_group, lincheck, adets-mc and
+// adets-sa).
 //
-// RacyScheduler violates the ADETS determinism contract on purpose: it
-// runs every delivered request on its own OS thread immediately, grants
-// locks in real-time arrival order (plain mutexes), and staggers request
-// execution by a pseudo-random delay derived from the REPLICA'S OWN node
-// id — exactly the "replica-local information must never influence
-// scheduling" rule every real strategy obeys.  Replicas therefore
-// interleave concurrent requests differently, and check_group, run after
-// the drain, must catch the drift with a decision-trace diff.
-// Never ship this; it exists so tests can prove the check works.
+// RacyScheduler is a SchedulerBase strategy, so it takes the path the
+// six real strategies take: pooled workers, the reentrancy layer,
+// condvar queues, timed waits, nested calls, the decision ring and
+// stop() all come from the base.  It breaks the ADETS determinism
+// contract in two places, on purpose:
+//  - a free mutex goes to the waiter with the earliest real-time
+//    arrival stamp (common::Clock::now()), not to a position in the
+//    total order;
+//  - every request is delayed by an amount derived from the REPLICA'S
+//    OWN node id, so replicas reach their locks in different orders.
+// Replicas therefore grant contended mutexes in different orders, and
+// each check must catch the drift.  Never ship this; it exists so tests
+// can prove the checks work.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
+#include <chrono>
+#include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <set>
+#include <utility>
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
-#include "sched/api.hpp"
+#include "sched/base.hpp"
 
 namespace adets::testing {
 
-class RacyScheduler : public sched::Scheduler {
+class RacyScheduler : public sched::SchedulerBase {
  public:
-  ~RacyScheduler() override { stop(); }
+  RacyScheduler() : SchedulerBase(sched::SchedulerConfig{}) {}
 
   [[nodiscard]] sched::SchedulerKind kind() const override {
     return sched::SchedulerKind::kMat;  // closest model; label only
@@ -43,123 +46,70 @@ class RacyScheduler : public sched::Scheduler {
     return caps;
   }
 
-  void start(sched::SchedulerEnv& env) override { env_ = &env; }
-
-  void stop() override {
-    std::vector<std::thread> workers;
-    {
-      const std::lock_guard<std::mutex> guard(mutex_);
-      if (stopping_) return;
-      stopping_ = true;
-      workers.swap(workers_);
-    }
-    cv_.notify_all();
-    for (auto& worker : workers) {
-      if (worker.joinable()) worker.join();
-    }
+ protected:
+  void handle_request(Lk& lk, sched::Request request) override ADETS_REQUIRES(mon_) {
+    spawn_thread(lk, std::move(request));
   }
 
-  void on_request(sched::Request request) override {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    if (stopping_ || request.kind != sched::RequestKind::kApplication) return;
-    workers_.emplace_back([this, request = std::move(request)] {
-      // The determinism violation: a replica-local stagger, so each
-      // replica resolves the real-time lock races below differently.
-      std::uint64_t state = env_->self().value() * 0x9e3779b97f4a7c15ULL ^
-                            request.id.value();
-      common::Clock::sleep_real(
-          std::chrono::milliseconds(common::splitmix64(state) % 20));
-      current_request() = request.id.value();
-      env_->execute(request);
-      completed_.fetch_add(1, std::memory_order_release);
-    });
+  void on_thread_start(Lk& lk, ThreadRecord& t) override ADETS_REQUIRES(mon_) {
+    // The first violation: a replica-local stagger.
+    std::uint64_t state =
+        env_->self().value() * 0x9e3779b97f4a7c15ULL ^ t.request.id.value();
+    lk.unlock();
+    common::Clock::sleep_real(std::chrono::milliseconds(common::splitmix64(state) % 20));
+    lk.lock();
   }
 
-  void on_reply(common::RequestId nested_id) override {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    replies_.insert({nested_id.value(), true});
-    cv_.notify_all();
-  }
-  void on_scheduler_message(common::NodeId, const common::Bytes&) override {}
-  void on_view_change(const std::vector<common::NodeId>&) override {}
-
-  void lock(common::MutexId mutex) override {
-    app_mutex(mutex).lock();  // real-time arrival order: the violation
-    const std::lock_guard<std::mutex> guard(mutex_);
-    std::uint64_t ordinal = 0;  // earlier grants of `mutex`: every decision is a grant
-    for (const sched::Decision& d : decisions_) ordinal += d.mutex == mutex ? 1 : 0;
-    decisions_.push_back(sched::Decision{sched::Decision::Kind::kLockGrant, decision_seq_++,
-        mutex, common::CondVarId::invalid(), common::ThreadId(current_request()), 0, ordinal});
-  }
-  void unlock(common::MutexId mutex) override { app_mutex(mutex).unlock(); }
-
-  sched::WaitResult wait(common::MutexId mutex, common::CondVarId condvar,
-                         common::Duration timeout) override {
-    auto& cv = app_condvar(condvar);
-    auto& m = app_mutex(mutex);
-    if (timeout.count() > 0) {
-      const auto status = cv.wait_for(m, common::Clock::scaled(timeout));
-      return sched::WaitResult{status == std::cv_status::no_timeout};
-    }
-    cv.wait(m);
-    return sched::WaitResult{true};
+  void base_lock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override
+      ADETS_REQUIRES(mon_) {
+    MutexState& m = mutexes_[mutex.value()];
+    // The second violation: real-time arrival decides the grant order.
+    m.arrivals.emplace(common::Clock::now(), t.id.value());
+    hand_over(lk, mutex);
+    t.state = sched::ThreadState::kBlockedLock;
+    while (m.owner != t.id && !stopping()) block(lk, t);
+    t.state = sched::ThreadState::kRunning;
   }
 
-  void notify_one(common::MutexId, common::CondVarId condvar) override {
-    app_condvar(condvar).notify_one();
-  }
-  void notify_all(common::MutexId, common::CondVarId condvar) override {
-    app_condvar(condvar).notify_all();
-  }
-
-  void before_nested_call(common::RequestId) override {}
-  void after_nested_call(common::RequestId nested_id) override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait_for(lock, std::chrono::seconds(30), [this, nested_id] {
-      return stopping_ || replies_.count(nested_id.value()) > 0;
-    });
+  void base_unlock(Lk& lk, ThreadRecord& t, common::MutexId mutex) override
+      ADETS_REQUIRES(mon_) {
+    MutexState& m = mutexes_[mutex.value()];
+    if (m.owner != t.id) return;  // stop() ended t's wait before a grant
+    m.owner = common::ThreadId::invalid();
+    hand_over(lk, mutex);
   }
 
-  void set_trace(bool) override {}  // keeps every decision anyway
-  [[nodiscard]] std::vector<sched::Decision> decision_trace() const override {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    return decisions_;
+  void base_wait(Lk& lk, ThreadRecord& t, common::MutexId mutex) override
+      ADETS_REQUIRES(mon_) {
+    base_unlock(lk, t, mutex);
+    while (t.state == sched::ThreadState::kBlockedWait && !stopping()) block(lk, t);
+    base_lock(lk, t, mutex);
   }
-  [[nodiscard]] std::uint64_t completed_requests() const override {
-    return completed_.load(std::memory_order_acquire);
+
+  void resume_waiter(Lk&, ThreadRecord& t, common::MutexId) override ADETS_REQUIRES(mon_) {
+    t.state = sched::ThreadState::kBlockedReacquire;
+    wake(t);
   }
-  [[nodiscard]] sched::SchedulerStats stats() const override { return {}; }
 
  private:
-  static std::uint64_t& current_request() {
-    static thread_local std::uint64_t id = 0;
-    return id;
+  struct MutexState {
+    common::ThreadId owner = common::ThreadId::invalid();
+    /// Waiters by (arrival stamp, thread id).
+    std::set<std::pair<common::TimePoint, std::uint64_t>> arrivals;
+  };
+
+  /// Grants a free `mutex` to its earliest arrival.
+  void hand_over(Lk& lk, common::MutexId mutex) ADETS_REQUIRES(mon_) {
+    MutexState& m = mutexes_[mutex.value()];
+    if (m.owner.valid() || m.arrivals.empty()) return;
+    m.owner = common::ThreadId(m.arrivals.begin()->second);
+    m.arrivals.erase(m.arrivals.begin());
+    record_grant(mutex, m.owner);
+    ThreadRecord* next = find_thread(lk, m.owner);
+    if (next != nullptr && next->state == sched::ThreadState::kBlockedLock) wake(*next);
   }
 
-  std::recursive_mutex& app_mutex(common::MutexId id) {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    auto& slot = app_mutexes_[id.value()];
-    if (!slot) slot = std::make_unique<std::recursive_mutex>();
-    return *slot;
-  }
-  std::condition_variable_any& app_condvar(common::CondVarId id) {
-    const std::lock_guard<std::mutex> guard(mutex_);
-    auto& slot = app_condvars_[id.value()];
-    if (!slot) slot = std::make_unique<std::condition_variable_any>();
-    return *slot;
-  }
-
-  sched::SchedulerEnv* env_ = nullptr;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-  std::map<std::uint64_t, std::unique_ptr<std::recursive_mutex>> app_mutexes_;
-  std::map<std::uint64_t, std::unique_ptr<std::condition_variable_any>> app_condvars_;
-  std::map<std::uint64_t, bool> replies_;
-  std::vector<sched::Decision> decisions_;
-  std::uint64_t decision_seq_ = 0;
-  std::atomic<std::uint64_t> completed_{0};
+  std::map<std::uint64_t, MutexState> mutexes_ ADETS_GUARDED_BY(mon_);
 };
 
 }  // namespace adets::testing

@@ -1,8 +1,6 @@
 // lincheck: offline linearizability checker for recorded histories.
 //
 //   lincheck run.history                    # spec from the file header
-//   lincheck --spec kv run.history          # override / supply the spec
-//   lincheck --spec bounded-buffer:4 *.history
 //   lincheck --no-partition --max-states 100000 run.history
 //
 // History files are what the scenario runner dumps on a failed run (and
@@ -26,7 +24,6 @@
 namespace {
 
 struct Cli {
-  std::string spec_name;
   bool partition = true;
   bool minimize = true;
   std::uint64_t max_states = 4'000'000;
@@ -36,9 +33,7 @@ struct Cli {
 void usage() {
   std::fprintf(stderr,
                "usage: lincheck [options] FILE...\n"
-               "  --spec NAME       sequential spec: kv, unbounded-buffer,\n"
-               "                    bounded-buffer[:CAPACITY]\n"
-               "                    (default: the 'spec' header of each file)\n"
+               "  (the sequential spec is the 'spec' header of each file)\n"
                "  --no-partition    disable P-compositionality partitioning\n"
                "  --no-minimize     report the raw failing prefix, unshrunk\n"
                "  --max-states N    search budget per history (default 4000000)\n");
@@ -47,13 +42,7 @@ void usage() {
 bool parse_args(int argc, char** argv, Cli* cli) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--spec") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "lincheck: --spec needs a value\n");
-        return false;
-      }
-      cli->spec_name = argv[++i];
-    } else if (arg == "--no-partition") {
+    if (arg == "--no-partition") {
       cli->partition = false;
     } else if (arg == "--no-minimize") {
       cli->minimize = false;
@@ -109,12 +98,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "lincheck: %s: %s\n", file.c_str(), error.c_str());
       return 2;
     }
-    const std::string spec_name =
-        !cli.spec_name.empty() ? cli.spec_name : loaded->spec_name;
+    const std::string& spec_name = loaded->spec_name;
     if (spec_name.empty()) {
-      std::fprintf(stderr,
-                   "lincheck: %s has no 'spec' header; pass --spec NAME\n",
-                   file.c_str());
+      std::fprintf(stderr, "lincheck: %s has no 'spec' header\n", file.c_str());
       return 2;
     }
     const auto spec = adets::lin::make_spec(spec_name);
